@@ -385,6 +385,20 @@ class MoConfig:
     bnb_binary_cap: int = 64
     node_limit: int | None = None
 
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if self.time_limit is not None and self.time_limit <= 0:
+            raise ValueError("time_limit must be positive or null")
+        if self.delta <= 0:
+            raise ValueError("delta must be positive")
+        if self.backend not in ("auto", "highs", "bundled"):
+            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.bnb_binary_cap < 0:
+            raise ValueError("bnb_binary_cap must be >= 0")
+        if self.node_limit is not None and self.node_limit < 1:
+            raise ValueError("node_limit must be >= 1 or null")
+
 
 class MoPolicy:
     """Re-optimizing controller: calibrate, build, solve, take the first move.

@@ -19,7 +19,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .mdp import (
     RewardModel,
     SpreadModel,
     Wildfire,
+    burning_cells,
     idle_action,
 )
 
@@ -45,6 +46,21 @@ POLICY_NAMES = ("random", "fw", "mcts", "mo")
 
 class ScenarioError(ValueError):
     """Malformed scenario document; the message names the offending field."""
+
+
+def _planner_config(cls, name: str, options):
+    """Build ``cls`` (``MctsConfig`` or ``MoConfig``) from the scenario's
+    ``name`` block, turning every bad key or value into a ``ScenarioError``."""
+    if not isinstance(options, dict):
+        raise ScenarioError(f"field '{name}': must be an object")
+    known = {f.name for f in fields(cls)}
+    for key in options:
+        if key not in known:
+            raise ScenarioError(f"field '{name}.{key}': unknown {name} option")
+    try:
+        return cls(**options)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"field '{name}': {exc}") from exc
 
 
 def grid1_rewards(k: int, height: int | None = None) -> RewardModel:
@@ -158,6 +174,8 @@ class ScenarioConfig:
             raise ScenarioError("field 'rewards': wrong length")
         if self.reps < 1:
             raise ScenarioError("field 'reps': must be >= 1")
+        _planner_config(MctsConfig, "mcts", self.mcts)
+        _planner_config(MoConfig, "mo", self.mo)
 
     # -- construction ---------------------------------------------------
 
@@ -210,10 +228,10 @@ class ScenarioConfig:
                 return FwPolicy(weights, teams)
             return FwSamplePolicy(weights, teams)
         if name == "mcts":
-            cfg = MctsConfig(**self.mcts)
+            cfg = _planner_config(MctsConfig, "mcts", self.mcts)
             return MctsPolicy(self.model(), teams, cfg, spread, rewards)
         if name == "mo":
-            cfg = MoConfig(**self.mo)
+            cfg = _planner_config(MoConfig, "mo", self.mo)
             return MoPolicy(spread, rewards, teams, cfg)
         raise ScenarioError(f"field 'policies': unknown policy {name!r}")
 
@@ -352,6 +370,7 @@ class EpisodeResult:
     step_cap_hit: bool = False
     mo_fallbacks: int = 0
     mcts_fallbacks: int = 0
+    initial_fire: tuple = (0, 0)  # _fire_size of the episode's initial fire
 
     def flags(self) -> str:
         parts = []
@@ -387,6 +406,12 @@ def episode_rng(seed: int) -> random.Random:
     return random.Random(f"firegrid-episode:{seed}")
 
 
+def _fire_size(state: FireState) -> tuple:
+    """(number of burning cells, fuel summed over them)."""
+    cells = burning_cells(state)
+    return len(cells), sum(state.fuel[x] for x in cells)
+
+
 def run_episode(config: ScenarioConfig, policy, seed: int,
                 policy_name: str = "?") -> EpisodeResult:
     """Play one full episode: generate the initial fire, then act until the
@@ -398,6 +423,7 @@ def run_episode(config: ScenarioConfig, policy, seed: int,
     rng = episode_rng(seed)
     model = config.model()
     state = config.initial_state(rng)
+    initial_fire = _fire_size(state)
     if hasattr(policy, "reset"):
         policy.reset()
     cap = 10 * max(1, config.generation_horizon())
@@ -420,14 +446,22 @@ def run_episode(config: ScenarioConfig, policy, seed: int,
         step_cap_hit=cap_hit,
         mo_fallbacks=policy.fallbacks if isinstance(policy, MoPolicy) else 0,
         mcts_fallbacks=policy.fallbacks if isinstance(policy, MctsPolicy) else 0,
+        initial_fire=initial_fire,
     )
 
 
-def _episode_task(args):
-    doc, policy_name, seed = args
-    config = scenario_from_dict(doc)
-    policy = config.make_policy(policy_name)
-    return run_episode(config, policy, seed, policy_name)
+_worker = None  # (config, {name: policy}) in a benchmark's pool workers
+
+
+def _init_worker(config, policies):
+    global _worker
+    _worker = (config, policies)
+
+
+def _episode_task(task):
+    policy_name, seed = task
+    config, policies = _worker
+    return run_episode(config, policies[policy_name], seed, policy_name)
 
 
 def initial_fire_stats(config: ScenarioConfig, reps: int | None = None):
@@ -440,15 +474,15 @@ def initial_fire_stats(config: ScenarioConfig, reps: int | None = None):
     than matched.
     """
     reps = config.reps if reps is None else reps
-    burn_counts = []
-    fuel_means = []
-    for r in range(reps):
-        rng = episode_rng(config.seed + r)
-        state = config.initial_state(rng)
-        cells = [x for x in range(len(state.burning)) if state.burning[x]]
-        burn_counts.append(len(cells))
-        if cells:
-            fuel_means.append(sum(state.fuel[x] for x in cells) / len(cells))
+    fires = [_fire_size(config.initial_state(episode_rng(config.seed + r)))
+             for r in range(reps)]
+    return _fire_stats(config, fires)
+
+
+def _fire_stats(config: ScenarioConfig, fires):
+    """``initial_fire_stats`` from the ``_fire_size`` of each fire, in seed order."""
+    burn_counts = [cells for cells, _ in fires]
+    fuel_means = [fuel / cells for cells, fuel in fires if cells]
     horizon = config.generation_horizon()
     untouched = int(horizon * config.k ** -0.25)
     return (
@@ -466,19 +500,23 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     Replication r of every policy uses seed ``config.seed + r``.  With
     ``jobs > 1`` episodes fan out to a process pool; results are merged in
     (policy, seed) order so the output does not depend on scheduling or on
-    the order the policies were given.
+    the order the policies were given.  Each policy is built once and reset
+    by ``run_episode`` before every episode.
     """
     reps = config.reps if reps is None else reps
-    doc = scenario_to_dict(config)
-    tasks = [(doc, name, config.seed + r) for name in policies for r in range(reps)]
+    built = {name: config.make_policy(name) for name in policies}
+    tasks = [(name, config.seed + r) for name in policies for r in range(reps)]
     if jobs > 1:
         import multiprocessing as mp
 
-        # fork keeps workers importable from any entry point (pytest, stdin)
-        with mp.get_context("fork").Pool(jobs) as pool:
+        # fork keeps workers importable from any entry point (pytest, stdin),
+        # and hands them the built policies unpickled: MCTS rollout closures
+        # cannot be pickled
+        with mp.get_context("fork").Pool(
+                jobs, initializer=_init_worker, initargs=(config, built)) as pool:
             results = pool.map(_episode_task, tasks, chunksize=1)
     else:
-        results = [_episode_task(t) for t in tasks]
+        results = [run_episode(config, built[name], seed, name) for name, seed in tasks]
     results.sort(key=lambda res: (res.policy, res.seed))
 
     by_policy = {}
@@ -498,7 +536,14 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
             policy=name, mean=float(rewards.mean()), median=float(med),
             q1=float(q1), q3=float(q3), improvement_vs_random=improvement,
         ))
-    mean_burn, max_burn, mean_fuel, untouched = initial_fire_stats(config, reps)
+    # Every policy played the same initial fire for a seed; without policies
+    # there are no episodes, so the fires are generated here.
+    fires = {res.seed: res.initial_fire for res in results}
+    if fires:
+        stats = _fire_stats(config, [fires[config.seed + r] for r in range(reps)])
+    else:
+        stats = initial_fire_stats(config, reps)
+    mean_burn, max_burn, mean_fuel, untouched = stats
     summary = RunSummary(
         policies=summaries,
         mean_burning=mean_burn,

@@ -10,13 +10,14 @@ read-only by any number of episodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall
 
-from .mdp import Action, FireState, RewardModel, SpreadModel, idle_action
+from .mdp import Action, FireState, RewardModel, SpreadModel, burning_cells, idle_action
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,31 @@ class DistanceTable:
 
 @dataclass(frozen=True)
 class WeightMap:
-    """Per-cell score w and the derived suppression priority (-w)."""
+    """Per-cell score w and the derived suppression priority (-w).
+
+    The priority never changes, so its order is precomputed here: ``order``
+    lists the cells by priority descending, ties toward the lower index, and
+    ``tie_start[x]`` is the position in ``order`` where the run of cells
+    sharing x's priority begins.  Ranking any burning set then takes one
+    O(n) pass over ``order`` instead of comparing burning cells pairwise.
+    """
 
     w: np.ndarray
     priority: np.ndarray
+    order: tuple = field(init=False, repr=False, compare=False)
+    tie_start: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p = self.priority.tolist()
+        order = sorted(range(len(p)), key=p.__getitem__, reverse=True)  # stable
+        tie_start = [0] * len(p)
+        start = 0
+        for i, x in enumerate(order):
+            if i and p[x] != p[order[i - 1]]:
+                start = i
+            tie_start[x] = start
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "tie_start", tuple(tie_start))
 
 
 def all_pairs_distances(spread: SpreadModel) -> DistanceTable:
@@ -69,29 +91,32 @@ def fw_weights(distances: DistanceTable, rewards: RewardModel) -> WeightMap:
     return WeightMap(w=w, priority=-w)
 
 
-def _burning(state: FireState) -> list:
-    burning = state.burning
-    return [x for x in range(len(burning)) if burning[x]]
-
-
 def fw_policy(state: FireState, weights: WeightMap, teams: int) -> Action:
     """Deterministically cover the highest-priority burning cells.
 
     One team per cell down the priority order; once every burning cell is
     covered the remaining teams wrap back to the top.  Ties break toward the
-    lower cell index.
+    lower cell index, as in ``weights.order``.
     """
-    cells = _burning(state)
+    burning = state.burning
+    cells = [x for x in weights.order if burning[x]]
     if not cells:
         return idle_action(teams)
-    priority = weights.priority
-    cells.sort(key=lambda x: (-priority[x], x))
     return tuple(sorted(cells[i % len(cells)] for i in range(teams)))
 
 
-def _priority_ranks(cells, priority) -> list:
-    """Competition ranks (1 = best); cells with equal priority share a rank."""
-    return [1 + sum(1 for y in cells if priority[y] > priority[x]) for x in cells]
+def _priority_ranks(burning, cells, weights: WeightMap) -> list:
+    """Competition ranks (1 = best) of the burning ``cells``, in their order.
+
+    A cell's rank is one plus the number of burning cells of strictly higher
+    priority, so cells with equal priority share a rank.  Counting the
+    burning flags along ``weights.order`` gives that number at the start of
+    every tie run: O(n) per call.
+    """
+    # before[i]: one plus the number of burning cells among order[:i]
+    before = list(accumulate([burning[x] for x in weights.order], initial=1))
+    tie_start = weights.tie_start
+    return [before[tie_start[x]] for x in cells]
 
 
 def _weighted_index(weights, rng) -> int:
@@ -110,12 +135,13 @@ def fw_sample_policy(state: FireState, weights: WeightMap, teams: int, rng) -> A
     Burning cells are drawn without replacement with probability proportional
     to 1 / rank, where rank is the competition rank of the cell's priority;
     once the burning set is exhausted the remaining teams draw with
-    replacement from the same distribution.
+    replacement from the same distribution.  Ranks come from the priority
+    order ``WeightMap`` precomputes, at O(n) per call.
     """
-    cells = _burning(state)
+    cells = burning_cells(state)
     if not cells:
         return idle_action(teams)
-    ranks = _priority_ranks(cells, weights.priority)
+    ranks = _priority_ranks(state.burning, cells, weights)
     base = [1.0 / r for r in ranks]
     chosen = []
     pool = list(range(len(cells)))
@@ -129,7 +155,7 @@ def fw_sample_policy(state: FireState, weights: WeightMap, teams: int, rng) -> A
 
 def random_policy(state: FireState, teams: int, rng) -> Action:
     """Uniform straw man: burning cells without replacement, extras with."""
-    cells = _burning(state)
+    cells = burning_cells(state)
     if not cells:
         return idle_action(teams)
     take = min(teams, len(cells))

@@ -159,3 +159,9 @@ def fluid_recursion(spread, state, horizon, delta=0.1):
                 )
         z = z | (fuel <= delta + 1e-12)
     return intensity
+
+
+def priority_ranks(cells, priority):
+    """Competition ranks (1 = best) of ``cells`` by ``priority``, counted
+    pairwise: one plus the number of cells of strictly higher priority."""
+    return [1 + sum(1 for y in cells if priority[y] > priority[x]) for x in cells]

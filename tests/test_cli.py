@@ -116,6 +116,22 @@ def test_malformed_scenario_names_field(tmp_path, capsys):
     assert "teams" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, field", [
+    ({"mcts": {"budget_secs": 1.0}}, "mcts.budget_secs"),
+    ({"mo": {"horizn": 3}}, "mo.horizn"),
+    ({"mcts": {"depth": 0}}, "mcts"),
+    ({"mo": {"horizon": 0}}, "mo"),
+])
+def test_bad_planner_option_names_field(tmp_path, capsys, block, field):
+    scenario = write_scenario(tmp_path, explicit_doc(**block))
+    code = main(["simulate", "--scenario", scenario, "--policy", "mcts"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("firegrid: scenario error:")
+    assert f"'{field}" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_rejected(tmp_path):
     scenario = write_scenario(tmp_path, explicit_doc())
     with pytest.raises(SystemExit):

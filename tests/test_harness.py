@@ -188,6 +188,17 @@ def test_scenario_wrong_array_length_named():
         scenario_from_dict(explicit_doc(fuel=[1, 2]))
 
 
+def test_scenario_planner_blocks_validated_at_load():
+    with pytest.raises(ScenarioError, match="mcts.budget_secs"):
+        scenario_from_dict(explicit_doc(mcts={"budget_secs": 1.0}))
+    with pytest.raises(ScenarioError, match="'mo': unknown backend"):
+        scenario_from_dict(explicit_doc(mo={"backend": "cplex"}))
+    with pytest.raises(ScenarioError, match="field 'mcts'"):
+        scenario_from_dict(explicit_doc(mcts={"depth": "deep"}))
+    with pytest.raises(ScenarioError, match="'mo': must be an object"):
+        scenario_from_dict(explicit_doc(mo=[3]))
+
+
 def test_state_snapshot_reloads_as_explicit():
     config = scenario_from_dict({"family": "grid1", "k": 4, "P_default": 0.06,
                                  "Q_default": 0.8, "teams": 1, "seed": 3})
@@ -260,6 +271,48 @@ def test_benchmark_jobs_do_not_change_results():
     res_a, _ = run_benchmark(config, ["random", "fw"], reps=4, jobs=1)
     res_b, _ = run_benchmark(config, ["random", "fw"], reps=4, jobs=2)
     assert results_to_csv(res_a) == results_to_csv(res_b)
+
+
+def test_benchmark_builds_each_policy_once(monkeypatch):
+    config = small_grid1()
+    built = []
+    make_policy = ScenarioConfig.make_policy
+
+    def counting(self, name):
+        built.append(name)
+        return make_policy(self, name)
+
+    monkeypatch.setattr(ScenarioConfig, "make_policy", counting)
+    for jobs in (1, 2):
+        built.clear()
+        run_benchmark(config, ["random", "fw"], reps=3, jobs=jobs)
+        assert sorted(built) == ["fw", "random"]
+
+
+def test_benchmark_reused_planners_match_fresh_ones():
+    # one policy object per benchmark, reset between episodes, must play
+    # exactly as a policy built afresh for every episode
+    config = scenario_from_dict(explicit_doc(
+        k=3, teams=1, rewards=[-1.0, -2.0, -3.0, -2.0, -3.0, -4.0, -3.0, -4.0, -10.0],
+        fuel=[3, 4, 3, 4, 5, 4, 3, 4, 3], burning=[0, 1, 0, 1, 1, 0, 0, 0, 0],
+        P_default=0.3, Q_default=0.5,
+        mcts={"budget_iterations": 30, "budget_seconds": None, "depth": 4},
+        mo={"horizon": 3, "time_limit": None, "backend": "highs",
+            "bnb_binary_cap": 0}))
+    fresh = [run_episode(config, config.make_policy(name), config.seed + r, name)
+             for name in ("mcts", "mo") for r in range(2)]
+    assert "mo-fallback" in results_to_csv(fresh)  # counters must reset too
+    for jobs in (1, 2):
+        results, _ = run_benchmark(config, ["mcts", "mo"], reps=2, jobs=jobs)
+        assert results_to_csv(results) == results_to_csv(fresh)
+
+
+def test_benchmark_fire_stats_match_regenerated_fires():
+    config = small_grid1()
+    _, summary = run_benchmark(config, ["random"], reps=6)
+    stats = (summary.mean_burning, summary.max_burning,
+             summary.mean_fuel_burning, summary.fuel_non_burnt)
+    assert stats == initial_fire_stats(config, reps=6)
 
 
 def test_quartiles_match_statistics_library():

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import numpy as np
@@ -6,16 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from firegrid.harness import episode_rng, load_scenario
 from firegrid.heuristics import (
+    WeightMap,
+    _priority_ranks,
     all_pairs_distances,
     fw_policy,
     fw_sample_policy,
     fw_weights,
     random_policy,
 )
-from firegrid.mdp import FireState, GridSpec, RewardModel, SpreadModel, idle_action
+from firegrid.mdp import (
+    FireState,
+    GridSpec,
+    RewardModel,
+    SpreadModel,
+    burning_cells,
+    idle_action,
+)
 
-from oracles import dijkstra
+from oracles import dijkstra, priority_ranks
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def line_spread(n, p=0.06):
@@ -227,3 +240,95 @@ def test_sample_policies_target_burning_cells(teams, seed):
             assert all(burning[c] for c in action)
         else:
             assert action == idle_action(teams)
+
+
+# -- rank precomputation --------------------------------------------------------
+
+@st.composite
+def ranked_fires(draw):
+    """A small grid's priorities, drawn from few levels to force ties, and a
+    burning set over its cells."""
+    n = draw(st.integers(1, 5)) * draw(st.integers(1, 5))
+    levels = draw(st.integers(1, 4))
+    priority = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+    burning = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.array(priority, dtype=float) * 0.37 - 0.5, tuple(burning)
+
+
+@given(ranked_fires())
+@settings(max_examples=200, deadline=None)
+def test_priority_ranks_match_pairwise_reference(fire):
+    priority, burning = fire
+    weights = WeightMap(w=-priority, priority=priority)
+    cells = burning_cells(FireState(burning, (1,) * len(burning)))
+    assert _priority_ranks(burning, cells, weights) == priority_ranks(cells, priority)
+
+
+@given(ranked_fires(), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_fw_policy_follows_priority_sort(fire, teams):
+    priority, burning = fire
+    weights = WeightMap(w=-priority, priority=priority)
+    state = FireState(burning, (1,) * len(burning))
+    cells = sorted(burning_cells(state), key=lambda x: (-priority[x], x))
+    expected = idle_action(teams)
+    if cells:
+        expected = tuple(sorted(cells[i % len(cells)] for i in range(teams)))
+    assert fw_policy(state, weights, teams) == expected
+
+
+def test_priority_ranks_match_reference_on_grid_weights():
+    spec = GridSpec(6, 6)
+    spread = SpreadModel.uniform(spec, 0.06, 0.8)
+    wm = fw_weights(all_pairs_distances(spread),
+                    RewardModel(tuple(-float(1 + x % 6 + x // 6) for x in range(36))))
+    rng = random.Random(8)
+    for _ in range(50):
+        burning = tuple(rng.randint(0, 1) for _ in range(36))
+        cells = burning_cells(FireState(burning, (1,) * 36))
+        assert _priority_ranks(burning, cells, wm) == priority_ranks(cells, wm.priority)
+
+
+def test_weight_map_order_is_priority_descending_then_index():
+    priority = np.array([1.0, 3.0, 1.0, 2.0, 3.0])
+    wm = WeightMap(w=-priority, priority=priority)
+    assert wm.order == (1, 4, 3, 0, 2)
+    assert wm.tie_start == (3, 0, 3, 2, 0)
+
+
+def k20_fire():
+    config = load_scenario(os.path.join(SCENARIOS, "grid1_k20.json"))
+    state = config.initial_state(episode_rng(9))
+    weights = fw_weights(all_pairs_distances(config.spread()), config.reward_model())
+    return config, state, weights
+
+
+# Recorded with the pairwise ranking kept as ``oracles.priority_ranks``; the
+# precomputed priority order must reproduce every draw.
+FW_SAMPLE_GOLDEN = [
+    (42, 273, 293, 367), (153, 229, 285, 293), (251, 273, 292, 293),
+    (153, 289, 293, 306), (133, 206, 211, 293), (70, 253, 272, 290),
+    (115, 253, 293, 324), (73, 131, 231, 250), (187, 227, 292, 293),
+    (108, 115, 223, 272), (111, 151, 292, 365), (93, 102, 271, 293),
+]
+FW_SAMPLE_SURPLUS_GOLDEN = [
+    (0, 37, 74, 74, 111, 148, 185, 222, 222),
+    (0, 37, 37, 74, 111, 148, 148, 185, 222),
+    (0, 37, 74, 111, 148, 185, 185, 185, 222),
+    (0, 37, 74, 111, 148, 148, 148, 185, 222),
+    (0, 37, 74, 111, 148, 148, 148, 185, 222),
+    (0, 37, 74, 111, 148, 148, 148, 185, 222),
+]
+
+
+def test_fw_sample_golden_sequence_on_k20_fire():
+    config, state, weights = k20_fire()
+    assert sum(state.burning) == 260
+    rng = random.Random("golden:fw_sample")
+    draws = [fw_sample_policy(state, weights, config.teams, rng) for _ in range(12)]
+    assert draws == FW_SAMPLE_GOLDEN
+    # seven burning cells and nine teams: the surplus draws with replacement
+    small = state._replace(burning=tuple(
+        1 if b and x % 37 == 0 else 0 for x, b in enumerate(state.burning)))
+    draws = [fw_sample_policy(small, weights, 9, rng) for _ in range(6)]
+    assert draws == FW_SAMPLE_SURPLUS_GOLDEN

@@ -1,9 +1,12 @@
 import math
+import os
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from firegrid.harness import episode_rng, load_scenario
 from firegrid.heuristics import random_policy
 from firegrid.mcts import (
     MctsConfig,
@@ -374,3 +377,21 @@ def test_plan_matches_expectimax_on_easy_instance():
     result = planner.plan(state, random.Random(2))
     assert result.action == best
     assert result.root_value == pytest.approx(qs[best], rel=0.1)
+
+
+def test_golden_first_decisions_on_k20_fire():
+    # Recorded with the pairwise rollout ranking kept as
+    # ``oracles.priority_ranks``: the search must draw the same stream.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "grid1_k20.json")
+    config = load_scenario(path)
+    config = replace(config, mcts=dict(config.mcts, budget_seconds=None,
+                                       budget_iterations=10))
+    state = config.initial_state(episode_rng(9))
+    policy = config.make_policy("mcts")
+    rng = random.Random("golden:mcts")
+    first = policy(state, rng)
+    state, _ = config.model().step(state, first, rng)
+    second = policy(state, rng)
+    assert [first, second] == [(184, 232, 253, 269), (113, 232, 292, 368)]
+    assert policy.fallbacks == 0
