@@ -110,6 +110,14 @@ def _cmd_weights(args) -> int:
     return 0
 
 
+def count(text: str) -> int:
+    """argparse type of ``--reps`` and ``--jobs``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="firegrid",
@@ -135,18 +143,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--policies", default="random,fw",
                    help="comma-separated policy list")
-    p.add_argument("--reps", type=int, default=None,
+    p.add_argument("--reps", type=count, default=None,
                    help="replications (default: scenario reps)")
     p.add_argument("--out", default="results.csv", help="per-episode CSV")
     p.add_argument("--summary-out", default="summary.csv",
                    help="per-policy summary CSV")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=count, default=1,
                    help="parallel worker processes")
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("stats", help="initial-fire statistics")
     common(p)
-    p.add_argument("--reps", type=int, default=None)
+    p.add_argument("--reps", type=count, default=None)
     p.add_argument("--out", default=None, help="stats CSV (default stdout)")
     p.set_defaults(func=_cmd_stats)
 

@@ -7,9 +7,11 @@ decaying exponentially across columns.  Both let the fire spread uncontrolled
 for a fuel-scaled warmup and then shrink all fuel by k**-0.25.
 
 Benchmarks are paired: replication r of every policy plays against the
-identical initial fire, because the generator consumes a dedicated stream
-seeded only by (seed + r).  Results and summaries serialize to CSV with a
-versioned header comment.
+identical initial fire and the identical random stream, both drawn from a
+stream seeded only by (seed + r).  A benchmark generates each seed's fire
+once and plays every policy on it from a copy of the stream state; under
+``--jobs`` the seed is the unit of work.  Results and summaries serialize to
+CSV with a versioned header comment.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,15 +51,33 @@ class ScenarioError(ValueError):
     """Malformed scenario document; the message names the offending field."""
 
 
+def _type_name(t: type) -> str:
+    return "null" if t is type(None) else t.__name__
+
+
+def _type_matches(value, allowed: tuple) -> bool:
+    """JSON-level type check: ints pass for floats, bools only for bools."""
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, int) and float in allowed:
+        return True
+    return isinstance(value, allowed)
+
+
 def _planner_config(cls, name: str, options):
     """Build ``cls`` (``MctsConfig`` or ``MoConfig``) from the scenario's
     ``name`` block, turning every bad key or value into a ``ScenarioError``."""
     if not isinstance(options, dict):
         raise ScenarioError(f"field '{name}': must be an object")
-    known = {f.name for f in fields(cls)}
-    for key in options:
-        if key not in known:
+    hints = typing.get_type_hints(cls)
+    for key, value in options.items():
+        if key not in hints:
             raise ScenarioError(f"field '{name}.{key}': unknown {name} option")
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        if not _type_matches(value, allowed):
+            expected = " or ".join(map(_type_name, allowed))
+            raise ScenarioError(f"field '{name}.{key}': expected {expected}, "
+                                f"got {_type_name(type(value))}")
     try:
         return cls(**options)
     except (TypeError, ValueError) as exc:
@@ -370,7 +391,6 @@ class EpisodeResult:
     step_cap_hit: bool = False
     mo_fallbacks: int = 0
     mcts_fallbacks: int = 0
-    initial_fire: tuple = (0, 0)  # _fire_size of the episode's initial fire
 
     def flags(self) -> str:
         parts = []
@@ -413,17 +433,24 @@ def _fire_size(state: FireState) -> tuple:
 
 
 def run_episode(config: ScenarioConfig, policy, seed: int,
-                policy_name: str = "?") -> EpisodeResult:
+                policy_name: str = "?", *, model: Wildfire | None = None,
+                start: tuple | None = None) -> EpisodeResult:
     """Play one full episode: generate the initial fire, then act until the
     fire is out or the hard step cap (10x the generation horizon) trips.
 
     The rng stream is seeded only by ``seed``; generation consumes a fixed
     prefix, so every policy sees the identical initial fire for a given seed.
+    ``model`` is the scenario's simulator, built afresh when omitted.
+    ``start`` is ``(initial state, rng)``, already generated from ``seed``'s
+    stream, with the rng positioned just after generation.
     """
-    rng = episode_rng(seed)
-    model = config.model()
-    state = config.initial_state(rng)
-    initial_fire = _fire_size(state)
+    if model is None:
+        model = config.model()
+    if start is None:
+        rng = episode_rng(seed)
+        state = config.initial_state(rng)
+    else:
+        state, rng = start
     if hasattr(policy, "reset"):
         policy.reset()
     cap = 10 * max(1, config.generation_horizon())
@@ -446,22 +473,40 @@ def run_episode(config: ScenarioConfig, policy, seed: int,
         step_cap_hit=cap_hit,
         mo_fallbacks=policy.fallbacks if isinstance(policy, MoPolicy) else 0,
         mcts_fallbacks=policy.fallbacks if isinstance(policy, MctsPolicy) else 0,
-        initial_fire=initial_fire,
     )
 
 
-_worker = None  # (config, {name: policy}) in a benchmark's pool workers
+def _play_seed(config, model, policies, names, seed):
+    """Generate ``seed``'s initial fire once and play ``policies[name]`` for
+    every name in ``names`` on it, each from a fresh copy of the stream as it
+    stood after generation.  Returns (_fire_size of the fire, results)."""
+    rng = episode_rng(seed)
+    state = config.initial_state(rng)
+    after = rng.getstate()
+    results = []
+    for name in names:
+        rng = random.Random()
+        rng.setstate(after)
+        results.append(run_episode(config, policies[name], seed, name,
+                                   model=model, start=(state, rng)))
+    return _fire_size(state), results
 
 
-def _init_worker(config, policies):
+_worker = None  # _play_seed's arguments but the seed, in a benchmark's pool workers
+
+
+def _init_worker(*args):
     global _worker
-    _worker = (config, policies)
+    _worker = args
 
 
-def _episode_task(task):
-    policy_name, seed = task
-    config, policies = _worker
-    return run_episode(config, policies[policy_name], seed, policy_name)
+def _seed_task(seed):
+    return _play_seed(*_worker, seed)
+
+
+def _check_count(flag: str, value: int):
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
 def initial_fire_stats(config: ScenarioConfig, reps: int | None = None):
@@ -474,6 +519,7 @@ def initial_fire_stats(config: ScenarioConfig, reps: int | None = None):
     than matched.
     """
     reps = config.reps if reps is None else reps
+    _check_count("reps", reps)
     fires = [_fire_size(config.initial_state(episode_rng(config.seed + r)))
              for r in range(reps)]
     return _fire_stats(config, fires)
@@ -497,27 +543,36 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
                   jobs: int = 1):
     """Paired-seed comparison of ``policies``; returns (results, RunSummary).
 
-    Replication r of every policy uses seed ``config.seed + r``.  With
-    ``jobs > 1`` episodes fan out to a process pool; results are merged in
-    (policy, seed) order so the output does not depend on scheduling or on
-    the order the policies were given.  Each policy is built once and reset
-    by ``run_episode`` before every episode.
+    Replication r of every policy uses seed ``config.seed + r``.  Each seed's
+    initial fire is generated once and shared by all policies, which play it
+    in turn from the same stream state, so every policy sees the same fire
+    and the same draws.  A name given twice plays twice.  The simulator and
+    each policy are built once per call; ``run_episode`` resets the policy
+    before every episode.  With ``jobs > 1`` seeds fan out to a process pool.
+    Results are merged in (policy, seed) order, so the output depends neither
+    on scheduling nor on the order the policies were given.
     """
     reps = config.reps if reps is None else reps
-    built = {name: config.make_policy(name) for name in policies}
-    tasks = [(name, config.seed + r) for name in policies for r in range(reps)]
+    _check_count("reps", reps)
+    _check_count("jobs", jobs)
+    names = list(policies)
+    built = {name: config.make_policy(name) for name in names}
+    model = config.model()
+    seeds = [config.seed + r for r in range(reps)]
     if jobs > 1:
         import multiprocessing as mp
 
         # fork keeps workers importable from any entry point (pytest, stdin),
-        # and hands them the built policies unpickled: MCTS rollout closures
-        # cannot be pickled
+        # and hands them the simulator and the built policies unpickled: MCTS
+        # rollout closures cannot be pickled
         with mp.get_context("fork").Pool(
-                jobs, initializer=_init_worker, initargs=(config, built)) as pool:
-            results = pool.map(_episode_task, tasks, chunksize=1)
+                jobs, initializer=_init_worker,
+                initargs=(config, model, built, names)) as pool:
+            played = pool.map(_seed_task, seeds, chunksize=1)
     else:
-        results = [run_episode(config, built[name], seed, name) for name, seed in tasks]
-    results.sort(key=lambda res: (res.policy, res.seed))
+        played = [_play_seed(config, model, built, names, seed) for seed in seeds]
+    results = sorted((res for _, episodes in played for res in episodes),
+                     key=lambda res: (res.policy, res.seed))
 
     by_policy = {}
     for res in results:
@@ -536,14 +591,8 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
             policy=name, mean=float(rewards.mean()), median=float(med),
             q1=float(q1), q3=float(q3), improvement_vs_random=improvement,
         ))
-    # Every policy played the same initial fire for a seed; without policies
-    # there are no episodes, so the fires are generated here.
-    fires = {res.seed: res.initial_fire for res in results}
-    if fires:
-        stats = _fire_stats(config, [fires[config.seed + r] for r in range(reps)])
-    else:
-        stats = initial_fire_stats(config, reps)
-    mean_burn, max_burn, mean_fuel, untouched = stats
+    mean_burn, max_burn, mean_fuel, untouched = _fire_stats(
+        config, [fire for fire, _ in played])
     summary = RunSummary(
         policies=summaries,
         mean_burning=mean_burn,

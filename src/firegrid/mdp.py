@@ -35,6 +35,12 @@ class EnumerationCapError(ValueError):
     """Joint outcome space too large to enumerate exactly."""
 
 
+_OFFSETS = {
+    "four": ((1, 0), (-1, 0), (0, 1), (0, -1)),
+    "eight": ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)),
+}
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular cell grid; ``neighborhood`` picks 4- or 8-connectivity.
@@ -67,19 +73,13 @@ class GridSpec:
         return cell % self.width, cell // self.width
 
     def neighbors(self, cell: int) -> tuple:
-        col, row = self.coords(cell)
-        if self.neighborhood == "four":
-            offsets = ((1, 0), (-1, 0), (0, 1), (0, -1))
-        else:
-            offsets = (
-                (1, 0), (-1, 0), (0, 1), (0, -1),
-                (1, 1), (1, -1), (-1, 1), (-1, -1),
-            )
+        width, height = self.width, self.height
+        col, row = cell % width, cell // width
         out = []
-        for dc, dr in offsets:
+        for dc, dr in _OFFSETS[self.neighborhood]:
             c, r = col + dc, row + dr
-            if 0 <= c < self.width and 0 <= r < self.height:
-                out.append(r * self.width + c)
+            if 0 <= c < width and 0 <= r < height:
+                out.append(r * width + c)
         return tuple(out)
 
 
@@ -99,10 +99,14 @@ class SpreadModel:
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"Q({x}) = {prob} outside [0, 1]")
         incoming = [[] for _ in range(n)]
+        neighbors = {}  # x -> spec.neighbors(x), computed once per cell
         for (x, y), prob in p_edges.items():
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"P({x}, {y}) = {prob} outside [0, 1]")
-            if y not in spec.neighbors(x):
+            near = neighbors.get(x)
+            if near is None:
+                near = neighbors[x] = spec.neighbors(x)
+            if y not in near:
                 raise ValueError(f"P({x}, {y}) set but {y} is not a neighbor of {x}")
             if prob > 0.0:
                 incoming[x].append((y, prob))
@@ -186,28 +190,6 @@ class Wildfire:
         self._r = rewards.values
 
     # -- transition law ------------------------------------------------
-
-    def ignition_prob(self, state: FireState, x: int) -> float:
-        """P(nonburning cell x ignites) given the current burning set."""
-        if state.fuel[x] <= 0:
-            return 0.0
-        burning = state.burning
-        keep = 1.0
-        for y, p in self._in_edges[x]:
-            if burning[y]:
-                keep *= 1.0 - p
-        return 1.0 - keep
-
-    def extinguish_prob(self, state: FireState, action: Action, x: int) -> float:
-        """P(burning cell x stops burning) under ``action``."""
-        if state.fuel[x] <= 0:
-            return 1.0
-        qx = self._q[x]
-        keep = 1.0
-        for target in action:
-            if target == x:
-                keep *= 1.0 - qx
-        return 1.0 - keep
 
     def step_reward(self, state: FireState) -> float:
         """Reward charged this step: sum of R(x) over the pre-step burning set."""
@@ -295,7 +277,3 @@ class Wildfire:
                     prob *= 1.0 - p
             outcomes.append((FireState(tuple(burning), next_fuel), prob, reward))
         return outcomes
-
-    @staticmethod
-    def is_terminal(state: FireState) -> bool:
-        return 1 not in state.burning

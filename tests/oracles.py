@@ -165,3 +165,23 @@ def priority_ranks(cells, priority):
     """Competition ranks (1 = best) of ``cells`` by ``priority``, counted
     pairwise: one plus the number of cells of strictly higher priority."""
     return [1 + sum(1 for y in cells if priority[y] > priority[x]) for x in cells]
+
+
+def ignition_prob(spread, state, x):
+    """P(unburning cell x ignites): 1 - prod(1 - P(x, y)) over its burning
+    neighbours y, or 0 once x has no fuel."""
+    if state.fuel[x] <= 0:
+        return 0.0
+    keep = 1.0
+    for y in spread.spec.neighbors(x):
+        if state.burning[y]:
+            keep *= 1.0 - spread.p(x, y)
+    return 1.0 - keep
+
+
+def extinguish_prob(spread, state, action, x):
+    """P(burning cell x stops burning) under ``action``: 1 - (1 - Q(x))**m
+    with m the teams on x, or 1 once x has no fuel."""
+    if state.fuel[x] <= 0:
+        return 1.0
+    return 1.0 - (1.0 - spread.q[x]) ** sum(1 for target in action if target == x)

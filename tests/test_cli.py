@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from firegrid.lp import OPTIMAL, solve_lp
 from firegrid.mpsio import parse_mps
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -72,6 +74,67 @@ def test_benchmark_deterministic_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def run_benchmark_cli(tmp_path, doc, policies, jobs) -> bytes:
+    """Results CSV then summary CSV of one ``benchmark`` run, as bytes."""
+    scenario = write_scenario(tmp_path, doc)
+    out = tmp_path / "results.csv"
+    summary = tmp_path / "summary.csv"
+    assert main(["benchmark", "--scenario", scenario, "--policies", policies,
+                 "--jobs", str(jobs), "--out", str(out),
+                 "--summary-out", str(summary)]) == 0
+    return out.read_bytes() + summary.read_bytes()
+
+
+def tiny_explicit_doc():
+    with open(os.path.join(SCENARIOS, "tiny_explicit.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    # MO through HiGHS: the bundled simplex plays the same actions here but
+    # takes seconds per episode
+    doc["mo"] = dict(doc["mo"], backend="highs")
+    return dict(doc, reps=3)
+
+
+# Golden ``benchmark`` outputs (results CSV, then summary CSV), recorded with
+# a harness that generated the fire afresh for every (policy, seed) episode:
+# sharing one fire and stream state per seed must not change a byte.
+GOLDEN_CASES = {
+    "grid1_k4": ({"family": "grid1", "k": 4, "P_default": 0.06, "Q_default": 0.8,
+                  "teams": 2, "seed": 0, "reps": 6}, "random,fw,fw_sample"),
+    "grid2_k5_duplicate": ({"family": "grid2", "k": 5, "P_default": 0.06,
+                            "Q_default": 0.8, "teams": 2, "lambda": 0.2,
+                            "seed": 3, "reps": 5}, "fw,random,fw"),
+    "tiny_explicit": (tiny_explicit_doc(), "random,fw,fw_sample,mcts,mo"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_benchmark_matches_golden_bytes(tmp_path, case, jobs):
+    doc, policies = GOLDEN_CASES[case]
+    golden = (GOLDEN / f"benchmark_{case}.csv").read_bytes()
+    assert run_benchmark_cli(tmp_path, doc, policies, jobs=jobs) == golden
+
+
+@pytest.mark.parametrize("argv", [
+    ["benchmark", "--reps", "0"],
+    ["benchmark", "--reps", "-2"],
+    ["benchmark", "--jobs", "0"],
+    ["benchmark", "--jobs", "-2"],
+    ["stats", "--reps", "0"],
+    ["stats", "--reps", "-2"],
+])
+def test_counts_below_one_rejected(tmp_path, capsys, argv):
+    scenario = write_scenario(tmp_path, explicit_doc())
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv[:1] + ["--scenario", scenario, "--out", str(tmp_path / "o.csv")]
+             + argv[1:])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: must be >= 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_stats_output(tmp_path):
     scenario = write_scenario(tmp_path, {
         "family": "grid1", "k": 4, "P_default": 0.06, "Q_default": 0.8,
@@ -121,6 +184,7 @@ def test_malformed_scenario_names_field(tmp_path, capsys):
     ({"mo": {"horizn": 3}}, "mo.horizn"),
     ({"mcts": {"depth": 0}}, "mcts"),
     ({"mo": {"horizon": 0}}, "mo"),
+    ({"mcts": {"depth": "deep"}}, "mcts.depth"),
 ])
 def test_bad_planner_option_names_field(tmp_path, capsys, block, field):
     scenario = write_scenario(tmp_path, explicit_doc(**block))

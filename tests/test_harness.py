@@ -193,7 +193,7 @@ def test_scenario_planner_blocks_validated_at_load():
         scenario_from_dict(explicit_doc(mcts={"budget_secs": 1.0}))
     with pytest.raises(ScenarioError, match="'mo': unknown backend"):
         scenario_from_dict(explicit_doc(mo={"backend": "cplex"}))
-    with pytest.raises(ScenarioError, match="field 'mcts'"):
+    with pytest.raises(ScenarioError, match="field 'mcts.depth': expected int, got str"):
         scenario_from_dict(explicit_doc(mcts={"depth": "deep"}))
     with pytest.raises(ScenarioError, match="'mo': must be an object"):
         scenario_from_dict(explicit_doc(mo=[3]))
@@ -289,6 +289,33 @@ def test_benchmark_builds_each_policy_once(monkeypatch):
         assert sorted(built) == ["fw", "random"]
 
 
+@pytest.mark.parametrize("policies", [["fw"], ["random", "fw", "fw_sample"]])
+def test_benchmark_generates_each_fire_once(monkeypatch, policies):
+    # one fire per seed and one simulator per call, whatever the policies
+    config = small_grid1()
+    calls = {"initial_state": 0, "model": 0}
+    for attr in calls:
+        original = getattr(ScenarioConfig, attr)
+
+        def counting(self, *args, _attr=attr, _original=original):
+            calls[_attr] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ScenarioConfig, attr, counting)
+    run_benchmark(config, policies, reps=5, jobs=1)
+    assert calls == {"initial_state": 5, "model": 1}
+
+
+def test_benchmark_rejects_counts_below_one():
+    config = small_grid1()
+    for kwargs, flag in (({"reps": 0}, "reps"), ({"reps": -2}, "reps"),
+                         ({"jobs": 0}, "jobs"), ({"jobs": -2}, "jobs")):
+        with pytest.raises(ValueError, match=f"{flag} must be >= 1"):
+            run_benchmark(config, ["random"], **kwargs)
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        initial_fire_stats(config, reps=0)
+
+
 def test_benchmark_reused_planners_match_fresh_ones():
     # one policy object per benchmark, reset between episodes, must play
     # exactly as a policy built afresh for every episode
@@ -299,11 +326,12 @@ def test_benchmark_reused_planners_match_fresh_ones():
         mcts={"budget_iterations": 30, "budget_seconds": None, "depth": 4},
         mo={"horizon": 3, "time_limit": None, "backend": "highs",
             "bnb_binary_cap": 0}))
+    names = ["fw", "fw_sample", "mcts", "mo", "random"]
     fresh = [run_episode(config, config.make_policy(name), config.seed + r, name)
-             for name in ("mcts", "mo") for r in range(2)]
+             for name in names for r in range(2)]
     assert "mo-fallback" in results_to_csv(fresh)  # counters must reset too
     for jobs in (1, 2):
-        results, _ = run_benchmark(config, ["mcts", "mo"], reps=2, jobs=jobs)
+        results, _ = run_benchmark(config, names, reps=2, jobs=jobs)
         assert results_to_csv(results) == results_to_csv(fresh)
 
 

@@ -17,6 +17,7 @@ from firegrid.mdp import (
     is_terminal,
     make_action,
 )
+from oracles import extinguish_prob, ignition_prob
 
 
 def test_grid_indexing_round_trip():
@@ -53,28 +54,28 @@ def test_reward_model_rejects_positive():
 
 def test_ignition_prob_zero_fuel(grid2x2):
     state = FireState((0, 1, 1, 0), (0, 1, 1, 0))
-    assert grid2x2.ignition_prob(state, 0) == 0.0
+    assert ignition_prob(grid2x2.spread, state, 0) == 0.0
 
 
 def test_ignition_prob_single_neighbor(grid2x2):
     state = FireState((0, 1, 0, 0), (3, 1, 3, 3))
-    assert grid2x2.ignition_prob(state, 0) == pytest.approx(0.06)
+    assert ignition_prob(grid2x2.spread, state, 0) == pytest.approx(0.06)
 
 
 def test_ignition_prob_two_neighbors(grid2x2):
     # frozen from 1 - (1 - 0.06)^2
     state = FireState((0, 1, 1, 0), (3, 1, 1, 3))
-    assert grid2x2.ignition_prob(state, 0) == pytest.approx(0.1164, abs=1e-12)
+    assert ignition_prob(grid2x2.spread, state, 0) == pytest.approx(0.1164, abs=1e-12)
 
 
 def test_extinguish_prob_zero_fuel_certain(grid2x2):
     state = FireState((1, 0, 0, 0), (0, 3, 3, 3))
-    assert grid2x2.extinguish_prob(state, idle_action(2), 0) == 1.0
+    assert extinguish_prob(grid2x2.spread, state, idle_action(2), 0) == 1.0
 
 
 def test_extinguish_prob_no_team(grid2x2):
     state = FireState((1, 0, 0, 0), (2, 3, 3, 3))
-    assert grid2x2.extinguish_prob(state, (2, 3), 0) == 0.0
+    assert extinguish_prob(grid2x2.spread, state, (2, 3), 0) == 0.0
 
 
 def test_extinguish_prob_two_teams(grid2x2):
@@ -82,7 +83,7 @@ def test_extinguish_prob_two_teams(grid2x2):
     # P(at least one of two independent 0.8 attempts) = 0.8*0.8 + 2*0.8*0.2
     state = FireState((1, 0, 0, 0), (2, 3, 3, 3))
     both = 0.8 * 0.8 + 2 * 0.8 * 0.2
-    assert grid2x2.extinguish_prob(state, (0, 0), 0) == pytest.approx(0.96)
+    assert extinguish_prob(grid2x2.spread, state, (0, 0), 0) == pytest.approx(0.96)
     assert both == pytest.approx(0.96)
 
 
@@ -198,6 +199,34 @@ def small_states(draw):
     burning = draw(st.lists(st.integers(0, 1), min_size=4, max_size=4))
     fuel = draw(st.lists(st.integers(0, 4), min_size=4, max_size=4))
     return FireState(tuple(burning), tuple(fuel))
+
+
+@st.composite
+def law_cases(draw):
+    """A small grid with random P, Q, state and action."""
+    spec = GridSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                    draw(st.sampled_from(["four", "eight"])))
+    n = spec.n_cells
+    unit = st.floats(0.0, 1.0)
+    edges = {(x, y): draw(unit) for x in range(n) for y in spec.neighbors(x)}
+    q = draw(st.lists(unit, min_size=n, max_size=n))
+    burning = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    fuel = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    action = draw(st.lists(st.sampled_from([-1, *range(n)]), max_size=3))
+    return SpreadModel(spec, edges, q), FireState(tuple(burning), tuple(fuel)), tuple(action)
+
+
+@given(law_cases())
+@settings(max_examples=80, deadline=None)
+def test_burn_next_probs_match_oracle_law(case):
+    spread, state, action = case
+    model = Wildfire(spread.spec, spread, RewardModel((0.0,) * spread.spec.n_cells))
+    for x, prob in enumerate(model._burn_next_probs(state, action)):
+        if state.burning[x]:
+            expected = 1.0 - extinguish_prob(spread, state, action, x)
+        else:
+            expected = ignition_prob(spread, state, x)
+        assert prob == pytest.approx(expected, abs=1e-12)
 
 
 @given(small_states(), st.integers(0, 2 ** 31))
