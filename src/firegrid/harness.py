@@ -120,26 +120,31 @@ def _scale_fuel(state: FireState, factor: float) -> FireState:
     return FireState(state.burning, tuple(int(f * factor) for f in state.fuel))
 
 
-def gen_grid1_initial(spec: GridSpec, spread: SpreadModel, p: float, rng) -> FireState:
+def gen_grid1_initial(spec: GridSpec, spread: SpreadModel, p: float, rng,
+                      model: Wildfire | None = None) -> FireState:
     """Uniform fuel floor(k / 2p), corner ignition, floor(k / 2p) uncontrolled
-    steps, then all fuel scaled by k**-0.25 (floored)."""
+    steps, then all fuel scaled by k**-0.25 (floored).  The steps run on
+    ``model`` when given, a simulator on ``spread`` whose rewards go unused."""
     k = spec.width
     horizon = int(k / (2.0 * p))
     fuel = (horizon,) * spec.n_cells
     burning = tuple(1 if x == spec.index(0, 0) else 0 for x in range(spec.n_cells))
-    model = Wildfire(spec, spread, RewardModel((0.0,) * spec.n_cells))
+    if model is None:
+        model = Wildfire(spec, spread, RewardModel((0.0,) * spec.n_cells))
     state = _propagate(model, FireState(burning, fuel), horizon, rng)
     return _scale_fuel(state, k ** -0.25)
 
 
-def gen_grid2_initial(spec: GridSpec, spread: SpreadModel, p: float, rng) -> FireState:
+def gen_grid2_initial(spec: GridSpec, spread: SpreadModel, p: float, rng,
+                      model: Wildfire | None = None) -> FireState:
     """Center ignition with fuel floor(k / 4p); otherwise like grid1."""
     k = spec.width
     horizon = int(k / (4.0 * p))
     fuel = (horizon,) * spec.n_cells
     center = spec.index(math.ceil(k / 2) - 1, math.ceil(spec.height / 2) - 1)
     burning = tuple(1 if x == center else 0 for x in range(spec.n_cells))
-    model = Wildfire(spec, spread, RewardModel((0.0,) * spec.n_cells))
+    if model is None:
+        model = Wildfire(spec, spread, RewardModel((0.0,) * spec.n_cells))
     state = _propagate(model, FireState(burning, fuel), horizon, rng)
     return _scale_fuel(state, k ** -0.25)
 
@@ -221,11 +226,14 @@ class ScenarioConfig:
     def model(self) -> Wildfire:
         return Wildfire(self.spec(), self.spread(), self.reward_model())
 
-    def initial_state(self, rng) -> FireState:
-        if self.family == "grid1":
-            return gen_grid1_initial(self.spec(), self.spread(), self.p_default, rng)
-        if self.family == "grid2":
-            return gen_grid2_initial(self.spec(), self.spread(), self.p_default, rng)
+    def initial_state(self, rng, model: Wildfire | None = None) -> FireState:
+        """Generate an initial fire from ``rng``.  ``model``, the scenario's
+        own simulator, spares building a spread model for the warm-up."""
+        if self.family in ("grid1", "grid2"):
+            gen = gen_grid1_initial if self.family == "grid1" else gen_grid2_initial
+            if model is None:
+                return gen(self.spec(), self.spread(), self.p_default, rng)
+            return gen(model.spec, model.spread, self.p_default, rng, model)
         return FireState(tuple(int(b) for b in self.burning),
                          tuple(int(f) for f in self.fuel))
 
@@ -448,7 +456,7 @@ def run_episode(config: ScenarioConfig, policy, seed: int,
         model = config.model()
     if start is None:
         rng = episode_rng(seed)
-        state = config.initial_state(rng)
+        state = config.initial_state(rng, model)
     else:
         state, rng = start
     if hasattr(policy, "reset"):
@@ -481,7 +489,7 @@ def _play_seed(config, model, policies, names, seed):
     every name in ``names`` on it, each from a fresh copy of the stream as it
     stood after generation.  Returns (_fire_size of the fire, results)."""
     rng = episode_rng(seed)
-    state = config.initial_state(rng)
+    state = config.initial_state(rng, model)
     after = rng.getstate()
     results = []
     for name in names:

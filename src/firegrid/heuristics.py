@@ -120,6 +120,11 @@ def _priority_ranks(burning, cells, weights: WeightMap) -> list:
 
 
 def _weighted_index(weights, rng) -> int:
+    """Index i drawn with probability weights[i] / sum(weights): the first
+    whose running total exceeds a uniform draw on [0, sum), else the last.
+
+    A plain scan: it stops at the pick, so it beats building every prefix
+    sum in C (``accumulate``) and bisecting them."""
     u = rng.random() * sum(weights)
     acc = 0.0
     for i, w in enumerate(weights):
@@ -144,10 +149,11 @@ def fw_sample_policy(state: FireState, weights: WeightMap, teams: int, rng) -> A
     ranks = _priority_ranks(state.burning, cells, weights)
     base = [1.0 / r for r in ranks]
     chosen = []
-    pool = list(range(len(cells)))
+    pool, pool_weights = list(cells), list(base)
     for _ in range(min(teams, len(cells))):
-        pick = _weighted_index([base[i] for i in pool], rng)
-        chosen.append(cells[pool.pop(pick)])
+        pick = _weighted_index(pool_weights, rng)
+        del pool_weights[pick]
+        chosen.append(pool.pop(pick))
     for _ in range(teams - len(cells)):
         chosen.append(cells[_weighted_index(base, rng)])
     return tuple(sorted(chosen))

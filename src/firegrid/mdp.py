@@ -9,15 +9,32 @@ neighbors y, a burning cell is extinguished with probability
 fuel is exhausted).  Fuel drops by one per burning step.  The step reward
 charges R(x) <= 0 for every cell burning in the pre-step state.
 
+``Wildfire`` evaluates the law for all cells at once with numpy.  It pads
+each cell's in-edges, sorted by source cell, into two ``(max degree, n)``
+slot tables: the source cell y and the factor 1 - P(x, y), where a padding
+slot points at cell 0 with factor 1.0.  Slot j multiplies every cell's
+survival product by its j-th factor if that source burns, so each product
+is formed in in-edge order, as a per-cell loop forms it, and comes out
+identical to the last bit.  ``step`` and ``enumerate_transitions`` share
+this one kernel.
+
 All step randomness comes from an explicit ``random.Random`` stream, so a
-fixed seed reproduces a trajectory exactly.
+fixed seed reproduces a trajectory exactly.  The draw order is part of the
+law: ``step`` draws ``rng.random()`` once for every cell whose probability
+of burning next lies strictly between 0 and 1, in ascending cell order, and
+the cell burns when the draw is below that probability.  Cells whose
+probability is 0 or 1 draw nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 IDLE = -1  # sentinel target for a team with nothing to suppress
 
@@ -103,6 +120,8 @@ class SpreadModel:
         for (x, y), prob in p_edges.items():
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"P({x}, {y}) = {prob} outside [0, 1]")
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"P({x}, {y}) names a cell outside [0, {n})")
             near = neighbors.get(x)
             if near is None:
                 near = neighbors[x] = spec.neighbors(x)
@@ -167,7 +186,7 @@ def is_terminal(state: FireState) -> bool:
 
 def burning_cells(state: FireState) -> tuple:
     burning = state.burning
-    return tuple(x for x in range(len(burning)) if burning[x])
+    return tuple(itertools.compress(range(len(burning)), burning))
 
 
 class Wildfire:
@@ -185,51 +204,51 @@ class Wildfire:
         self.spec = spec
         self.spread = spread
         self.rewards = rewards
-        self._in_edges = spread.in_edges
         self._q = spread.q
         self._r = rewards.values
+        # slot tables: row j holds every cell's j-th in-edge, padding keeps 1.0
+        n = spec.n_cells
+        degree = max(map(len, spread.in_edges), default=0)
+        src = [[0] * n for _ in range(degree)]
+        keep = [[1.0] * n for _ in range(degree)]
+        for x, edges in enumerate(spread.in_edges):
+            for j, (y, p) in enumerate(edges):
+                src[j][x] = y
+                keep[j][x] = 1.0 - p
+        self._src = np.array(src, dtype=np.intp).reshape(degree, n)
+        self._keep = np.array(keep, dtype=float).reshape(degree, n)
 
     # -- transition law ------------------------------------------------
 
     def step_reward(self, state: FireState) -> float:
-        """Reward charged this step: sum of R(x) over the pre-step burning set."""
-        total = 0.0
-        burning = state.burning
-        r = self._r
-        for x in range(len(burning)):
-            if burning[x]:
-                total += r[x]
-        return total
+        """Reward charged this step: sum of R(x) over the pre-step burning set.
 
-    def _burn_next_probs(self, state: FireState, action: Action) -> list:
-        """Per-cell probability of burning in the next state."""
-        burning, fuel = state
-        n = len(burning)
-        in_edges = self._in_edges
+        Added left to right, like a plain loop; ``np.sum`` (pairwise) and the
+        builtin ``sum`` of Python 3.12+ (compensated) may differ in the last bit.
+        """
+        return reduce(add, itertools.compress(self._r, state.burning), 0.0)
+
+    def _law(self, state: FireState, action: Action) -> tuple:
+        """(per-cell probability of burning next as an array, next fuel tuple)."""
+        burning = np.frombuffer(bytes(state.burning), dtype=np.uint8) != 0
+        fuel = np.fromiter(state.fuel, np.int64, len(state.fuel))
+        fueled = fuel > 0
+        # survival product of every cell, one in-edge slot at a time
+        survive = np.ones(len(fuel))
+        for factor in np.where(burning[self._src], self._keep, 1.0):
+            survive *= factor
+        probs = np.where(burning, 1.0, 1.0 - survive)
         q = self._q
-        survive = None
         for target in action:
-            if target >= 0 and burning[target] and fuel[target] > 0:
-                if survive is None:
-                    survive = {}
-                survive[target] = survive.get(target, 1.0) * (1.0 - q[target])
-        probs = [0.0] * n
-        for x in range(n):
-            if burning[x]:
-                if fuel[x] > 0:
-                    probs[x] = 1.0 if survive is None else survive.get(x, 1.0)
-            elif fuel[x] > 0:
-                keep = 1.0
-                for y, p in in_edges[x]:
-                    if burning[y]:
-                        keep *= 1.0 - p
-                probs[x] = 1.0 - keep
-        return probs
+            if target >= 0 and state.burning[target]:
+                probs[target] *= 1.0 - q[target]
+        probs[~fueled] = 0.0
+        next_fuel = tuple((fuel - (burning & fueled)).tolist())
+        return probs, next_fuel
 
-    def _next_fuel(self, state: FireState) -> tuple:
-        return tuple(
-            f - 1 if b and f > 0 else f for b, f in zip(state.burning, state.fuel)
-        )
+    def _burn_next_probs(self, state: FireState, action: Action) -> np.ndarray:
+        """Per-cell probability of burning in the next state."""
+        return self._law(state, action)[0]
 
     def _check_action(self, action: Action):
         n = self.spec.n_cells
@@ -240,12 +259,15 @@ class Wildfire:
     def step(self, state: FireState, action: Action, rng) -> tuple:
         """Sample one synchronous transition; returns (next_state, reward)."""
         self._check_action(action)
-        probs = self._burn_next_probs(state, action)
-        rand = rng.random
-        new_burning = tuple(
-            1 if (p >= 1.0 or (p > 0.0 and rand() < p)) else 0 for p in probs
-        )
-        return FireState(new_burning, self._next_fuel(state)), self.step_reward(state)
+        probs, next_fuel = self._law(state, action)
+        burns = probs >= 1.0
+        stochastic = np.flatnonzero((probs > 0.0) & (probs < 1.0))
+        if stochastic.size:
+            rand = rng.random
+            draws = [rand() for _ in range(stochastic.size)]
+            burns[stochastic] = np.array(draws) < probs[stochastic]
+        next_burning = tuple(burns.tobytes())
+        return FireState(next_burning, next_fuel), self.step_reward(state)
 
     def enumerate_transitions(self, state: FireState, action: Action, cap: int = 20):
         """Exact joint outcome distribution as (next_state, prob, reward) triples.
@@ -255,15 +277,15 @@ class Wildfire:
         than ``cap`` of them.
         """
         self._check_action(action)
-        probs = self._burn_next_probs(state, action)
-        base = [1 if p >= 1.0 else 0 for p in probs]
-        stochastic = [(x, p) for x, p in enumerate(probs) if 0.0 < p < 1.0]
+        probs, next_fuel = self._law(state, action)
+        base = tuple((probs >= 1.0).tobytes())
+        cells = np.flatnonzero((probs > 0.0) & (probs < 1.0))
+        stochastic = list(zip(cells.tolist(), probs[cells].tolist()))
         if len(stochastic) > cap:
             raise EnumerationCapError(
                 f"{len(stochastic)} stochastic cells exceed cap {cap}: "
                 "too large to enumerate"
             )
-        next_fuel = self._next_fuel(state)
         reward = self.step_reward(state)
         outcomes = []
         for bits in itertools.product((0, 1), repeat=len(stochastic)):

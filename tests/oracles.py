@@ -185,3 +185,50 @@ def extinguish_prob(spread, state, action, x):
     if state.fuel[x] <= 0:
         return 1.0
     return 1.0 - (1.0 - spread.q[x]) ** sum(1 for target in action if target == x)
+
+
+def reference_burn_probs(model, state, action):
+    """Per-cell probability of burning next, as a plain per-cell loop.
+
+    Each cell's survival product runs over its in-edges in ascending source
+    order; teams on one cell multiply in action order.
+    """
+    burning, fuel = state
+    q = model.spread.q
+    survive = {}
+    for target in action:
+        if target >= 0 and burning[target] and fuel[target] > 0:
+            survive[target] = survive.get(target, 1.0) * (1.0 - q[target])
+    probs = [0.0] * len(burning)
+    for x in range(len(burning)):
+        if burning[x]:
+            if fuel[x] > 0:
+                probs[x] = survive.get(x, 1.0)
+        elif fuel[x] > 0:
+            keep = 1.0
+            for y, p in model.spread.in_edges[x]:
+                if burning[y]:
+                    keep *= 1.0 - p
+            probs[x] = 1.0 - keep
+    return probs
+
+
+def reference_step(model, state, action, rng):
+    """One ``Wildfire.step`` as a plain per-cell loop: (next state, reward).
+
+    ``rng.random()`` is drawn once per cell whose burn probability lies
+    strictly inside (0, 1), in ascending cell order.  The reward adds R(x)
+    over the burning cells left to right.
+    """
+    burning, fuel = state
+    probs = reference_burn_probs(model, state, action)
+    next_burning = tuple(
+        1 if (p >= 1.0 or (p > 0.0 and rng.random() < p)) else 0 for p in probs
+    )
+    next_fuel = tuple(f - 1 if b and f > 0 else f for b, f in zip(burning, fuel))
+    reward = 0.0
+    for x in range(len(burning)):
+        if burning[x]:
+            reward += model.rewards.values[x]
+    return type(state)(next_burning, next_fuel), reward
+

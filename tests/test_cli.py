@@ -104,6 +104,10 @@ GOLDEN_CASES = {
                             "Q_default": 0.8, "teams": 2, "lambda": 0.2,
                             "seed": 3, "reps": 5}, "fw,random,fw"),
     "tiny_explicit": (tiny_explicit_doc(), "random,fw,fw_sample,mcts,mo"),
+    # recorded with the scalar per-cell step; most cells here have a full
+    # in-edge slot table, which the k <= 5 cases above barely exercise
+    "grid1_k20": ({"family": "grid1", "k": 20, "P_default": 0.06, "Q_default": 0.8,
+                   "teams": 4, "seed": 0, "reps": 4}, "random,fw"),
 }
 
 

@@ -243,6 +243,21 @@ def test_initial_state_depends_only_on_seed():
     assert s1 != s3
 
 
+@pytest.mark.parametrize("doc", [
+    {"family": "grid1", "k": 6, "teams": 2, "seed": 0},
+    {"family": "grid2", "k": 7, "teams": 2, "seed": 0, "lambda": 0.2},
+])
+def test_initial_state_on_scenario_model_matches_own(doc):
+    # the warm-up ignores rewards, so the scenario's simulator gives the fire
+    # a zero-reward one would, and leaves the stream in the same place
+    config = scenario_from_dict(doc)
+    model = config.model()
+    for seed in range(4):
+        own, shared = episode_rng(seed), episode_rng(seed)
+        assert config.initial_state(shared, model) == config.initial_state(own)
+        assert shared.getstate() == own.getstate()
+
+
 # -- benchmark aggregation -------------------------------------------------------
 
 def small_grid1():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firegrid.mdp import (
+    IDLE,
     EnumerationCapError,
     FireState,
     GridSpec,
@@ -17,7 +18,12 @@ from firegrid.mdp import (
     is_terminal,
     make_action,
 )
-from oracles import extinguish_prob, ignition_prob
+from oracles import (
+    extinguish_prob,
+    ignition_prob,
+    reference_burn_probs,
+    reference_step,
+)
 
 
 def test_grid_indexing_round_trip():
@@ -45,6 +51,14 @@ def test_spread_model_validation():
         SpreadModel(spec, {(0, 1): 1.5}, [0.8] * 4)
     with pytest.raises(ValueError):
         SpreadModel(spec, {}, [0.8] * 3)
+
+
+def test_spread_model_rejects_cells_outside_grid():
+    # -1 would wrap to column 2 of the row below and file the edge under cell 8
+    spec = GridSpec(3, 3)
+    for pair in ((-1, 2), (2, -1), (9, 6), (8, 9)):
+        with pytest.raises(ValueError, match=rf"P\({pair[0]}, {pair[1]}\) names a cell outside"):
+            SpreadModel(spec, {pair: 0.5}, [0.8] * 9)
 
 
 def test_reward_model_rejects_positive():
@@ -227,6 +241,63 @@ def test_burn_next_probs_match_oracle_law(case):
         else:
             expected = ignition_prob(spread, state, x)
         assert prob == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def step_cases(draw):
+    """A 1-4 x 1-4 grid with explicit, uneven P (some exactly 0 or 1), random
+    Q and non-integer costs, a state with burning cells out of fuel, and an
+    action that may repeat a target or idle teams."""
+    spec = GridSpec(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                    draw(st.sampled_from(["four", "eight"])))
+    n = spec.n_cells
+    # full 53-bit mantissas, so that a change in multiplication order shows
+    dense = st.integers(1, 2 ** 53 - 1).map(lambda i: i / 2 ** 53)
+    prob = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0), dense)
+    edges = {(x, y): draw(prob) for x in range(n) for y in spec.neighbors(x)}
+    q = draw(st.lists(prob, min_size=n, max_size=n))
+    rewards = draw(st.lists(st.floats(-100.0, 0.0), min_size=n, max_size=n))
+    burning = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    fuel = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    action = draw(st.lists(st.sampled_from([-1, *range(n)]), max_size=4))
+    model = Wildfire(spec, SpreadModel(spec, edges, q), RewardModel(tuple(rewards)))
+    return model, FireState(tuple(burning), tuple(fuel)), tuple(action)
+
+
+@given(step_cases(), st.integers(0, 2 ** 31))
+@settings(max_examples=150, deadline=None)
+def test_step_matches_reference_step(case, seed):
+    # the vectorised law must reproduce the per-cell loop bit for bit: the same
+    # probabilities, next state and reward bits, and the same draws
+    model, state, action = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        probs = model._burn_next_probs(state, action)
+        assert [p.hex() for p in probs.tolist()] == [
+            p.hex() for p in reference_burn_probs(model, state, action)]
+        nxt, reward = model.step(state, action, rng)
+        ref_nxt, ref_reward = reference_step(model, state, action, ref_rng)
+        assert nxt == ref_nxt
+        assert all(type(v) is int for v in nxt.burning + nxt.fuel)
+        assert reward.hex() == ref_reward.hex()
+        assert rng.getstate() == ref_rng.getstate()
+        state = nxt
+
+
+def test_burn_next_probs_multiply_in_in_edge_order():
+    # up to eight burning in-neighbours with full-mantissa P: any other order
+    # of the survival product changes the last bit of some of these cells
+    spec = GridSpec(4, 4, "eight")
+    for seed in range(40):
+        rng = random.Random(seed)
+        edges = {(x, y): rng.random() for x in range(16) for y in spec.neighbors(x)}
+        model = Wildfire(spec, SpreadModel(spec, edges, [rng.random()] * 16),
+                         RewardModel((0.0,) * 16))
+        state = FireState(tuple(rng.randint(0, 1) for _ in range(16)), (2,) * 16)
+        action = (rng.randrange(16), rng.randrange(16), IDLE)
+        probs = model._burn_next_probs(state, action).tolist()
+        assert [p.hex() for p in probs] == [
+            p.hex() for p in reference_burn_probs(model, state, action)]
 
 
 @given(small_states(), st.integers(0, 2 ** 31))
