@@ -19,7 +19,6 @@ from .mdp import (
     SpreadModel,
     Wildfire,
     idle_action,
-    is_terminal,
     make_action,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "SpreadModel",
     "Wildfire",
     "idle_action",
-    "is_terminal",
     "make_action",
 ]
 

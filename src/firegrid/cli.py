@@ -5,6 +5,14 @@ policy comparison), ``stats`` (initial-fire statistics), ``export-lp``
 (fluid model as fixed MPS), ``weights`` (distance-weighted heuristic map as
 CSV).  All randomness flows from the scenario seed (overridable with
 ``--seed``); replication r uses seed + r.
+
+``simulate --trace PATH`` writes one JSON object per decision, one per line.
+Every policy's lines carry ``epoch`` (0, 1, ...), ``n_burning`` (burning
+cells at the decision), ``action`` (the teams' target cells) and ``ms``
+(wall-clock milliseconds of the decision).  ``mcts`` adds ``iterations``,
+``fallback`` and ``root_value`` (best Q at the root); ``mo`` adds ``mode``
+(``branch-and-bound`` or ``relax-round``), ``status``, ``objective`` and
+``fallback``.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 from dataclasses import replace
 
@@ -39,19 +48,13 @@ def _load(args) -> harness.ScenarioConfig:
 def _cmd_simulate(args) -> int:
     config = _load(args)
     policy = config.make_policy(args.policy)
-    if args.trace is not None and hasattr(policy, "trace"):
-        policy.trace = []
-    result = harness.run_episode(config, policy, config.seed, args.policy)
+    records = None if args.trace is None else []
+    result = harness.run_episode(config, policy, config.seed, args.policy,
+                                 records=records)
     print(f"policy={result.policy} seed={result.seed} reward={result.reward} "
           f"steps={result.steps} flags={result.flags() or '-'}")
-    if args.trace is not None:
-        rows = getattr(policy, "trace", None) or []
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["iteration", "bound", "incumbent", "gap"])
-        for row in rows:
-            writer.writerow(list(row))
-        _write(args.trace, out.getvalue())
+    if records is not None:
+        _write(args.trace, "".join(json.dumps(r) + "\n" for r in records))
     if args.out is not None:
         _write(args.out, harness.results_to_csv([result]))
     return 0
@@ -132,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one seeded episode")
     common(p)
-    p.add_argument("--policy", default="fw",
-                   choices=sorted(harness.POLICY_NAMES))
+    p.add_argument("--policy", default="fw", choices=harness.POLICY_NAMES)
     p.add_argument("--out", default=None, help="episode result CSV")
     p.add_argument("--trace", default=None,
-                   help="planner diagnostics CSV (mcts/mo policies)")
+                   help="JSON lines, one per decision: epoch, n_burning, "
+                        "action, ms, and the mcts or mo planner's own keys")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("benchmark", help="paired-seed policy comparison")

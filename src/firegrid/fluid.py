@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .heuristics import WeightMap, all_pairs_distances, fw_policy, fw_weights
+from .heuristics import all_pairs_distances, fw_policy, fw_weights
 from .lp import EQ, GE, LE, OPTIMAL, LpProblem, solve_lp, solve_lp_scipy
 from .mdp import Action, FireState, RewardModel, SpreadModel, idle_action
 from .milp import branch_and_bound
@@ -289,7 +289,6 @@ def relax_and_score(
     backend: str = "auto",
     bnb_binary_cap: int = 64,
     node_limit: int | None = None,
-    trace: list | None = None,
 ):
     """Solve the model with assignments relaxed and rank cells by v(x).
 
@@ -311,7 +310,7 @@ def relax_and_score(
         z_mask[z_list] = True
         res = branch_and_bound(
             problem, z_mask, time_limit=time_limit, node_limit=node_limit,
-            tiers=[z_list], lp_solver=lp_solver, trace=trace,
+            tiers=[z_list], lp_solver=lp_solver,
         )
         info["status"] = res.status
         if res.x is None:
@@ -322,8 +321,6 @@ def relax_and_score(
         info["mode"] = "relax-round"
         sol = lp_solver(problem)
         info["status"] = sol.status
-        if trace is not None:
-            trace.extend(sol.trace)
         if sol.status != OPTIMAL:
             return None, info
         fuel = model.fuel_values(sol.x)
@@ -345,10 +342,7 @@ def relax_and_score(
         info["objective"] = refit.objective
         x = refit.x
 
-    v = model.scores(x)
-    action = _action_from_scores(model.state, v, teams)
-    info["scores"] = v
-    return action, info
+    return _action_from_scores(model.state, model.scores(x), teams), info
 
 
 def _action_from_scores(state: FireState, v: np.ndarray, teams: int) -> Action:
@@ -405,6 +399,8 @@ class MoPolicy:
 
     Falls back to the deterministic distance-weighted heuristic whenever the
     model comes back infeasible, counting those epochs in ``fallbacks``.
+    ``last`` holds the latest solve's ``mode``, ``status`` and ``objective``
+    from ``relax_and_score``, and whether the decision fell back.
     """
 
     def __init__(
@@ -413,22 +409,17 @@ class MoPolicy:
         rewards: RewardModel,
         teams: int,
         config: MoConfig | None = None,
-        weights: WeightMap | None = None,
     ):
         self.spread = spread
         self.rewards = rewards
         self.teams = teams
         self.config = config or MoConfig()
-        if weights is None:
-            weights = fw_weights(all_pairs_distances(spread), rewards)
-        self.weights = weights
-        self.solves = 0
-        self.fallbacks = 0
-        self.trace: list | None = None
+        self.weights = fw_weights(all_pairs_distances(spread), rewards)
+        self.reset()
 
     def reset(self):
-        self.solves = 0
         self.fallbacks = 0
+        self.last = {}
 
     def __call__(self, state: FireState, rng=None) -> Action:
         if 1 not in state.burning:
@@ -442,9 +433,9 @@ class MoPolicy:
             backend=cfg.backend,
             bnb_binary_cap=cfg.bnb_binary_cap,
             node_limit=cfg.node_limit,
-            trace=self.trace,
         )
-        self.solves += 1
+        self.last = {"mode": info.get("mode"), "status": info.get("status"),
+                     "objective": info.get("objective"), "fallback": action is None}
         if action is None:
             self.fallbacks += 1
             return fw_policy(state, self.weights, self.teams)

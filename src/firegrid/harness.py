@@ -21,6 +21,7 @@ import io
 import json
 import math
 import random
+import time
 import typing
 from dataclasses import dataclass, field
 
@@ -44,7 +45,7 @@ RESULTS_SCHEMA = "# firegrid results v1"
 SUMMARY_SCHEMA = "# firegrid summary v1"
 STATS_SCHEMA = "# firegrid initial-fire-stats v1"
 
-POLICY_NAMES = ("random", "fw", "mcts", "mo")
+POLICY_NAMES = ("random", "fw", "fw_sample", "mcts", "mo")
 
 
 class ScenarioError(ValueError):
@@ -151,7 +152,8 @@ def gen_grid2_initial(spec: GridSpec, spread: SpreadModel, p: float, rng,
 
 @dataclass
 class ScenarioConfig:
-    """One experiment description; see README for the JSON schema."""
+    """One experiment description.  ``_FIELD_MAP`` lists the JSON keys of a
+    scenario file and the fields they set; ``scenarios/*.json`` are examples."""
 
     family: str = "grid1"
     k: int = 8
@@ -245,24 +247,36 @@ class ScenarioConfig:
         return max(self.fuel, default=1) + 1
 
     def make_policy(self, name: str):
+        """Build policy ``name``, a callable ``(state, rng) -> action``.  The
+        planners ``mcts`` and ``mo`` also carry ``reset()``, ``fallbacks``
+        and ``last``, a dict about their latest decision."""
         name = name.lower()
-        spread = self.spread()
-        rewards = self.reward_model()
+        if name not in POLICY_NAMES:
+            raise ScenarioError(f"field 'policies': unknown policy {name!r}")
         teams = self.teams
+        # rules are looked up on ``heuristics`` per call, so later wrappers see them
         if name == "random":
-            return RandomPolicy(teams)
-        if name in ("fw", "fw_sample"):
-            weights = heuristics.fw_weights(heuristics.all_pairs_distances(spread), rewards)
-            if name == "fw":
-                return FwPolicy(weights, teams)
-            return FwSamplePolicy(weights, teams)
+            def policy(state, rng):
+                return heuristics.random_policy(state, teams, rng)
+            return policy
         if name == "mcts":
             cfg = _planner_config(MctsConfig, "mcts", self.mcts)
-            return MctsPolicy(self.model(), teams, cfg, spread, rewards)
+            rollout = self.make_policy("fw_sample" if cfg.rollout == "fw" else "random")
+            return MctsPolicy(self.model(), teams, cfg, rollout)
+        spread = self.spread()
+        rewards = self.reward_model()
         if name == "mo":
             cfg = _planner_config(MoConfig, "mo", self.mo)
             return MoPolicy(spread, rewards, teams, cfg)
-        raise ScenarioError(f"field 'policies': unknown policy {name!r}")
+        weights = heuristics.fw_weights(heuristics.all_pairs_distances(spread), rewards)
+        if name == "fw":
+            def policy(state, rng):
+                return heuristics.fw_policy(state, weights, teams)
+            return policy
+
+        def policy(state, rng):
+            return heuristics.fw_sample_policy(state, weights, teams, rng)
+        return policy
 
 
 _FIELD_MAP = {
@@ -305,78 +319,19 @@ def load_scenario(path: str) -> ScenarioConfig:
     return scenario_from_dict(doc)
 
 
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    reverse = {v: k for k, v in _FIELD_MAP.items()}
-    doc = {}
-    for attr, key in ((a, reverse[a]) for a in reverse):
-        value = getattr(config, attr)
-        if value in (None, {}, []):
-            continue
-        doc[key] = value
-    return doc
-
-
-def state_snapshot(config: ScenarioConfig, state: FireState) -> dict:
-    """State snapshot in the scenario layout (dense row-major arrays)."""
-    doc = scenario_to_dict(config)
-    doc["family"] = "explicit"
-    doc["burning"] = list(state.burning)
-    doc["fuel"] = list(state.fuel)
-    doc["rewards"] = list(config.reward_model().values)
-    return doc
-
-
-# -- policies -----------------------------------------------------------
-
-
-class RandomPolicy:
-    def __init__(self, teams: int):
-        self.teams = teams
-
-    def reset(self):
-        pass
-
-    def __call__(self, state: FireState, rng) -> Action:
-        return heuristics.random_policy(state, self.teams, rng)
-
-
-class FwPolicy:
-    def __init__(self, weights, teams: int):
-        self.weights = weights
-        self.teams = teams
-
-    def reset(self):
-        pass
-
-    def __call__(self, state: FireState, rng) -> Action:
-        return heuristics.fw_policy(state, self.weights, self.teams)
-
-
-class FwSamplePolicy(FwPolicy):
-    def __call__(self, state: FireState, rng) -> Action:
-        return heuristics.fw_sample_policy(state, self.weights, self.teams, rng)
-
-
 class MctsPolicy:
-    def __init__(self, model: Wildfire, teams: int, config: MctsConfig,
-                 spread: SpreadModel, rewards: RewardModel):
-        if config.rollout == "fw":
-            weights = heuristics.fw_weights(
-                heuristics.all_pairs_distances(spread), rewards)
+    """One tree search per decision with ``rollout`` as the default policy.
+    ``last`` holds the latest search's ``PlanResult`` figures."""
 
-            def pi0(state, rng, _w=weights, _t=teams):
-                return heuristics.fw_sample_policy(state, _w, _t, rng)
-        else:
-            def pi0(state, rng, _t=teams):
-                return heuristics.random_policy(state, _t, rng)
-
-        self.planner = Planner(model, teams, config, pi0)
+    def __init__(self, model: Wildfire, teams: int, config: MctsConfig, rollout):
+        self.planner = Planner(model, teams, config, rollout)
         self.teams = teams
-        self.fallbacks = 0
+        self.reset()
 
     def reset(self):
         self.planner.reset()
         self.fallbacks = 0
+        self.last = {}
 
     def __call__(self, state: FireState, rng) -> Action:
         if 1 not in state.burning:
@@ -384,6 +339,8 @@ class MctsPolicy:
         result = self.planner.plan(state, rng)
         if result.fallback:
             self.fallbacks += 1
+        self.last = {"iterations": result.iterations, "fallback": result.fallback,
+                     "root_value": result.root_value}
         return result.action
 
 
@@ -442,7 +399,8 @@ def _fire_size(state: FireState) -> tuple:
 
 def run_episode(config: ScenarioConfig, policy, seed: int,
                 policy_name: str = "?", *, model: Wildfire | None = None,
-                start: tuple | None = None) -> EpisodeResult:
+                start: tuple | None = None,
+                records: list | None = None) -> EpisodeResult:
     """Play one full episode: generate the initial fire, then act until the
     fire is out or the hard step cap (10x the generation horizon) trips.
 
@@ -451,6 +409,10 @@ def run_episode(config: ScenarioConfig, policy, seed: int,
     ``model`` is the scenario's simulator, built afresh when omitted.
     ``start`` is ``(initial state, rng)``, already generated from ``seed``'s
     stream, with the rng positioned just after generation.
+
+    ``records``, when given, gets one dict per decision: ``epoch`` (from 0),
+    ``n_burning``, ``action`` (target cells), ``ms`` (the policy call's wall
+    clock) and then the items of the policy's ``last`` dict, if it has one.
     """
     if model is None:
         model = config.model()
@@ -469,7 +431,15 @@ def run_episode(config: ScenarioConfig, policy, seed: int,
         if steps >= cap:
             cap_hit = True
             break
-        action = policy(state, rng)
+        if records is None:
+            action = policy(state, rng)
+        else:
+            t0 = time.perf_counter()
+            action = policy(state, rng)
+            records.append({"epoch": steps, "n_burning": state.burning.count(1),
+                            "action": list(action),
+                            "ms": 1e3 * (time.perf_counter() - t0),
+                            **getattr(policy, "last", {})})
         state, reward = model.step(state, action, rng)
         total += reward
         steps += 1

@@ -13,7 +13,7 @@ for instances too large for the dense bundled solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,7 +70,6 @@ class LpSolution:
     objective: float | None = None
     iterations: int = 0
     message: str = ""
-    trace: list = field(default_factory=list)
 
 
 def _solve_unconstrained(problem: LpProblem) -> LpSolution:
@@ -177,7 +176,7 @@ class _Standardizer:
         return x
 
 
-def _core(a, b, c, basis, allowed, opt_tol, max_iters, trace, phase):
+def _core(a, b, c, basis, allowed, opt_tol, max_iters):
     """Revised simplex iterations; returns (status, basis, x_basic, iters)."""
     m, _ = a.shape
     binv = np.linalg.inv(a[:, basis])
@@ -226,8 +225,6 @@ def _core(a, b, c, basis, allowed, opt_tol, max_iters, trace, phase):
         if degenerate_run > 2 * m + 10:
             bland = True
         iters += 1
-        if trace is not None:
-            trace.append((phase, iters, float(c[basis] @ xb)))
     return ITERATION_LIMIT, basis, xb, iters
 
 
@@ -236,7 +233,6 @@ def solve_lp(
     max_iterations: int = 50_000,
     feas_tol: float = 1e-6,
     opt_tol: float = 1e-7,
-    trace: list | None = None,
 ) -> LpSolution:
     """Bundled two-phase revised primal simplex.
 
@@ -273,9 +269,8 @@ def solve_lp(
 
     if n_art:
         allowed = np.ones(a.shape[1], dtype=bool)
-        status, basis, xb, iters = _core(
-            a, b, c1, basis, allowed, opt_tol, max_iterations, trace, phase=1
-        )
+        status, basis, xb, iters = _core(a, b, c1, basis, allowed, opt_tol,
+                                         max_iterations)
         total_iters += iters
         if status in (ITERATION_LIMIT, "numerical", UNBOUNDED):
             return LpSolution(ITERATION_LIMIT, iterations=total_iters,
@@ -315,9 +310,8 @@ def solve_lp(
     a = a[:, :n_real]
     c2 = c[:n_real] if len(c) >= n_real else np.concatenate([c, np.zeros(n_real - len(c))])
     allowed = np.ones(n_real, dtype=bool)
-    status, basis, xb, iters = _core(
-        a, b, c2, basis, allowed, opt_tol, max_iterations - total_iters, trace, phase=2
-    )
+    status, basis, xb, iters = _core(a, b, c2, basis, allowed, opt_tol,
+                                     max_iterations - total_iters)
     total_iters += iters
     if status in (ITERATION_LIMIT, "numerical"):
         return LpSolution(ITERATION_LIMIT, iterations=total_iters,

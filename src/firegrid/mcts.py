@@ -153,7 +153,7 @@ class Planner:
     def reset(self):
         self._nodes.clear()
 
-    def plan(self, root: FireState, rng, trace: list | None = None) -> PlanResult:
+    def plan(self, root: FireState, rng) -> PlanResult:
         """Run simulations from ``root`` until the budget runs out, then return
         the action with the best Q.  A zero/insufficient budget falls back to
         the rollout policy and flags it."""
@@ -177,13 +177,6 @@ class Planner:
                 break
             self._simulate(root, cfg.depth, rng)
             iterations += 1
-            if trace is not None:
-                node = self._nodes.get(root)
-                if node is not None and node.edges:
-                    best = max(node.edges.values(), key=lambda e: e.q)
-                    trace.append((iterations, node.n, len(node.edges), best.q))
-                else:
-                    trace.append((iterations, 0, 0, float("nan")))
         node = self._nodes.get(root)
         if node is None or not node.edges:
             return PlanResult(self.pi0(root, rng), iterations, fallback=True)

@@ -179,11 +179,6 @@ def make_action(cells: Iterable[int], teams: int | None = None) -> Action:
     return tuple(targets)
 
 
-def is_terminal(state: FireState) -> bool:
-    """True once nothing burns; exhausted cells extinguish within one step."""
-    return 1 not in state.burning
-
-
 def burning_cells(state: FireState) -> tuple:
     burning = state.burning
     return tuple(itertools.compress(range(len(burning)), burning))

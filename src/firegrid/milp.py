@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class MilpSolution:
     bound: float | None = None
     gap: float | None = None
     nodes: int = 0
-    trace: list = field(default_factory=list)
 
 
 def _fractional(x, int_indices, tiers):
@@ -74,7 +73,6 @@ def branch_and_bound(
     node_limit: int | None = None,
     tiers: list | None = None,
     lp_solver=solve_lp,
-    trace: list | None = None,
 ) -> MilpSolution:
     """Minimize ``problem`` with the masked variables forced integral.
 
@@ -137,8 +135,6 @@ def branch_and_bound(
             obj = float(problem.c @ x)
             if incumbent_obj is None or obj < incumbent_obj - 1e-12:
                 incumbent_obj, incumbent_x = obj, x
-                if trace is not None:
-                    trace.append((nodes, bound, incumbent_obj, _gap(incumbent_obj, bound)))
             continue
         stopped = out_of_budget()
         if stopped:

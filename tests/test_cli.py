@@ -1,10 +1,12 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 from firegrid.cli import main
+from firegrid.harness import POLICY_NAMES
 from firegrid.lp import OPTIMAL, solve_lp
 from firegrid.mpsio import parse_mps
 
@@ -45,6 +47,74 @@ def test_simulate_smoke(tmp_path, capsys):
     assert text.startswith("# firegrid results v1\n")
     assert "random" in text
     assert "policy=random" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_simulate_accepts_every_policy_name(tmp_path, capsys, policy):
+    scenario = write_scenario(tmp_path, explicit_doc(
+        mcts={"budget_iterations": 5, "budget_seconds": None},
+        mo={"horizon": 3, "time_limit": None}))
+    assert main(["simulate", "--scenario", scenario, "--policy", policy]) == 0
+    assert f"policy={policy} " in capsys.readouterr().out
+
+
+def grid1_k8_work_budgets(tmp_path):
+    """The shipped grid1_k8 scenario with iteration and node budgets only."""
+    with open(os.path.join(SCENARIOS, "grid1_k8.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["mcts"] = dict(doc["mcts"], budget_seconds=None, budget_iterations=10)
+    doc["mo"] = dict(doc["mo"], time_limit=None)
+    return write_scenario(tmp_path, doc)
+
+
+RECORD_KEYS = ["epoch", "n_burning", "action", "ms"]
+PLANNER_KEYS = {
+    "fw": [],
+    "mcts": ["iterations", "fallback", "root_value"],
+    "mo": ["mode", "status", "objective", "fallback"],
+}
+
+
+@pytest.mark.parametrize("scenario, policy, mode", [
+    ("grid1_k8", "fw", None),
+    ("grid1_k8", "mcts", None),
+    ("grid1_k8", "mo", "relax-round"),
+    ("tiny_explicit", "mo", "branch-and-bound"),
+])
+def test_simulate_trace_writes_one_record_per_decision(tmp_path, capsys,
+                                                       scenario, policy, mode):
+    if scenario == "grid1_k8":
+        path = grid1_k8_work_budgets(tmp_path)
+    else:
+        path = os.path.join(SCENARIOS, f"{scenario}.json")
+    trace = tmp_path / "trace.jsonl"
+    assert main(["simulate", "--scenario", path, "--policy", policy,
+                 "--trace", str(trace)]) == 0
+    steps = int(re.search(r" steps=(\d+) ", capsys.readouterr().out).group(1))
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert steps > 0
+    assert [r["epoch"] for r in records] == list(range(steps))
+    for r in records:
+        assert list(r) == RECORD_KEYS + PLANNER_KEYS[policy]
+        assert r["n_burning"] > 0 and r["ms"] >= 0.0
+        assert len(r["action"]) == (2 if scenario == "tiny_explicit" else 4)
+        if policy == "mcts":
+            assert r["iterations"] == 10 and r["fallback"] is False
+        if policy == "mo":
+            assert (r["mode"], r["status"]) == (mode, "optimal")
+            assert r["objective"] is not None and r["fallback"] is False
+
+
+@pytest.mark.parametrize("policy", ["mcts", "mo"])
+def test_simulate_trace_leaves_the_episode_unchanged(tmp_path, capsys, policy):
+    scenario = grid1_k8_work_budgets(tmp_path)
+    outputs = []
+    for extra in ([], ["--trace", str(tmp_path / "trace.jsonl")]):
+        out = tmp_path / "episode.csv"
+        assert main(["simulate", "--scenario", scenario, "--policy", policy,
+                     "--out", str(out)] + extra) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_benchmark_writes_both_csvs(tmp_path):

@@ -316,6 +316,23 @@ def test_mo_policy_falls_back_on_infeasible_model():
     assert state.burning[action[0]]
 
 
+def test_mo_policy_falls_back_when_the_solve_reports_nothing(monkeypatch):
+    # a solve that gives no action and an empty info must still play fw and
+    # describe the decision
+    import firegrid.fluid
+
+    monkeypatch.setattr(firegrid.fluid, "relax_and_score", lambda *a, **k: (None, {}))
+    _, _, _, policy = corridor_policy()
+    state = FireState((1, 1, 0), (6, 6, 6))
+    action = policy(state, None)
+    assert policy.fallbacks == 1
+    assert state.burning[action[0]]
+    assert policy.last == {"mode": None, "status": None, "objective": None,
+                           "fallback": True}
+    policy.reset()
+    assert (policy.fallbacks, policy.last) == (0, {})
+
+
 def test_mo_policy_infeasible_even_with_branching():
     spec, spread = uniform(2)
     rewards = RewardModel((-1.0, -2.0, -2.0, -4.0))

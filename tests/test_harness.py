@@ -20,8 +20,6 @@ from firegrid.harness import (
     run_benchmark,
     run_episode,
     scenario_from_dict,
-    scenario_to_dict,
-    state_snapshot,
     summary_to_csv,
 )
 from firegrid.mdp import FireState, GridSpec, SpreadModel
@@ -163,8 +161,12 @@ def test_scenario_round_trip(tmp_path):
     doc = explicit_doc()
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    config = load_scenario(str(path))
-    assert scenario_to_dict(config)["fuel"] == doc["fuel"]
+    assert load_scenario(str(path)).fuel == doc["fuel"]
+
+
+def test_make_policy_rejects_unknown_name():
+    with pytest.raises(ScenarioError, match="'policies': unknown policy 'nope'"):
+        scenario_from_dict(explicit_doc()).make_policy("nope")
 
 
 def test_scenario_unknown_field_named():
@@ -197,15 +199,6 @@ def test_scenario_planner_blocks_validated_at_load():
         scenario_from_dict(explicit_doc(mcts={"depth": "deep"}))
     with pytest.raises(ScenarioError, match="'mo': must be an object"):
         scenario_from_dict(explicit_doc(mo=[3]))
-
-
-def test_state_snapshot_reloads_as_explicit():
-    config = scenario_from_dict({"family": "grid1", "k": 4, "P_default": 0.06,
-                                 "Q_default": 0.8, "teams": 1, "seed": 3})
-    state = config.initial_state(episode_rng(3))
-    snap = state_snapshot(config, state)
-    reloaded = scenario_from_dict(snap)
-    assert reloaded.initial_state(episode_rng(99)) == state
 
 
 # -- episodes ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from firegrid.mdp import (
     Wildfire,
     burning_cells,
     idle_action,
-    is_terminal,
     make_action,
 )
 from oracles import (
@@ -120,13 +119,6 @@ def test_step_rejects_bad_action(grid2x2, rng):
     state = FireState((1, 0, 0, 0), (3, 5, 5, 5))
     with pytest.raises(ValueError):
         grid2x2.step(state, (7,), rng)
-
-
-def test_is_terminal():
-    assert is_terminal(FireState((0, 0), (3, 1)))
-    assert not is_terminal(FireState((0, 1), (3, 2)))
-    # a burning cell with no fuel still burns this step, then dies
-    assert not is_terminal(FireState((0, 1), (3, 0)))
 
 
 def test_zero_fuel_burning_cell_dies_in_one_step(grid2x2, rng):
