@@ -12,7 +12,9 @@ cells at the decision), ``action`` (the teams' target cells) and ``ms``
 (wall-clock milliseconds of the decision).  ``mcts`` adds ``iterations``,
 ``fallback`` and ``root_value`` (best Q at the root); ``mo`` adds ``mode``
 (``branch-and-bound`` or ``relax-round``), ``status``, ``objective`` and
-``fallback``.
+``fallback``.  When ``--trace`` or ``--out`` is ``-``, the episode's
+``policy=... steps=...`` summary line goes to stderr, so stdout holds only
+the JSON lines or the CSV.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ def _cmd_simulate(args) -> int:
     result = harness.run_episode(config, policy, config.seed, args.policy,
                                  records=records)
     print(f"policy={result.policy} seed={result.seed} reward={result.reward} "
-          f"steps={result.steps} flags={result.flags() or '-'}")
+          f"steps={result.steps} flags={result.flags() or '-'}",
+          file=sys.stderr if "-" in (args.trace, args.out) else sys.stdout)
     if records is not None:
         _write(args.trace, "".join(json.dumps(r) + "\n" for r in records))
     if args.out is not None:

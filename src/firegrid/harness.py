@@ -1,4 +1,4 @@
-"""Benchmark harness: scenario files, initial-fire generators, episode loop.
+"""Benchmark harness: scenario files, the initial-fire generator, episode loop.
 
 Two scenario families mirror the benchmark grids.  The first seeds the
 bottom-left corner of a k x k grid with linearly growing burn costs and a
@@ -23,7 +23,7 @@ import math
 import random
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,17 +52,40 @@ class ScenarioError(ValueError):
     """Malformed scenario document; the message names the offending field."""
 
 
-def _type_name(t: type) -> str:
-    return "null" if t is type(None) else t.__name__
+def _type_name(hint) -> str:
+    if hint is type(None):
+        return "null"
+    if typing.get_origin(hint) is list:
+        return "list of " + _type_name(typing.get_args(hint)[0])
+    return " or ".join(map(_type_name, typing.get_args(hint))) or hint.__name__
 
 
-def _type_matches(value, allowed: tuple) -> bool:
-    """JSON-level type check: ints pass for floats, bools only for bools."""
+def _json_type(value) -> str:
+    if isinstance(value, list):
+        entries = sorted({_json_type(v) for v in value})
+        return "list of " + " and ".join(entries) if entries else "list"
+    return _type_name(type(value))
+
+
+def _type_matches(value, hint) -> bool:
+    """JSON-level type check: ints pass for floats, bools only for bools, and
+    ``list[T]`` needs a list whose every entry is a ``T``."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_type_matches(v, args[0]) for v in value)
+    if args:  # a union such as ``float | None``
+        return any(_type_matches(value, arg) for arg in args)
     if isinstance(value, bool):
-        return bool in allowed
-    if isinstance(value, int) and float in allowed:
+        return hint is bool
+    if isinstance(value, int) and hint is float:
         return True
-    return isinstance(value, allowed)
+    return isinstance(value, hint)
+
+
+def _check_type(key: str, value, hint):
+    if not _type_matches(value, hint):
+        raise ScenarioError(f"field '{key}': expected {_type_name(hint)}, "
+                            f"got {_json_type(value)}")
 
 
 def _planner_config(cls, name: str, options):
@@ -74,11 +97,7 @@ def _planner_config(cls, name: str, options):
     for key, value in options.items():
         if key not in hints:
             raise ScenarioError(f"field '{name}.{key}': unknown {name} option")
-        allowed = typing.get_args(hints[key]) or (hints[key],)
-        if not _type_matches(value, allowed):
-            expected = " or ".join(map(_type_name, allowed))
-            raise ScenarioError(f"field '{name}.{key}': expected {expected}, "
-                                f"got {_type_name(type(value))}")
+        _check_type(f"{name}.{key}", value, hints[key])
     try:
         return cls(**options)
     except (TypeError, ValueError) as exc:
@@ -106,54 +125,61 @@ def grid2_rewards(k: int, lam: float, height: int | None = None) -> RewardModel:
         raise ScenarioError("field 'lambda': grid2 needs lambda > 0")
     height = k if height is None else height
     norm = sum(math.exp(-lam * i) for i in range(1, k + 1))
+    if norm == 0.0:
+        raise ScenarioError("field 'lambda': so large that every cost underflows to 0")
     row = [-math.exp(-lam * (col + 1)) / norm for col in range(k)]
     return RewardModel(tuple(row * height))
 
 
-def _propagate(model: Wildfire, state: FireState, steps: int, rng) -> FireState:
-    action = idle_action(0)
+def gen_initial(model: Wildfire, ignition: int, steps: int, rng) -> FireState:
+    """Uniform fuel ``steps`` with only cell ``ignition`` burning, then
+    ``steps`` uncontrolled transitions on ``model`` (its rewards go unused),
+    then all fuel scaled by width**-0.25 and floored."""
+    spec = model.spec
+    n = spec.n_cells
+    state = FireState(tuple(1 if x == ignition else 0 for x in range(n)), (steps,) * n)
+    idle = idle_action(0)
     for _ in range(steps):
-        state, _ = model.step(state, action, rng)
-    return state
-
-
-def _scale_fuel(state: FireState, factor: float) -> FireState:
+        state, _ = model.step(state, idle, rng)
+    factor = spec.width ** -0.25
     return FireState(state.burning, tuple(int(f * factor) for f in state.fuel))
 
 
-def gen_grid1_initial(spec: GridSpec, spread: SpreadModel, p: float, rng,
-                      model: Wildfire | None = None) -> FireState:
-    """Uniform fuel floor(k / 2p), corner ignition, floor(k / 2p) uncontrolled
-    steps, then all fuel scaled by k**-0.25 (floored).  The steps run on
-    ``model`` when given, a simulator on ``spread`` whose rewards go unused."""
-    k = spec.width
-    horizon = int(k / (2.0 * p))
-    fuel = (horizon,) * spec.n_cells
-    burning = tuple(1 if x == spec.index(0, 0) else 0 for x in range(spec.n_cells))
-    if model is None:
-        model = Wildfire(spec, spread, RewardModel((0.0,) * spec.n_cells))
-    state = _propagate(model, FireState(burning, fuel), horizon, rng)
-    return _scale_fuel(state, k ** -0.25)
+_BUILT = {"init": False, "repr": False, "compare": False}
 
 
-def gen_grid2_initial(spec: GridSpec, spread: SpreadModel, p: float, rng,
-                      model: Wildfire | None = None) -> FireState:
-    """Center ignition with fuel floor(k / 4p); otherwise like grid1."""
-    k = spec.width
-    horizon = int(k / (4.0 * p))
-    fuel = (horizon,) * spec.n_cells
-    center = spec.index(math.ceil(k / 2) - 1, math.ceil(spec.height / 2) - 1)
-    burning = tuple(1 if x == center else 0 for x in range(spec.n_cells))
-    if model is None:
-        model = Wildfire(spec, spread, RewardModel((0.0,) * spec.n_cells))
-    state = _propagate(model, FireState(burning, fuel), horizon, rng)
-    return _scale_fuel(state, k ** -0.25)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """One experiment description.  ``_FIELD_MAP`` lists the JSON keys of a
-    scenario file and the fields they set; ``scenarios/*.json`` are examples."""
+    """One experiment, checked and built once when it is made.
+
+    A scenario file is one JSON object; ``scenarios/*.json`` are examples.
+    Every key is optional unless noted, and any other key is an error.
+
+    ``family``: "grid1" (corner fire, burn cost -(1 + col + row), top right
+        -10), "grid2" (center fire, cost falling as exp(-lambda * col), each
+        row summing to -1) or "explicit" (fire and costs listed); "grid1".
+    ``k``: integer >= 1, >= 2 for grid1 and grid2 without ``rewards``; 8.
+        Grid width, and its height unless ``height`` is set.
+    ``height``: integer >= 1 or null; null.
+    ``neighborhood``: "four" or "eight"; "four".
+    ``P_default``: number in [0, 1], > 0 for grid1 and grid2; 0.06.  The
+        chance that one burning neighbor ignites a cell in one step.
+    ``Q_default``: number in [0, 1]; 0.8.  One team's chance of putting out
+        its cell in one step.
+    ``teams``: integer >= 0; 4.
+    ``lambda``: number > 0 or null; null, and required for grid2.
+    ``seed``: integer; 0.  Replication r plays episode seed ``seed + r``.
+    ``reps``: integer >= 1; 64.  Replications of a benchmark.
+    ``rewards``: list of numbers <= 0, one per cell row-major from the bottom
+        left, or null; null (the family's costs), and required for explicit.
+    ``fuel``, ``burning``: list of integers >= 0, and of 0 or 1, one per
+        cell, or null; null, required for explicit and ignored otherwise.
+    ``mcts``, ``mo``: object of ``MctsConfig`` or ``MoConfig`` fields; {}.
+
+    A bad key or value raises ``ScenarioError`` naming it.  The simulator and
+    both planner configs are built here; ``dataclasses.replace`` checks and
+    builds them again.
+    """
 
     family: str = "grid1"
     k: int = 8
@@ -165,30 +191,49 @@ class ScenarioConfig:
     lam: float | None = None
     seed: int = 0
     reps: int = 64
-    rewards: list | None = None
-    fuel: list | None = None
-    burning: list | None = None
+    rewards: list[float] | None = None
+    fuel: list[int] | None = None
+    burning: list[int] | None = None
     mcts: dict = field(default_factory=dict)
     mo: dict = field(default_factory=dict)
+    _model: Wildfire = field(**_BUILT)
+    _mcts: MctsConfig = field(**_BUILT)
+    _mo: MoConfig = field(**_BUILT)
 
     def __post_init__(self):
+        # the blocks first, so that a non-object block says "must be an object"
+        built = {"_mcts": _planner_config(MctsConfig, "mcts", self.mcts),
+                 "_mo": _planner_config(MoConfig, "mo", self.mo)}
+        hints = typing.get_type_hints(ScenarioConfig)
+        for f in fields(self):
+            if f.init:
+                _check_type(_JSON_KEYS.get(f.name, f.name), getattr(self, f.name),
+                            hints[f.name])
         if self.family not in ("grid1", "grid2", "explicit"):
             raise ScenarioError(f"field 'family': unknown family {self.family!r}")
         if self.k < 1:
             raise ScenarioError("field 'k': must be >= 1")
+        if self.height is not None and self.height < 1:
+            raise ScenarioError("field 'height': must be >= 1")
+        if self.neighborhood not in ("four", "eight"):
+            raise ScenarioError(
+                f"field 'neighborhood': unknown neighborhood {self.neighborhood!r}")
         if not 0.0 <= self.p_default <= 1.0:
             raise ScenarioError("field 'P_default': must be in [0, 1]")
+        if self.p_default == 0.0 and self.family != "explicit":
+            raise ScenarioError(f"field 'P_default': {self.family} needs P_default > 0")
         if not 0.0 <= self.q_default <= 1.0:
             raise ScenarioError("field 'Q_default': must be in [0, 1]")
         if self.teams < 0:
             raise ScenarioError("field 'teams': must be >= 0")
-        if self.family == "grid2":
-            if self.lam is None:
-                raise ScenarioError("field 'lambda': required for grid2")
-            if self.lam <= 0:
-                raise ScenarioError("field 'lambda': must be > 0")
+        if self.reps < 1:
+            raise ScenarioError("field 'reps': must be >= 1")
+        if self.family == "grid2" and self.lam is None:
+            raise ScenarioError("field 'lambda': required for grid2")
+        spec = GridSpec(self.k, self.k if self.height is None else self.height,
+                        self.neighborhood)
+        n = spec.n_cells
         if self.family == "explicit":
-            n = self.spec().n_cells
             for name, arr in (("fuel", self.fuel), ("burning", self.burning)):
                 if arr is None:
                     raise ScenarioError(f"field '{name}': required for explicit family")
@@ -198,53 +243,59 @@ class ScenarioConfig:
                 raise ScenarioError("field 'fuel': entries must be >= 0")
             if any(b not in (0, 1) for b in self.burning):
                 raise ScenarioError("field 'burning': entries must be 0 or 1")
-        if self.rewards is not None and len(self.rewards) != self.spec().n_cells:
-            raise ScenarioError("field 'rewards': wrong length")
-        if self.reps < 1:
-            raise ScenarioError("field 'reps': must be >= 1")
-        _planner_config(MctsConfig, "mcts", self.mcts)
-        _planner_config(MoConfig, "mo", self.mo)
-
-    # -- construction ---------------------------------------------------
-
-    def spec(self) -> GridSpec:
-        return GridSpec(self.k, self.height or self.k, self.neighborhood)
-
-    def spread(self) -> SpreadModel:
-        return SpreadModel.uniform(self.spec(), self.p_default, self.q_default)
-
-    def reward_model(self) -> RewardModel:
         if self.rewards is not None:
+            if len(self.rewards) != n:
+                raise ScenarioError("field 'rewards': wrong length")
             try:
-                return RewardModel(tuple(self.rewards))
+                rewards = RewardModel(tuple(self.rewards))
             except ValueError as exc:
                 raise ScenarioError(f"field 'rewards': {exc}") from exc
-        if self.family == "grid1":
-            return grid1_rewards(self.k, self.height)
-        if self.family == "grid2":
-            return grid2_rewards(self.k, self.lam, self.height)
-        raise ScenarioError("field 'rewards': required for explicit family")
+        elif self.family == "grid1":
+            rewards = grid1_rewards(self.k, self.height)
+        elif self.family == "grid2":
+            rewards = grid2_rewards(self.k, self.lam, self.height)
+        else:
+            raise ScenarioError("field 'rewards': required for explicit family")
+        spread = SpreadModel.uniform(spec, self.p_default, self.q_default)
+        built["_model"] = Wildfire(spec, spread, rewards)
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
+
+    # -- the built scenario ------------------------------------------------
+
+    def spec(self) -> GridSpec:
+        return self._model.spec
+
+    def spread(self) -> SpreadModel:
+        return self._model.spread
+
+    def reward_model(self) -> RewardModel:
+        return self._model.rewards
 
     def model(self) -> Wildfire:
-        return Wildfire(self.spec(), self.spread(), self.reward_model())
+        """The scenario's simulator; every episode and planner shares it."""
+        return self._model
 
-    def initial_state(self, rng, model: Wildfire | None = None) -> FireState:
-        """Generate an initial fire from ``rng``.  ``model``, the scenario's
-        own simulator, spares building a spread model for the warm-up."""
-        if self.family in ("grid1", "grid2"):
-            gen = gen_grid1_initial if self.family == "grid1" else gen_grid2_initial
-            if model is None:
-                return gen(self.spec(), self.spread(), self.p_default, rng)
-            return gen(model.spec, model.spread, self.p_default, rng, model)
-        return FireState(tuple(int(b) for b in self.burning),
-                         tuple(int(f) for f in self.fuel))
+    def initial_state(self, rng) -> FireState:
+        """The explicit fire, or a grid family's fire drawn from ``rng``:
+        grid1 ignites the bottom-left cell, grid2 the center one."""
+        if self.family == "explicit":
+            return FireState(tuple(self.burning), tuple(self.fuel))
+        spec = self._model.spec
+        if self.family == "grid1":
+            ignition = spec.index(0, 0)
+        else:
+            ignition = spec.index(math.ceil(self.k / 2) - 1,
+                                  math.ceil(spec.height / 2) - 1)
+        return gen_initial(self._model, ignition, self.generation_horizon(), rng)
 
     def generation_horizon(self) -> int:
-        if self.family == "grid2":
-            return int(self.k / (4.0 * self.p_default))
-        if self.family == "grid1":
-            return int(self.k / (2.0 * self.p_default))
-        return max(self.fuel, default=1) + 1
+        """Warm-up steps of ``gen_initial``, also its uniform fuel: floor(k /
+        2p) for grid1, floor(k / 4p) for grid2.  An explicit fire burns out
+        within max(fuel) + 1 steps."""
+        if self.family == "explicit":
+            return max(self.fuel, default=1) + 1
+        return int(self.k / ((2.0 if self.family == "grid1" else 4.0) * self.p_default))
 
     def make_policy(self, name: str):
         """Build policy ``name``, a callable ``(state, rng) -> action``.  The
@@ -260,14 +311,12 @@ class ScenarioConfig:
                 return heuristics.random_policy(state, teams, rng)
             return policy
         if name == "mcts":
-            cfg = _planner_config(MctsConfig, "mcts", self.mcts)
-            rollout = self.make_policy("fw_sample" if cfg.rollout == "fw" else "random")
-            return MctsPolicy(self.model(), teams, cfg, rollout)
+            rollout = self.make_policy("fw_sample" if self._mcts.rollout == "fw" else "random")
+            return MctsPolicy(self._model, teams, self._mcts, rollout)
         spread = self.spread()
         rewards = self.reward_model()
         if name == "mo":
-            cfg = _planner_config(MoConfig, "mo", self.mo)
-            return MoPolicy(spread, rewards, teams, cfg)
+            return MoPolicy(spread, rewards, teams, self._mo)
         weights = heuristics.fw_weights(heuristics.all_pairs_distances(spread), rewards)
         if name == "fw":
             def policy(state, rng):
@@ -279,35 +328,21 @@ class ScenarioConfig:
         return policy
 
 
-_FIELD_MAP = {
-    "family": "family",
-    "k": "k",
-    "height": "height",
-    "neighborhood": "neighborhood",
-    "P_default": "p_default",
-    "Q_default": "q_default",
-    "teams": "teams",
-    "lambda": "lam",
-    "seed": "seed",
-    "reps": "reps",
-    "rewards": "rewards",
-    "fuel": "fuel",
-    "burning": "burning",
-    "mcts": "mcts",
-    "mo": "mo",
-}
+# scenario fields whose JSON key differs from the field name
+_JSON_KEYS = {"p_default": "P_default", "q_default": "Q_default", "lam": "lambda"}
 
 
-def scenario_from_dict(doc: dict) -> ScenarioConfig:
+def scenario_from_dict(doc) -> ScenarioConfig:
+    if not isinstance(doc, dict):
+        raise ScenarioError("a scenario must be a JSON object")
+    names = {_JSON_KEYS.get(f.name, f.name): f.name
+             for f in fields(ScenarioConfig) if f.init}
     kwargs = {}
     for key, value in doc.items():
-        if key not in _FIELD_MAP:
+        if key not in names:
             raise ScenarioError(f"field {key!r}: unknown scenario field")
-        kwargs[_FIELD_MAP[key]] = value
-    try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ScenarioError(str(exc)) from exc
+        kwargs[names[key]] = value
+    return ScenarioConfig(**kwargs)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -398,15 +433,13 @@ def _fire_size(state: FireState) -> tuple:
 
 
 def run_episode(config: ScenarioConfig, policy, seed: int,
-                policy_name: str = "?", *, model: Wildfire | None = None,
-                start: tuple | None = None,
+                policy_name: str = "?", *, start: tuple | None = None,
                 records: list | None = None) -> EpisodeResult:
     """Play one full episode: generate the initial fire, then act until the
     fire is out or the hard step cap (10x the generation horizon) trips.
 
     The rng stream is seeded only by ``seed``; generation consumes a fixed
     prefix, so every policy sees the identical initial fire for a given seed.
-    ``model`` is the scenario's simulator, built afresh when omitted.
     ``start`` is ``(initial state, rng)``, already generated from ``seed``'s
     stream, with the rng positioned just after generation.
 
@@ -414,11 +447,10 @@ def run_episode(config: ScenarioConfig, policy, seed: int,
     ``n_burning``, ``action`` (target cells), ``ms`` (the policy call's wall
     clock) and then the items of the policy's ``last`` dict, if it has one.
     """
-    if model is None:
-        model = config.model()
+    model = config.model()
     if start is None:
         rng = episode_rng(seed)
-        state = config.initial_state(rng, model)
+        state = config.initial_state(rng)
     else:
         state, rng = start
     if hasattr(policy, "reset"):
@@ -454,19 +486,19 @@ def run_episode(config: ScenarioConfig, policy, seed: int,
     )
 
 
-def _play_seed(config, model, policies, names, seed):
+def _play_seed(config, policies, names, seed):
     """Generate ``seed``'s initial fire once and play ``policies[name]`` for
     every name in ``names`` on it, each from a fresh copy of the stream as it
     stood after generation.  Returns (_fire_size of the fire, results)."""
     rng = episode_rng(seed)
-    state = config.initial_state(rng, model)
+    state = config.initial_state(rng)
     after = rng.getstate()
     results = []
     for name in names:
         rng = random.Random()
         rng.setstate(after)
         results.append(run_episode(config, policies[name], seed, name,
-                                   model=model, start=(state, rng)))
+                                   start=(state, rng)))
     return _fire_size(state), results
 
 
@@ -524,9 +556,8 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     Replication r of every policy uses seed ``config.seed + r``.  Each seed's
     initial fire is generated once and shared by all policies, which play it
     in turn from the same stream state, so every policy sees the same fire
-    and the same draws.  A name given twice plays twice.  The simulator and
-    each policy are built once per call; ``run_episode`` resets the policy
-    before every episode.  With ``jobs > 1`` seeds fan out to a process pool.
+    and the same draws.  A name given twice plays twice.  Each policy is built
+    once per call; ``run_episode`` resets it before every episode.  With ``jobs > 1`` seeds fan out to a process pool.
     Results are merged in (policy, seed) order, so the output depends neither
     on scheduling nor on the order the policies were given.
     """
@@ -535,20 +566,19 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     _check_count("jobs", jobs)
     names = list(policies)
     built = {name: config.make_policy(name) for name in names}
-    model = config.model()
     seeds = [config.seed + r for r in range(reps)]
     if jobs > 1:
         import multiprocessing as mp
 
         # fork keeps workers importable from any entry point (pytest, stdin),
-        # and hands them the simulator and the built policies unpickled: MCTS
+        # and hands them the scenario and the built policies unpickled: MCTS
         # rollout closures cannot be pickled
         with mp.get_context("fork").Pool(
                 jobs, initializer=_init_worker,
-                initargs=(config, model, built, names)) as pool:
+                initargs=(config, built, names)) as pool:
             played = pool.map(_seed_task, seeds, chunksize=1)
     else:
-        played = [_play_seed(config, model, built, names, seed) for seed in seeds]
+        played = [_play_seed(config, built, names, seed) for seed in seeds]
     results = sorted((res for _, episodes in played for res in episodes),
                      key=lambda res: (res.policy, res.seed))
 

@@ -42,10 +42,6 @@ class MctsConfig:
     use_genetic: bool = True
     rollout: str = "fw"  # "fw" or "random"
     reuse_tree: bool = True
-    prior_n_state: float = 0.0
-    prior_n_action: float = 0.0
-    prior_q: float = 0.0
-    prior_n_child: float = 0.0
     gen_retries: int = 10
 
     def __post_init__(self):
@@ -68,9 +64,9 @@ class MctsConfig:
 class _Edge:
     __slots__ = ("n", "q", "children", "child_visits")
 
-    def __init__(self, n0: float, q0: float):
-        self.n = n0
-        self.q = q0
+    def __init__(self):
+        self.n = 0.0
+        self.q = 0.0
         self.children = {}  # state -> [visits, cached reward]
         self.child_visits = 0.0
 
@@ -78,8 +74,8 @@ class _Edge:
 class _Node:
     __slots__ = ("n", "edges", "burning")
 
-    def __init__(self, n0: float, burning):
-        self.n = n0
+    def __init__(self, burning):
+        self.n = 0.0
         self.edges = {}  # action -> _Edge, in insertion order
         self.burning = burning
 
@@ -215,7 +211,7 @@ class Planner:
         nodes = self._nodes
         node = nodes.get(state)
         if node is None:
-            node = _Node(cfg.prior_n_state, burning_cells(state))
+            node = _Node(burning_cells(state))
             nodes[state] = node
             return self._rollout(state, depth, rng)
         if not node.burning:
@@ -225,7 +221,7 @@ class Planner:
         if len(edges) < cfg.widen_k_action * node.n ** cfg.widen_alpha_action:
             action = self._generate(node, state, rng)[0]
             if action not in edges:
-                edges[action] = _Edge(cfg.prior_n_action, cfg.prior_q)
+                edges[action] = _Edge()
         # UCB selection; untried actions take priority in insertion order
         best_action = best_edge = None
         best_score = None
@@ -244,8 +240,7 @@ class Planner:
             child, reward = self.model.step(state, best_action, rng)
             record = children.get(child)
             if record is None:
-                children[child] = [cfg.prior_n_child, reward]
-                edge.child_visits += cfg.prior_n_child
+                children[child] = [0.0, reward]
             else:
                 record[0] += 1
                 edge.child_visits += 1
@@ -260,7 +255,7 @@ class Planner:
         children = edge.children
         total = edge.child_visits
         if total <= 0.0:
-            # all stored children unvisited (possible with zero priors)
+            # every stored child is still unvisited
             items = list(children.items())
             state, record = items[rng.randrange(len(items))]
         else:

@@ -15,8 +15,9 @@ slot tables: the source cell y and the factor 1 - P(x, y), where a padding
 slot points at cell 0 with factor 1.0.  Slot j multiplies every cell's
 survival product by its j-th factor if that source burns, so each product
 is formed in in-edge order, as a per-cell loop forms it, and comes out
-identical to the last bit.  ``step`` and ``enumerate_transitions`` share
-this one kernel.
+identical to the last bit.  Exact outcome distributions are enumerated
+only in the tests, from an independent per-cell copy of the law, so they
+check this kernel rather than share it.
 
 All step randomness comes from an explicit ``random.Random`` stream, so a
 fixed seed reproduces a trajectory exactly.  The draw order is part of the
@@ -46,10 +47,6 @@ class FireState(NamedTuple):
 
     burning: tuple
     fuel: tuple
-
-
-class EnumerationCapError(ValueError):
-    """Joint outcome space too large to enumerate exactly."""
 
 
 _OFFSETS = {
@@ -155,7 +152,7 @@ class RewardModel:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         for x, v in enumerate(self.values):
-            if v > 0.0:
+            if not v <= 0.0:
                 raise ValueError(f"R({x}) = {v} must be <= 0")
 
     def __getitem__(self, x: int) -> float:
@@ -241,10 +238,6 @@ class Wildfire:
         next_fuel = tuple((fuel - (burning & fueled)).tolist())
         return probs, next_fuel
 
-    def _burn_next_probs(self, state: FireState, action: Action) -> np.ndarray:
-        """Per-cell probability of burning in the next state."""
-        return self._law(state, action)[0]
-
     def _check_action(self, action: Action):
         n = self.spec.n_cells
         for target in action:
@@ -263,34 +256,3 @@ class Wildfire:
             burns[stochastic] = np.array(draws) < probs[stochastic]
         next_burning = tuple(burns.tobytes())
         return FireState(next_burning, next_fuel), self.step_reward(state)
-
-    def enumerate_transitions(self, state: FireState, action: Action, cap: int = 20):
-        """Exact joint outcome distribution as (next_state, prob, reward) triples.
-
-        Cells whose next-burning probability is strictly inside (0, 1) are the
-        stochastic ones; raises ``EnumerationCapError`` when there are more
-        than ``cap`` of them.
-        """
-        self._check_action(action)
-        probs, next_fuel = self._law(state, action)
-        base = tuple((probs >= 1.0).tobytes())
-        cells = np.flatnonzero((probs > 0.0) & (probs < 1.0))
-        stochastic = list(zip(cells.tolist(), probs[cells].tolist()))
-        if len(stochastic) > cap:
-            raise EnumerationCapError(
-                f"{len(stochastic)} stochastic cells exceed cap {cap}: "
-                "too large to enumerate"
-            )
-        reward = self.step_reward(state)
-        outcomes = []
-        for bits in itertools.product((0, 1), repeat=len(stochastic)):
-            prob = 1.0
-            burning = list(base)
-            for (x, p), bit in zip(stochastic, bits):
-                if bit:
-                    prob *= p
-                    burning[x] = 1
-                else:
-                    prob *= 1.0 - p
-            outcomes.append((FireState(tuple(burning), next_fuel), prob, reward))
-        return outcomes

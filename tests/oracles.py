@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from first principles (and slowly):
 Dijkstra instead of Floyd-Warshall, vertex enumeration instead of simplex,
-exhaustive expectimax instead of tree search, and a direct forward recursion
-for the fluid dynamics.  None of it imports the implementation paths it
-verifies beyond plain data containers.
+exhaustive expectimax instead of tree search, a per-cell loop and exact
+outcome enumeration instead of the vectorised transition law, and a direct
+forward recursion for the fluid dynamics.  None of it imports the
+implementation paths it verifies beyond plain data containers.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def expectimax(model, state, depth, teams, cache=None):
     qs = {}
     for action in candidate_actions(state, teams):
         total = 0.0
-        for child, prob, reward in model.enumerate_transitions(state, action):
+        for child, prob, reward in enumerate_transitions(model, state, action):
             value, _ = expectimax(model, child, depth - 1, teams, cache)
             total += prob * (reward + value)
         qs[action] = total
@@ -213,22 +214,45 @@ def reference_burn_probs(model, state, action):
     return probs
 
 
-def reference_step(model, state, action, rng):
-    """One ``Wildfire.step`` as a plain per-cell loop: (next state, reward).
-
-    ``rng.random()`` is drawn once per cell whose burn probability lies
-    strictly inside (0, 1), in ascending cell order.  The reward adds R(x)
-    over the burning cells left to right.
-    """
+def _fuel_and_reward(model, state):
+    """(next fuel, reward) of one step: fuel drops by one on burning cells
+    that have some, and the reward adds R(x) over them left to right."""
     burning, fuel = state
-    probs = reference_burn_probs(model, state, action)
-    next_burning = tuple(
-        1 if (p >= 1.0 or (p > 0.0 and rng.random() < p)) else 0 for p in probs
-    )
     next_fuel = tuple(f - 1 if b and f > 0 else f for b, f in zip(burning, fuel))
     reward = 0.0
     for x in range(len(burning)):
         if burning[x]:
             reward += model.rewards.values[x]
+    return next_fuel, reward
+
+
+def reference_step(model, state, action, rng):
+    """One ``Wildfire.step`` as a plain per-cell loop: (next state, reward).
+
+    ``rng.random()`` is drawn once per cell whose burn probability lies
+    strictly inside (0, 1), in ascending cell order.
+    """
+    probs = reference_burn_probs(model, state, action)
+    next_burning = tuple(
+        1 if (p >= 1.0 or (p > 0.0 and rng.random() < p)) else 0 for p in probs
+    )
+    next_fuel, reward = _fuel_and_reward(model, state)
     return type(state)(next_burning, next_fuel), reward
 
+
+def enumerate_transitions(model, state, action):
+    """Exact distribution of one step as (next state, probability, reward)
+    triples: every cell whose ``reference_burn_probs`` lies strictly inside
+    (0, 1) burns or not independently, one outcome per combination."""
+    probs = reference_burn_probs(model, state, action)
+    coins = [(x, p) for x, p in enumerate(probs) if 0.0 < p < 1.0]
+    next_fuel, reward = _fuel_and_reward(model, state)
+    outcomes = []
+    for bits in itertools.product((0, 1), repeat=len(coins)):
+        burning = [1 if p >= 1.0 else 0 for p in probs]
+        prob = 1.0
+        for (x, p), bit in zip(coins, bits):
+            burning[x] = bit
+            prob *= p if bit else 1.0 - p
+        outcomes.append((type(state)(tuple(burning), next_fuel), prob, reward))
+    return outcomes

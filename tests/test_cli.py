@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from firegrid.cli import main
-from firegrid.harness import POLICY_NAMES
+from firegrid.harness import POLICY_NAMES, ScenarioError, load_scenario, scenario_from_dict
 from firegrid.lp import OPTIMAL, solve_lp
 from firegrid.mpsio import parse_mps
 
@@ -103,6 +103,21 @@ def test_simulate_trace_writes_one_record_per_decision(tmp_path, capsys,
         if policy == "mo":
             assert (r["mode"], r["status"]) == (mode, "optimal")
             assert r["objective"] is not None and r["fallback"] is False
+
+
+@pytest.mark.parametrize("policy, flag", [("mo", "--trace"), ("fw", "--out")])
+def test_simulate_to_stdout_prints_only_the_trace_or_csv(capsys, policy, flag):
+    path = os.path.join(SCENARIOS, "tiny_explicit.json")
+    assert main(["simulate", "--scenario", path, "--policy", policy, flag, "-"]) == 0
+    out, err = capsys.readouterr()
+    steps = int(re.search(r"^policy=\S+ seed=0 .* steps=(\d+) ", err).group(1))
+    lines = out.splitlines()
+    if flag == "--trace":
+        assert [json.loads(line)["epoch"] for line in lines] == list(range(steps))
+    else:
+        assert lines[:2] == ["# firegrid results v1", "policy,seed,reward,steps,flags"]
+        assert lines[2].startswith("fw,0,") and len(lines) == 3
+    assert steps > 0
 
 
 @pytest.mark.parametrize("policy", ["mcts", "mo"])
@@ -253,6 +268,42 @@ def test_malformed_scenario_names_field(tmp_path, capsys):
     assert "teams" in capsys.readouterr().err
 
 
+GRID1_DOC = {"family": "grid1", "k": 4, "P_default": 0.06, "Q_default": 0.8,
+             "teams": 2, "seed": 0, "reps": 2}
+
+
+@pytest.mark.parametrize("doc, field", [
+    (dict(GRID1_DOC, k="8"), "k"),
+    (dict(GRID1_DOC, teams=2.5), "teams"),
+    (dict(GRID1_DOC, reps=1.5), "reps"),
+    (dict(GRID1_DOC, seed="x"), "seed"),
+    (dict(GRID1_DOC, height=0), "height"),
+    (dict(GRID1_DOC, k=1), "k"),
+    (dict(GRID1_DOC, neighborhood="six"), "neighborhood"),
+    (dict(GRID1_DOC, P_default="0.1"), "P_default"),
+    (dict(GRID1_DOC, P_default=0), "P_default"),
+    (dict(GRID1_DOC, family="grid2", **{"lambda": "x"}), "lambda"),
+    (dict(GRID1_DOC, family="grid2", **{"lambda": 1000.0}), "lambda"),
+    (explicit_doc(fuel=[1.5, 2, 2, 2]), "fuel"),
+    (explicit_doc(burning=[True, False, False, False]), "burning"),
+    (explicit_doc(rewards=[-1.0, 0.5, -2.0, -4.0]), "rewards"),
+    (explicit_doc(rewards=[-1.0, "x", -2.0, -4.0]), "rewards"),
+    ({k: v for k, v in explicit_doc().items() if k != "rewards"}, "rewards"),
+])
+def test_malformed_scenario_fails_at_load(tmp_path, capsys, doc, field):
+    with pytest.raises(ScenarioError, match=f"^field '{field}'"):
+        scenario_from_dict(doc)
+    scenario = write_scenario(tmp_path, doc)
+    for argv in (["simulate", "--policy", "random"],
+                 ["benchmark", "--policies", "random", "--out", str(tmp_path / "r.csv"),
+                  "--summary-out", str(tmp_path / "s.csv")]):
+        assert main(argv + ["--scenario", scenario]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"firegrid: scenario error: field '{field}'")
+        assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("block, field", [
     ({"mcts": {"budget_secs": 1.0}}, "mcts.budget_secs"),
     ({"mo": {"horizn": 3}}, "mo.horizn"),
@@ -286,11 +337,13 @@ def test_unknown_policy_rejected(tmp_path, capsys):
 
 
 def test_shipped_scenarios_load():
-    for name in ("grid1_k8.json", "grid1_k20.json", "grid2_k9.json",
-                 "tiny_explicit.json"):
-        path = os.path.join(SCENARIOS, name)
-        code = main(["weights", "--scenario", path, "--out", os.devnull])
-        assert code == 0
+    paths = sorted(Path(SCENARIOS).glob("*.json"))
+    assert len(paths) >= 4
+    for path in paths:
+        config = load_scenario(str(path))
+        for name in POLICY_NAMES:
+            assert callable(config.make_policy(name))
+        assert main(["weights", "--scenario", str(path), "--out", os.devnull]) == 0
 
 
 def test_help_lists_subcommands(capsys):

@@ -10,8 +10,7 @@ from firegrid.harness import (
     ScenarioError,
     branching_factor,
     episode_rng,
-    gen_grid1_initial,
-    gen_grid2_initial,
+    gen_initial,
     grid1_rewards,
     grid2_rewards,
     initial_fire_stats,
@@ -22,7 +21,7 @@ from firegrid.harness import (
     scenario_from_dict,
     summary_to_csv,
 )
-from firegrid.mdp import FireState, GridSpec, SpreadModel
+from firegrid.mdp import GridSpec, RewardModel, SpreadModel, Wildfire
 
 
 # -- reward layouts -----------------------------------------------------------
@@ -79,10 +78,15 @@ def test_grid2_costs_fall_toward_the_right():
 
 # -- initial-fire generators --------------------------------------------------
 
+def grid1_k8():
+    return scenario_from_dict({"family": "grid1", "k": 8, "P_default": 0.06,
+                               "Q_default": 0.8})
+
+
 def test_grid1_generator_scaled_fuel_levels():
-    spec = GridSpec(8, 8)
-    spread = SpreadModel.uniform(spec, 0.06, 0.8)
-    state = gen_grid1_initial(spec, spread, 0.06, episode_rng(1))
+    config = grid1_k8()
+    spec = config.spec()
+    state = config.initial_state(episode_rng(1))
     # floor(8 / 0.12) = 66 pre-scale; untouched cells end at floor(66 * 8^-0.25)
     assert int(8 / 0.12) == 66
     assert 8 ** -0.25 == pytest.approx(0.59460, abs=1e-5)
@@ -96,19 +100,19 @@ def test_grid1_generator_seed_burns_out():
     # after floor(k/2p) uncontrolled steps the ignition cell has consumed all
     # its fuel; the burning flag may linger one step (it extinguishes with
     # certainty on the next transition and can never reignite)
-    spec = GridSpec(8, 8)
-    spread = SpreadModel.uniform(spec, 0.06, 0.8)
+    config = grid1_k8()
+    spec = config.spec()
     for seed in range(3):
-        state = gen_grid1_initial(spec, spread, 0.06, episode_rng(seed))
+        state = config.initial_state(episode_rng(seed))
         seed_cell = spec.index(0, 0)
         assert state.fuel[seed_cell] == 0
 
 
 def test_grid1_generator_burn_region_connected():
-    spec = GridSpec(8, 8)
-    spread = SpreadModel.uniform(spec, 0.06, 0.8)
+    config = grid1_k8()
+    spec = config.spec()
     untouched = int(66 * 8 ** -0.25)
-    state = gen_grid1_initial(spec, spread, 0.06, episode_rng(7))
+    state = config.initial_state(episode_rng(7))
     touched = {x for x in range(64) if state.fuel[x] < untouched or state.burning[x]}
     assert spec.index(0, 0) in touched
     frontier = [spec.index(0, 0)]
@@ -123,10 +127,11 @@ def test_grid1_generator_burn_region_connected():
 
 
 def test_grid2_generator_center_and_fuel():
-    spec = GridSpec(9, 9)
-    spread = SpreadModel.uniform(spec, 0.02, 0.8)
-    assert int(9 / 0.08) == 112
-    state = gen_grid2_initial(spec, spread, 0.02, episode_rng(2))
+    config = scenario_from_dict({"family": "grid2", "k": 9, "P_default": 0.02,
+                                 "Q_default": 0.8, "lambda": 0.2})
+    spec = config.spec()
+    assert int(9 / 0.08) == 112 == config.generation_horizon()
+    state = config.initial_state(episode_rng(2))
     center = spec.index(4, 4)  # ceil(9/2) = 5 one-indexed
     touched = [x for x in range(81) if state.fuel[x] < int(112 * 9 ** -0.25)]
     assert center in touched or state.burning[center]
@@ -244,10 +249,14 @@ def test_initial_state_on_scenario_model_matches_own(doc):
     # the warm-up ignores rewards, so the scenario's simulator gives the fire
     # a zero-reward one would, and leaves the stream in the same place
     config = scenario_from_dict(doc)
-    model = config.model()
+    spec = config.spec()
+    ignition = spec.index(0, 0) if doc["family"] == "grid1" else spec.index(3, 3)
+    zero = Wildfire(spec, SpreadModel.uniform(spec, 0.06, 0.8),
+                    RewardModel((0.0,) * spec.n_cells))
     for seed in range(4):
         own, shared = episode_rng(seed), episode_rng(seed)
-        assert config.initial_state(shared, model) == config.initial_state(own)
+        assert config.initial_state(shared) == gen_initial(
+            zero, ignition, config.generation_horizon(), own)
         assert shared.getstate() == own.getstate()
 
 
@@ -299,19 +308,21 @@ def test_benchmark_builds_each_policy_once(monkeypatch):
 
 @pytest.mark.parametrize("policies", [["fw"], ["random", "fw", "fw_sample"]])
 def test_benchmark_generates_each_fire_once(monkeypatch, policies):
-    # one fire per seed and one simulator per call, whatever the policies
+    # one fire per seed whatever the policies, and no spread model or
+    # simulator built: the scenario built its own when it loaded
     config = small_grid1()
-    calls = {"initial_state": 0, "model": 0}
-    for attr in calls:
-        original = getattr(ScenarioConfig, attr)
+    calls = []
+    for owner, attr in ((ScenarioConfig, "initial_state"),
+                        (SpreadModel, "__init__"), (Wildfire, "__init__")):
+        original = getattr(owner, attr)
 
-        def counting(self, *args, _attr=attr, _original=original):
-            calls[_attr] += 1
+        def counting(self, *args, _name=f"{owner.__name__}.{attr}", _original=original):
+            calls.append(_name)
             return _original(self, *args)
 
-        monkeypatch.setattr(ScenarioConfig, attr, counting)
+        monkeypatch.setattr(owner, attr, counting)
     run_benchmark(config, policies, reps=5, jobs=1)
-    assert calls == {"initial_state": 5, "model": 1}
+    assert calls == ["ScenarioConfig.initial_state"] * 5
 
 
 def test_benchmark_rejects_counts_below_one():

@@ -161,7 +161,9 @@ def test_generation_branch_frequencies():
         planner._simulate(state, 1, node_rng)  # grow visit counts a bit
     from firegrid.mcts import _Edge
     for action in seed_actions:
-        node.edges.setdefault(action, _Edge(1.0, -1.0))
+        if action not in node.edges:
+            edge = node.edges[action] = _Edge()
+            edge.n, edge.q = 1.0, -1.0
     n = 10_000
     counts = Counter(planner._generate(node, state, rng)[1] for _ in range(n))
     for branch, expected in (("mutate", 0.3), ("recombine", 0.3), ("default", 0.4)):
