@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ``simulate`` (one seeded episode), ``benchmark`` (paired-seed
-policy comparison), ``stats`` (initial-fire statistics), ``export-lp``
-(fluid model as fixed MPS), ``weights`` (distance-weighted heuristic map as
-CSV).  All randomness flows from the scenario seed (overridable with
-``--seed``); replication r uses seed + r.
+policy comparison), ``stats`` (initial-fire statistics), ``export-lp`` (the
+fluid model MO solves at its first decision, as fixed MPS, at the horizon and
+delta of the scenario's ``mo`` block), ``weights`` (the scenario's
+distance-weighted heuristic map as CSV).  All randomness flows from the
+scenario seed (overridable with ``--seed``); replication r uses seed + r.
 
 ``simulate --trace PATH`` writes one JSON object per decision, one per line.
 Every policy's lines carry ``epoch`` (0, 1, ...), ``n_burning`` (burning
@@ -27,8 +28,6 @@ import sys
 from dataclasses import replace
 
 from . import harness
-from .fluid import build_model, calibrate
-from .heuristics import all_pairs_distances, fw_weights
 from .mpsio import write_mps
 
 
@@ -91,20 +90,15 @@ def _cmd_stats(args) -> int:
 
 def _cmd_export_lp(args) -> int:
     config = _load(args)
-    rng = harness.episode_rng(config.seed)
-    state = config.initial_state(rng)
-    calibration = calibrate(config.spread(), state, args.horizon,
-                            delta=args.delta)
-    model = build_model(calibration, state, config.reward_model(), config.teams)
+    state = config.initial_state(harness.episode_rng(config.seed))
+    model = config.make_policy("mo").fluid_model(state)
     _write(args.out, write_mps(model.problem, model.integer_mask))
     return 0
 
 
 def _cmd_weights(args) -> int:
     config = _load(args)
-    spec = config.spec()
-    weights = fw_weights(all_pairs_distances(config.spread()),
-                         config.reward_model())
+    spec, weights = config.spec(), config.weights
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["row", "col", "w", "priority"])
@@ -164,11 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="stats CSV (default stdout)")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("export-lp", help="write the fluid model as fixed MPS")
+    p = sub.add_parser("export-lp",
+                       help="write the fluid model MO solves first as fixed MPS, "
+                            "at the scenario's mo.horizon and mo.delta")
     common(p)
     p.add_argument("--out", required=True, help="output MPS path")
-    p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--delta", type=float, default=0.1)
     p.set_defaults(func=_cmd_export_lp)
 
     p = sub.add_parser("weights", help="export the heuristic weight map")

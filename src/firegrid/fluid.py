@@ -20,9 +20,9 @@ are used.
 Known pathology (kept, by design): the indicator that vacates the intensity
 recursion acts with a one-step lag, so a state containing burning cells with
 almost no fuel left can make the model infeasible regardless of the
-assignments.  The controller reports this and falls back to the
-distance-weighted heuristic for that epoch rather than patching the
-formulation.
+assignments.  The controller reports this and plays the fallback policy it
+was given for that epoch (the scenario's distance-weighted heuristic) rather
+than patching the formulation.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .heuristics import all_pairs_distances, fw_policy, fw_weights
+# Unused here: the benchmark's tracer still wraps these three names on this
+# module, and tests/test_bench_contract.py checks that they resolve.
+from .heuristics import all_pairs_distances, fw_policy, fw_weights  # noqa: F401
 from .lp import EQ, GE, LE, OPTIMAL, LpProblem, solve_lp, solve_lp_scipy
 from .mdp import Action, FireState, RewardModel, SpreadModel, idle_action
 from .milp import branch_and_bound
@@ -249,22 +251,17 @@ def build_model(
             add_row([(shell.a_index(t, x, i), 1.0) for x in range(n)],
                     LE, 1.0, ("assign", t, i))
 
+    # I_0 is the burning map; the binaries z, then a, run to the last column
+    binaries = slice(shell.z_index(0, 0), n_vars)
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
-    for x in range(n):
-        seed = 1.0 if state.burning[x] else 0.0
-        lower[shell.i_index(0, x)] = seed
-        upper[shell.i_index(0, x)] = seed
-    for j in shell.z_indices():
-        upper[j] = 1.0
-    for j in shell.a_indices():
-        upper[j] = 1.0
+    lower[:n] = upper[:n] = np.asarray(state.burning, dtype=float)
+    upper[binaries] = 1.0
 
     a = sp.csr_matrix((vals, (rows, cols)), shape=(len(b), n_vars))
     problem = LpProblem(c, a, tuple(senses), np.array(b), lower, upper)
     mask = np.zeros(n_vars, dtype=bool)
-    mask[list(shell.z_indices())] = True
-    mask[list(shell.a_indices())] = True
+    mask[binaries] = True
     shell.problem = problem
     shell.integer_mask = mask
     shell.row_labels = labels
@@ -323,16 +320,14 @@ def relax_and_score(
         info["status"] = sol.status
         if sol.status != OPTIMAL:
             return None, info
+        # z_index(t, x) runs t-major like the (T+1, n) fuel array
         fuel = model.fuel_values(sol.x)
+        bits = np.where(fuel <= model.calibration.delta + 1e-9, 1.0, 0.0).ravel()
+        z = model.z_indices()
         lower = problem.lower.copy()
         upper = problem.upper.copy()
-        delta = model.calibration.delta
-        for t in range(model.horizon + 1):
-            for cell in range(model.n_cells):
-                j = model.z_index(t, cell)
-                bit = 1.0 if fuel[t, cell] <= delta + 1e-9 else 0.0
-                lower[j] = bit
-                upper[j] = bit
+        lower[z.start:z.stop] = bits
+        upper[z.start:z.stop] = bits
         fixed = LpProblem(problem.c, problem.a, problem.senses, problem.b,
                           lower, upper)
         refit = lp_solver(fixed)
@@ -397,46 +392,41 @@ class MoConfig:
 class MoPolicy:
     """Re-optimizing controller: calibrate, build, solve, take the first move.
 
-    Falls back to the deterministic distance-weighted heuristic whenever the
+    Plays ``fallback``, a policy ``(state, rng) -> action``, whenever the
     model comes back infeasible, counting those epochs in ``fallbacks``.
     ``last`` holds the latest solve's ``mode``, ``status`` and ``objective``
     from ``relax_and_score``, and whether the decision fell back.
     """
 
-    def __init__(
-        self,
-        spread: SpreadModel,
-        rewards: RewardModel,
-        teams: int,
-        config: MoConfig | None = None,
-    ):
+    def __init__(self, spread: SpreadModel, rewards: RewardModel, teams: int,
+                 config: MoConfig, fallback):
         self.spread = spread
         self.rewards = rewards
         self.teams = teams
-        self.config = config or MoConfig()
-        self.weights = fw_weights(all_pairs_distances(spread), rewards)
+        self.config = config
+        self.fallback = fallback
         self.reset()
 
     def reset(self):
         self.fallbacks = 0
         self.last = {}
 
+    def fluid_model(self, state: FireState) -> FluidModel:
+        """The model solved from ``state``, at the config's horizon and delta."""
+        cfg = self.config
+        calibration = calibrate(self.spread, state, cfg.horizon, delta=cfg.delta)
+        return build_model(calibration, state, self.rewards, self.teams)
+
     def __call__(self, state: FireState, rng=None) -> Action:
         if 1 not in state.burning:
             return idle_action(self.teams)
         cfg = self.config
-        calibration = calibrate(self.spread, state, cfg.horizon, delta=cfg.delta)
-        model = build_model(calibration, state, self.rewards, self.teams)
         action, info = relax_and_score(
-            model,
-            time_limit=cfg.time_limit,
-            backend=cfg.backend,
-            bnb_binary_cap=cfg.bnb_binary_cap,
-            node_limit=cfg.node_limit,
-        )
+            self.fluid_model(state), time_limit=cfg.time_limit, backend=cfg.backend,
+            bnb_binary_cap=cfg.bnb_binary_cap, node_limit=cfg.node_limit)
         self.last = {"mode": info.get("mode"), "status": info.get("status"),
                      "objective": info.get("objective"), "fallback": action is None}
         if action is None:
             self.fallbacks += 1
-            return fw_policy(state, self.weights, self.teams)
+            return self.fallback(state, rng)
         return action

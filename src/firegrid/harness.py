@@ -17,6 +17,7 @@ CSV with a versioned header comment.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -46,6 +47,7 @@ SUMMARY_SCHEMA = "# firegrid summary v1"
 STATS_SCHEMA = "# firegrid initial-fire-stats v1"
 
 POLICY_NAMES = ("random", "fw", "fw_sample", "mcts", "mo")
+MAX_WARMUP_STEPS = 10_000  # a grid scenario's generation_horizon() at most
 
 
 class ScenarioError(ValueError):
@@ -163,7 +165,9 @@ class ScenarioConfig:
     ``height``: integer >= 1 or null; null.
     ``neighborhood``: "four" or "eight"; "four".
     ``P_default``: number in [0, 1], > 0 for grid1 and grid2; 0.06.  The
-        chance that one burning neighbor ignites a cell in one step.
+        chance that one burning neighbor ignites a cell in one step.  A grid
+        fire warms up for ``generation_horizon()`` steps, floor(k / 2p) or
+        floor(k / 4p), which may not exceed ``MAX_WARMUP_STEPS`` (10 000).
     ``Q_default``: number in [0, 1]; 0.8.  One team's chance of putting out
         its cell in one step.
     ``teams``: integer >= 0; 4.
@@ -178,7 +182,9 @@ class ScenarioConfig:
 
     A bad key or value raises ``ScenarioError`` naming it.  The simulator and
     both planner configs are built here; ``dataclasses.replace`` checks and
-    builds them again.
+    builds them again.  ``weights``, the fw weight map every fw-based policy
+    shares, is built on first use and then cached; a replaced copy starts
+    without it.
     """
 
     family: str = "grid1"
@@ -230,6 +236,10 @@ class ScenarioConfig:
             raise ScenarioError("field 'reps': must be >= 1")
         if self.family == "grid2" and self.lam is None:
             raise ScenarioError("field 'lambda': required for grid2")
+        if self.family != "explicit" and self.generation_horizon() > MAX_WARMUP_STEPS:
+            raise ScenarioError(
+                f"field 'P_default': so small that a fire warms up for "
+                f"{self.generation_horizon()} steps, more than {MAX_WARMUP_STEPS}")
         spec = GridSpec(self.k, self.k if self.height is None else self.height,
                         self.neighborhood)
         n = spec.n_cells
@@ -297,6 +307,12 @@ class ScenarioConfig:
             return max(self.fuel, default=1) + 1
         return int(self.k / ((2.0 if self.family == "grid1" else 4.0) * self.p_default))
 
+    @functools.cached_property
+    def weights(self) -> heuristics.WeightMap:
+        """The fw weight map, from one Floyd-Warshall over the spread model."""
+        return heuristics.fw_weights(heuristics.all_pairs_distances(self.spread()),
+                                     self.reward_model())
+
     def make_policy(self, name: str):
         """Build policy ``name``, a callable ``(state, rng) -> action``.  The
         planners ``mcts`` and ``mo`` also carry ``reset()``, ``fallbacks``
@@ -313,11 +329,10 @@ class ScenarioConfig:
         if name == "mcts":
             rollout = self.make_policy("fw_sample" if self._mcts.rollout == "fw" else "random")
             return MctsPolicy(self._model, teams, self._mcts, rollout)
-        spread = self.spread()
-        rewards = self.reward_model()
         if name == "mo":
-            return MoPolicy(spread, rewards, teams, self._mo)
-        weights = heuristics.fw_weights(heuristics.all_pairs_distances(spread), rewards)
+            return MoPolicy(self.spread(), self.reward_model(), teams, self._mo,
+                            self.make_policy("fw"))
+        weights = self.weights
         if name == "fw":
             def policy(state, rng):
                 return heuristics.fw_policy(state, weights, teams)

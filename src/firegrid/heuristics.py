@@ -4,8 +4,9 @@ The weighted rule scores each cell by summing R(y) / D(x, y) over all other
 cells, where D is the all-pairs shortest-path length using the transmission
 probability P(x, y) as the length of the edge between adjacent cells.  Cells
 sitting close (in that metric) to large-magnitude burn costs get the highest
-suppression priority.  Distances are computed once offline and shared
-read-only by any number of episodes.
+suppression priority.  ``ScenarioConfig.weights`` builds the distances and
+the weight map once per scenario; every fw policy, MCTS rollout and MO
+fallback built from that scenario shares them read-only.
 """
 
 from __future__ import annotations

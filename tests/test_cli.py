@@ -8,7 +8,7 @@ import pytest
 from firegrid.cli import main
 from firegrid.harness import POLICY_NAMES, ScenarioError, load_scenario, scenario_from_dict
 from firegrid.lp import OPTIMAL, solve_lp
-from firegrid.mpsio import parse_mps
+from firegrid.mpsio import parse_mps, write_mps
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 GOLDEN = Path(__file__).parent / "golden"
@@ -239,17 +239,32 @@ def test_stats_output(tmp_path):
 
 
 def test_export_lp_non_burning_solves_to_zero(tmp_path):
-    doc = explicit_doc(burning=[0, 0, 0, 0])
+    doc = explicit_doc(burning=[0, 0, 0, 0], mo={"horizon": 3})
     scenario = write_scenario(tmp_path, doc)
     out = tmp_path / "model.mps"
-    code = main(["export-lp", "--scenario", scenario, "--out", str(out),
-                 "--horizon", "3"])
+    code = main(["export-lp", "--scenario", scenario, "--out", str(out)])
     assert code == 0
     problem, mask, _ = parse_mps(out.read_text())
     sol = solve_lp(problem)
     assert sol.status == OPTIMAL
     assert abs(sol.objective) <= 1e-9
     assert mask.sum() > 0
+
+
+def test_export_lp_writes_the_model_mo_solves(tmp_path):
+    # horizon and delta come from the scenario's mo block, not from flags
+    doc = explicit_doc(mo={"horizon": 2, "delta": 0.25})
+    scenario = write_scenario(tmp_path, doc)
+    out = tmp_path / "model.mps"
+    assert main(["export-lp", "--scenario", scenario, "--out", str(out)]) == 0
+    config = scenario_from_dict(doc)
+    state = config.initial_state(None)
+    model = config.make_policy("mo").fluid_model(state)
+    assert (model.horizon, model.calibration.delta) == (2, 0.25)
+    assert out.read_text() == write_mps(model.problem, model.integer_mask)
+    for flag in ("--horizon", "--delta"):
+        with pytest.raises(SystemExit):
+            main(["export-lp", "--scenario", scenario, "--out", str(out), flag, "3"])
 
 
 def test_weights_csv(tmp_path, capsys):
@@ -289,6 +304,7 @@ GRID1_DOC = {"family": "grid1", "k": 4, "P_default": 0.06, "Q_default": 0.8,
     (explicit_doc(rewards=[-1.0, 0.5, -2.0, -4.0]), "rewards"),
     (explicit_doc(rewards=[-1.0, "x", -2.0, -4.0]), "rewards"),
     ({k: v for k, v in explicit_doc().items() if k != "rewards"}, "rewards"),
+    (dict(GRID1_DOC, P_default=1e-6), "P_default"),
 ])
 def test_malformed_scenario_fails_at_load(tmp_path, capsys, doc, field):
     with pytest.raises(ScenarioError, match=f"^field '{field}'"):

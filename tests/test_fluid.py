@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firegrid.fluid import (
     Calibration,
     MoConfig,
     MoPolicy,
+    _action_from_scores,
     build_model,
     calibrate,
     relax_and_score,
 )
+from firegrid.heuristics import all_pairs_distances, fw_policy, fw_weights
 from firegrid.lp import EQ, GE, LE, OPTIMAL, solve_lp, solve_lp_scipy
-from firegrid.mdp import FireState, GridSpec, RewardModel, SpreadModel, idle_action
+from firegrid.mdp import IDLE, FireState, GridSpec, RewardModel, SpreadModel, idle_action
 from firegrid.milp import branch_and_bound
 from firegrid.mpsio import parse_mps, write_mps
 
@@ -212,7 +216,6 @@ def test_relax_and_score_single_burning_cell():
 
 def test_relax_and_score_top_two_rule():
     # doctor the scores directly: the ranking rule is deterministic
-    from firegrid.fluid import _action_from_scores
     state = FireState((1, 1, 1, 0), (3, 3, 3, 3))
     v = np.array([0.9, 0.7, 0.1, 0.0])
     assert _action_from_scores(state, v, 2) == (0, 1)
@@ -256,13 +259,20 @@ def test_bundled_and_exported_external_solve_agree():
 
 # -- the receding-horizon controller ------------------------------------------
 
+def fw_fallback(spread, rewards, teams):
+    """The fw policy a scenario hands its MO policy as the fallback."""
+    weights = fw_weights(all_pairs_distances(spread), rewards)
+    return lambda state, rng: fw_policy(state, weights, teams)
+
+
 def corridor_policy(teams=1, horizon=4):
     spec = GridSpec(3, 1)
     spread = SpreadModel.uniform(spec, 0.3, 0.8)
     rewards = RewardModel((-1.0, -1.0, -10.0))
     return spec, spread, rewards, MoPolicy(
         spread, rewards, teams,
-        MoConfig(horizon=horizon, time_limit=None, backend="bundled"))
+        MoConfig(horizon=horizon, time_limit=None, backend="bundled"),
+        fw_fallback(spread, rewards, teams))
 
 
 def test_mo_policy_idle_without_fire():
@@ -294,7 +304,8 @@ def test_mo_policy_rescues_one_doomed_cell_with_a_team():
     rewards = RewardModel((-1.0, -2.0, -2.0, -4.0))
     policy = MoPolicy(spread, rewards, 1,
                       MoConfig(horizon=3, time_limit=None, backend="bundled",
-                               bnb_binary_cap=0))
+                               bnb_binary_cap=0),
+                      fw_fallback(spread, rewards, 1))
     state = FireState((1, 1, 0, 0), (0, 8, 8, 8))
     action = policy(state, None)
     assert policy.fallbacks == 0
@@ -308,11 +319,13 @@ def test_mo_policy_falls_back_on_infeasible_model():
     rewards = RewardModel((-1.0, -2.0, -2.0, -4.0))
     policy = MoPolicy(spread, rewards, 1,
                       MoConfig(horizon=3, time_limit=None, backend="bundled",
-                               bnb_binary_cap=0))
+                               bnb_binary_cap=0),
+                      fw_fallback(spread, rewards, 1))
     state = FireState((1, 1, 0, 0), (0, 0, 8, 8))
     action = policy(state, None)
     assert policy.fallbacks == 1
-    assert action != idle_action(1)
+    weights = fw_weights(all_pairs_distances(spread), rewards)
+    assert action == fw_policy(state, weights, 1)
     assert state.burning[action[0]]
 
 
@@ -331,6 +344,58 @@ def test_mo_policy_falls_back_when_the_solve_reports_nothing(monkeypatch):
                            "fallback": True}
     policy.reset()
     assert (policy.fallbacks, policy.last) == (0, {})
+
+
+@st.composite
+def scored_fires(draw):
+    """A state on 1-16 cells, 0-3 teams and any finite score per cell."""
+    n = draw(st.integers(1, 16))
+    cells = lambda values: st.lists(values, min_size=n, max_size=n)  # noqa: E731
+    state = FireState(tuple(draw(cells(st.integers(0, 1)))),
+                      tuple(draw(cells(st.integers(0, 3)))))
+    scores = np.array(draw(cells(st.floats(-2.0, 2.0))))
+    return state, scores, draw(st.integers(0, 3))
+
+
+@given(scored_fires())
+@settings(max_examples=200, deadline=None)
+def test_action_from_scores_targets_only_burning_cells(case):
+    state, scores, teams = case
+    action = _action_from_scores(state, scores, teams)
+    assert len(action) == teams
+    if 1 in state.burning:
+        assert all(state.burning[x] for x in action)
+    else:
+        assert action == (IDLE,) * teams
+
+
+def test_mo_policy_plays_the_fallback_it_was_given(monkeypatch):
+    import firegrid.fluid
+
+    monkeypatch.setattr(firegrid.fluid, "relax_and_score", lambda *a, **k: (None, {}))
+    spec = GridSpec(3, 1)
+    calls = []
+
+    def fallback(state, rng):
+        calls.append((state, rng))
+        return (2,)
+
+    policy = MoPolicy(SpreadModel.uniform(spec, 0.3, 0.8), RewardModel((-1.0,) * 3), 1,
+                      MoConfig(horizon=2, time_limit=None), fallback)
+    state, rng = FireState((1, 0, 1), (4, 4, 4)), object()
+    assert policy(state, rng) == (2,)
+    assert calls == [(state, rng)]
+
+
+def test_mo_policy_fluid_model_uses_the_config():
+    _, spread, rewards, policy = corridor_policy(teams=2, horizon=3)
+    policy.config.delta = 0.25
+    state = FireState((1, 1, 0), (6, 6, 6))
+    model = policy.fluid_model(state)
+    assert (model.horizon, model.teams, model.calibration.delta) == (3, 2, 0.25)
+    expected = build_model(calibrate(spread, state, 3, delta=0.25), state, rewards, 2)
+    assert (model.problem.a != expected.problem.a).nnz == 0
+    np.testing.assert_array_equal(model.problem.b, expected.problem.b)
 
 
 def test_mo_policy_infeasible_even_with_branching():

@@ -1,11 +1,20 @@
 import json
 import math
+import os
+import random
 import statistics
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from firegrid import fluid, heuristics
 from firegrid.harness import (
+    MAX_WARMUP_STEPS,
+    POLICY_NAMES,
     ScenarioConfig,
     ScenarioError,
     branching_factor,
@@ -19,9 +28,12 @@ from firegrid.harness import (
     run_benchmark,
     run_episode,
     scenario_from_dict,
+    stats_to_csv,
     summary_to_csv,
 )
-from firegrid.mdp import GridSpec, RewardModel, SpreadModel, Wildfire
+from firegrid.mdp import IDLE, GridSpec, RewardModel, SpreadModel, Wildfire
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # -- reward layouts -----------------------------------------------------------
@@ -387,6 +399,112 @@ def test_csv_headers_versioned():
     results, summary = run_benchmark(config, ["random"], reps=2)
     assert results_to_csv(results).startswith("# firegrid results v1\n")
     assert summary_to_csv(summary).startswith("# firegrid summary v1\n")
+
+
+def work_budgets(doc):
+    """``doc`` with MCTS at 20 iterations and MO without a time limit."""
+    return dict(doc, mcts=dict(doc.get("mcts", {}), budget_seconds=None,
+                               budget_iterations=20),
+                mo=dict(doc.get("mo", {}), time_limit=None))
+
+
+def counting_distances(monkeypatch):
+    """Count ``all_pairs_distances`` calls wherever the package looks it up,
+    and fail any call made in a process other than this one."""
+    calls = []
+    original = heuristics.all_pairs_distances
+    parent = os.getpid()
+
+    def counting(spread):
+        assert os.getpid() == parent, "a benchmark worker rebuilt the weight map"
+        calls.append(spread)
+        return original(spread)
+
+    for module in (heuristics, fluid):
+        monkeypatch.setattr(module, "all_pairs_distances", counting)
+    return calls
+
+
+def test_one_floyd_warshall_per_scenario(monkeypatch):
+    calls = counting_distances(monkeypatch)
+    doc = json.loads((SCENARIOS / "grid1_k8.json").read_text())
+    config = scenario_from_dict(work_budgets(doc))
+    run_benchmark(config, list(POLICY_NAMES), reps=1)
+    assert len(calls) == 1
+    run_benchmark(config, list(POLICY_NAMES), reps=1)
+    assert len(calls) == 1
+    calls.clear()
+    stats_to_csv(load_scenario(str(SCENARIOS / "grid1_k8.json")), reps=2)
+    assert calls == []
+
+
+def test_replaced_scenario_builds_its_own_weights():
+    config = small_grid1()
+    other = replace(config, p_default=0.3)
+    assert not np.array_equal(config.weights.w, other.weights.w)
+    assert replace(config, seed=9).weights is not config.weights
+    assert config.weights is config.weights
+
+
+def test_benchmark_jobs_do_not_change_planner_results(monkeypatch):
+    # MCTS at an iteration budget and MO's relax-round path through HiGHS on
+    # a grid, built once in the parent: the forked workers reuse its map
+    calls = counting_distances(monkeypatch)
+    doc = work_budgets({"family": "grid1", "k": 4, "P_default": 0.06,
+                        "Q_default": 0.8, "teams": 2, "seed": 0, "reps": 3})
+    outputs = []
+    for jobs in (1, 2):
+        calls.clear()
+        results, summary = run_benchmark(scenario_from_dict(doc), list(POLICY_NAMES),
+                                         jobs=jobs)
+        assert len(calls) == 1
+        outputs.append((results, results_to_csv(results), summary_to_csv(summary)))
+    assert outputs[0] == outputs[1]
+    config, records = scenario_from_dict(doc), []
+    run_episode(config, config.make_policy("mo"), 0, "mo", records=records)
+    assert {r["mode"] for r in records} == {"relax-round"}
+
+
+def test_tiny_p_default_rejected_before_warm_up():
+    with pytest.raises(ScenarioError,
+                       match=r"^field 'P_default': .* 4000000 steps, more than 10000"):
+        scenario_from_dict({"family": "grid1", "k": 8, "P_default": 1e-6})
+    # the longest admitted warm-up still loads
+    longest = scenario_from_dict({"family": "grid2", "k": 8, "lambda": 0.2,
+                                  "P_default": 8 / (4 * MAX_WARMUP_STEPS)})
+    assert longest.generation_horizon() == MAX_WARMUP_STEPS
+
+
+# -- every action is legal ---------------------------------------------------------
+
+@st.composite
+def small_fires(draw):
+    """An explicit scenario on a 1-4 x 1-4 grid with 0-3 teams."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = width * height
+    cells = lambda values: st.lists(values, min_size=n, max_size=n)  # noqa: E731
+    return scenario_from_dict({
+        "family": "explicit", "k": width, "height": height,
+        "teams": draw(st.integers(0, 3)),
+        "P_default": draw(st.floats(0.0, 1.0)), "Q_default": draw(st.floats(0.0, 1.0)),
+        "rewards": draw(cells(st.floats(-10.0, 0.0))),
+        "fuel": draw(cells(st.integers(0, 4))),
+        "burning": draw(cells(st.integers(0, 1))),
+        "mcts": {"budget_iterations": 5, "budget_seconds": None}})
+
+
+@given(small_fires(), st.integers(0, 2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_every_action_is_legal(config, seed):
+    state = config.initial_state(None)
+    for name in ("random", "fw", "fw_sample", "mcts"):
+        action = config.make_policy(name)(state, random.Random(seed))
+        assert len(action) == config.teams, name
+        for target in action:
+            if 1 in state.burning:
+                assert 0 <= target < len(state.burning) and state.burning[target], name
+            else:
+                assert target == IDLE, name
 
 
 # -- branching factor ------------------------------------------------------------
