@@ -27,6 +27,7 @@ than patching the formulation.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -63,6 +64,27 @@ class Calibration:
     f0: np.ndarray
 
 
+@functools.lru_cache(maxsize=16)
+def _in_slots(in_edges: tuple) -> tuple:
+    """The in-edges of every cell, one slot at a time: slot k is the pair
+    (cells, sources) of the cells that have a k-th in-edge and its source."""
+    slots = []
+    for k in range(max(map(len, in_edges), default=0)):
+        cells = [x for x, edges in enumerate(in_edges) if len(edges) > k]
+        sources = [in_edges[x][k][0] for x in cells]
+        slots.append((np.array(cells, dtype=np.intp), np.array(sources, dtype=np.intp)))
+    return tuple(slots)
+
+
+def _in_edge_sums(slots: tuple, values: np.ndarray) -> np.ndarray:
+    """Per cell, the sum of ``values`` over its in-edge sources, added one
+    slot at a time, so in in-edge order as a per-cell loop adds them."""
+    acc = np.zeros(len(values))
+    for cells, sources in slots:
+        acc[cells] += values[sources]
+    return acc
+
+
 def calibrate(
     spread: SpreadModel,
     state: FireState,
@@ -74,17 +96,12 @@ def calibrate(
     if delta <= 0:
         raise ValueError("delta must be positive")
     n = spread.spec.n_cells
+    slots = _in_slots(spread.in_edges)
     ibar = np.zeros((horizon + 1, n))
     ibar[0] = np.asarray(state.burning, dtype=float)
     for t in range(1, horizon + 1):
         prev = ibar[t - 1]
-        cur = prev.copy()
-        for x in range(n):
-            acc = 0.0
-            for y, _ in spread.in_edges[x]:
-                acc += prev[y]
-            cur[x] += acc
-        ibar[t] = np.minimum(cur, IBAR_CAP)
+        ibar[t] = np.minimum(prev + _in_edge_sums(slots, prev), IBAR_CAP)
     if ibar.max(initial=0.0) >= IBAR_CAP:
         warnings.warn(
             "intensity upper bounds hit the big-M cap; horizon or degree too large",
@@ -115,7 +132,7 @@ class FluidModel:
     teams: int
     calibration: Calibration
     state: FireState
-    row_labels: list = field(repr=False, default_factory=list)
+    row_labels: tuple = field(repr=False, default=())
 
     def i_index(self, t: int, x: int) -> int:
         return t * self.n_cells + x
@@ -151,12 +168,105 @@ class FluidModel:
         return np.asarray(x[size:2 * size]).reshape(self.horizon + 1, self.n_cells)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        """Per-cell time-zero assignment mass v(x) = sum_i A_0(x, i)."""
+        """Per-cell time-zero assignment mass v(x) = sum_i A_0(x, i), added
+        team by team."""
+        start = self.a_index(0, 0, 0)
+        a0 = np.asarray(x[start:start + self.n_cells * self.teams])
+        a0 = a0.reshape(self.n_cells, self.teams)
         v = np.zeros(self.n_cells)
-        for cell in range(self.n_cells):
-            for i in range(self.teams):
-                v[cell] += x[self.a_index(0, cell, i)]
+        for i in range(self.teams):
+            v += a0[:, i]
         return v
+
+
+@dataclass(frozen=True)
+class _Pattern:
+    """The fluid model's constraint matrix without its state-dependent values.
+
+    ``indices`` holds the column of every entry that may be nonzero, sorted
+    within each row, and ``indptr`` the row starts.  Entry j's value is
+    ``table[take[j]]``, where a state's value table starts with
+    ``constants`` (1, -1, then -P(x, y) per in-edge) and continues with the
+    relief ibar[t, x] Q(x) for t = 1..T, big-M, f0, f0 - delta and delta.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    take: np.ndarray
+    constants: np.ndarray
+    senses: tuple
+    row_labels: tuple
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern(in_edges: tuple, horizon: int, teams: int) -> _Pattern:
+    """The part of ``build_model``'s matrix that no state changes."""
+    n = len(in_edges)
+    steps = horizon * n  # cells x periods 1..T (or 0..T-1)
+    size = (horizon + 1) * n  # cells x periods 0..T
+    i_col, f_col, z_col, a_col = 0, size, 2 * size, 3 * size
+    edge_cell = np.array([x for x, edges in enumerate(in_edges) for _ in edges], dtype=np.intp)
+    edge_source = np.array([y for edges in in_edges for y, _ in edges], dtype=np.intp)
+    n_edges = len(edge_cell)
+    # where the per-state values start in the value table
+    relief_at = 2 + n_edges
+    big_m_at = relief_at + steps
+    f0_at = big_m_at + n
+    f0_less_delta_at = f0_at + n
+    delta_at = f0_less_delta_at + n
+
+    parts = []  # (rows, columns, value-table slots), broadcast to one shape
+
+    def add(rows, cols, take):
+        rows, cols, take = np.broadcast_arrays(rows, cols, take)
+        parts.append((rows.ravel(), cols.ravel(), take.ravel()))
+
+    # intensity recursion, t = 1..T: row (t-1) n + x
+    dyn = np.arange(steps).reshape(horizon, n)
+    cell = np.arange(n)
+    add(dyn, i_col + n + dyn, 0)
+    add(dyn, i_col + dyn, 1)
+    before = np.arange(horizon)[:, None] * n
+    add(dyn[:, edge_cell], i_col + before + edge_source, 2 + np.arange(n_edges))
+    row = dyn[..., None]
+    add(row, a_col + row * teams + np.arange(teams), relief_at + row)
+    add(dyn, z_col + dyn, big_m_at + cell)
+    # cumulative fuel: F(t, x) + sum_{t' < t} I(t', x) = f0
+    fuel = steps + np.arange(size)
+    add(fuel, f_col + np.arange(size), 0)
+    later, earlier = np.tril_indices(horizon + 1, -1)
+    add(steps + later[:, None] * n + cell, i_col + earlier[:, None] * n + cell, 0)
+    # forcing pair F + delta Z >= delta and F + (f0 - delta) Z <= f0
+    for row0, z_coef in ((steps + size, delta_at),
+                         (steps + 2 * size, f0_less_delta_at + cell)):
+        force = (row0 + np.arange(size)).reshape(horizon + 1, n)
+        add(force, f_col + force - row0, 0)
+        add(force, z_col + force - row0, z_coef)
+    # cutoff I(t+1, x) + f0 Z(t, x) <= f0, t = 0..T-1
+    cutoff = (steps + 3 * size + np.arange(steps)).reshape(horizon, n)
+    add(cutoff, i_col + n + cutoff - cutoff[0, 0], 0)
+    add(cutoff, z_col + cutoff - cutoff[0, 0], f0_at + cell)
+    # one cell per team and period: row (t, i), columns A(t, x, i)
+    assign0 = 2 * steps + 3 * size
+    t, i = np.arange(horizon + 1)[:, None, None], np.arange(teams)[:, None]
+    add(assign0 + t * teams + i, a_col + (t * n + cell) * teams + i, 0)
+
+    rows, cols, take = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((cols, rows))
+    n_rows = assign0 + (horizon + 1) * teams
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    senses = (GE,) * steps + (EQ,) * size + (GE,) * size + (LE,) * (size + steps) \
+        + (LE,) * ((horizon + 1) * teams)
+    periods = range(horizon + 1)
+    labels = [("dyn", t, x) for t in periods[1:] for x in range(n)]
+    for kind in ("fuel", "force_lo", "force_hi"):
+        labels += [(kind, t, x) for t in periods for x in range(n)]
+    labels += [("cutoff", t, x) for t in periods[:-1] for x in range(n)]
+    labels += [("assign", t, i) for t in periods for i in range(teams)]
+    constants = np.concatenate(([1.0, -1.0], [-rate for edges in in_edges for _, rate in edges]))
+    return _Pattern(indptr=indptr, indices=cols[order].astype(np.int32), take=take[order],
+                    constants=constants, senses=senses, row_labels=tuple(labels))
 
 
 def build_model(
@@ -168,115 +278,55 @@ def build_model(
     """Assemble the intensity model: recursion lower bounds, the cumulative
     fuel equation, the fuel/indicator forcing pair, the low-fuel intensity
     cutoff, and one-cell-per-team rows.  Time-zero intensity is fixed from
-    the burning map."""
+    the burning map.
+
+    The sparsity pattern, the constant coefficients (1, -1 and -P(x, y)),
+    the senses and the row labels depend only on the in-edges, the horizon
+    and the team count; they are built once per such triple and cached in
+    the module.  Each call fills in the state's values: the relief
+    ibar[t, x] Q(x), big-M, f0, f0 - delta and delta, the right-hand sides
+    and the time-zero intensity bounds, and leaves out every coefficient
+    that comes out zero.
+    """
     horizon = calibration.horizon
     n = len(state.burning)
-    if len(calibration.f0) != n:
+    if len(calibration.f0) != n or len(calibration.transmission) != n:
         raise ValueError("calibration grid size mismatch")
     delta = calibration.delta
     f0 = calibration.f0
     ibar = calibration.ibar
-    transmission = calibration.transmission
-    suppression = calibration.suppression
+    pattern = _pattern(calibration.transmission, horizon, teams)
+    big_m = f0 + _in_edge_sums(_in_slots(calibration.transmission), f0)
+    table = np.concatenate((pattern.constants,
+                            (ibar[1:] * np.asarray(calibration.suppression)).ravel(),
+                            big_m, f0, f0 - delta, [delta]))
+    data = table[pattern.take]
+    keep = data != 0.0
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    n_rows = len(pattern.senses)
+    size = (horizon + 1) * n
+    n_vars = size * (3 + teams)
+    a = sp.csr_matrix((data[keep], pattern.indices[keep], kept_before[pattern.indptr]),
+                      shape=(n_rows, n_vars))
 
-    shell = FluidModel(
-        problem=None, integer_mask=None, horizon=horizon, n_cells=n,
-        teams=teams, calibration=calibration, state=state,
-    )
-    n_vars = shell.n_vars
+    b = np.concatenate((np.zeros(horizon * n),  # recursion
+                        np.tile(f0, horizon + 1),  # fuel
+                        np.full(size, float(delta)),  # force_lo
+                        np.tile(f0, 2 * horizon + 1),  # force_hi, cutoff
+                        np.ones((horizon + 1) * teams)))  # assign
     c = np.zeros(n_vars)
-    importance = -np.asarray(rewards.values)
-    for t in range(horizon + 1):
-        start = shell.i_index(t, 0)
-        c[start:start + n] = importance
-
-    rows, cols, vals = [], [], []
-    senses, b, labels = [], [], []
-
-    def add_row(entries, sense, rhs, label):
-        i = len(b)
-        for j, v in entries:
-            if v != 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(float(v))
-        senses.append(sense)
-        b.append(float(rhs))
-        labels.append(label)
-
-    # intensity recursion (one-step dynamics), t = 1..T
-    for t in range(1, horizon + 1):
-        for x in range(n):
-            entries = [(shell.i_index(t, x), 1.0), (shell.i_index(t - 1, x), -1.0)]
-            for y, rate in transmission[x]:
-                entries.append((shell.i_index(t - 1, y), -rate))
-            relief = ibar[t, x] * suppression[x]
-            for i in range(teams):
-                entries.append((shell.a_index(t - 1, x, i), relief))
-            big_m = f0[x] + sum(f0[y] for y, _ in transmission[x])
-            entries.append((shell.z_index(t - 1, x), big_m))
-            add_row(entries, GE, 0.0, ("dyn", t, x))
-
-    # cumulative fuel equation, t = 0..T
-    for t in range(horizon + 1):
-        for x in range(n):
-            entries = [(shell.f_index(t, x), 1.0)]
-            for tp in range(t):
-                entries.append((shell.i_index(tp, x), 1.0))
-            add_row(entries, EQ, f0[x], ("fuel", t, x))
-
-    # fuel stays above delta unless the indicator is up
-    for t in range(horizon + 1):
-        for x in range(n):
-            add_row([(shell.f_index(t, x), 1.0), (shell.z_index(t, x), delta)],
-                    GE, delta, ("force_lo", t, x))
-
-    # fuel at most delta once the indicator is up (else at most f0)
-    for t in range(horizon + 1):
-        for x in range(n):
-            add_row([(shell.f_index(t, x), 1.0),
-                     (shell.z_index(t, x), f0[x] - delta)],
-                    LE, f0[x], ("force_hi", t, x))
-
-    # exhausted fuel kills next-period intensity, t = 0..T-1
-    for t in range(horizon):
-        for x in range(n):
-            add_row([(shell.i_index(t + 1, x), 1.0),
-                     (shell.z_index(t, x), f0[x])],
-                    LE, f0[x], ("cutoff", t, x))
-
-    # each team sits on at most one cell per period
-    for t in range(horizon + 1):
-        for i in range(teams):
-            add_row([(shell.a_index(t, x, i), 1.0) for x in range(n)],
-                    LE, 1.0, ("assign", t, i))
-
+    c[:size] = np.tile(-np.asarray(rewards.values), horizon + 1)
     # I_0 is the burning map; the binaries z, then a, run to the last column
-    binaries = slice(shell.z_index(0, 0), n_vars)
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
     lower[:n] = upper[:n] = np.asarray(state.burning, dtype=float)
-    upper[binaries] = 1.0
-
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(len(b), n_vars))
-    problem = LpProblem(c, a, tuple(senses), np.array(b), lower, upper)
+    upper[2 * size:] = 1.0
     mask = np.zeros(n_vars, dtype=bool)
-    mask[binaries] = True
-    shell.problem = problem
-    shell.integer_mask = mask
-    shell.row_labels = labels
-    return shell
-
-
-def _pick_lp_solver(problem: LpProblem, backend: str, time_limit: float | None):
-    if backend == "highs":
-        return lambda p: solve_lp_scipy(p, time_limit=time_limit)
-    if backend == "bundled":
-        return solve_lp
-    m, n = problem.shape
-    if m <= 700 and n <= 1000:
-        return solve_lp
-    return lambda p: solve_lp_scipy(p, time_limit=time_limit)
+    mask[2 * size:] = True
+    return FluidModel(
+        problem=LpProblem(c, a, pattern.senses, b, lower, upper), integer_mask=mask,
+        horizon=horizon, n_cells=n, teams=teams, calibration=calibration, state=state,
+        row_labels=pattern.row_labels)
 
 
 def relax_and_score(
@@ -293,11 +343,15 @@ def relax_and_score(
     the rounded re-solve) is infeasible, leaving the fallback decision to the
     caller.  Indicator variables stay binary when few enough to branch on
     within the budget; otherwise they are relaxed, rounded by thresholding
-    the solved fuel at delta, fixed, and the LP re-solved once.
+    the solved fuel at delta, fixed, and the LP re-solved once.  Every LP
+    goes to HiGHS unless ``backend`` is ``"bundled"``.
     """
     teams = model.teams if teams is None else teams
     problem = model.problem
-    lp_solver = _pick_lp_solver(problem, backend, time_limit)
+    if backend == "bundled":
+        lp_solver = solve_lp
+    else:
+        lp_solver = lambda p: solve_lp_scipy(p, time_limit=time_limit)  # noqa: E731
     z_list = list(model.z_indices())
     info = {"status": None, "objective": None, "mode": None}
 
@@ -365,7 +419,11 @@ def _action_from_scores(state: FireState, v: np.ndarray, teams: int) -> Action:
 
 @dataclass
 class MoConfig:
-    """Receding-horizon controller settings (defaults follow the benchmark)."""
+    """Receding-horizon controller settings (defaults follow the benchmark).
+
+    ``backend``: ``"auto"`` and ``"highs"`` solve every LP with HiGHS;
+    ``"bundled"`` uses the dense simplex in ``lp.py``.
+    """
 
     horizon: int = 10
     time_limit: float | None = 60.0
@@ -405,6 +463,10 @@ class MoPolicy:
         self.teams = teams
         self.config = config
         self.fallback = fallback
+        if config.backend != "bundled":
+            # HiGHS comes with scipy.optimize, whose import takes about 0.2 s:
+            # pay it here, not inside the first decision.
+            import scipy.optimize  # noqa: F401
         self.reset()
 
     def reset(self):

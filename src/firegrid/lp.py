@@ -7,8 +7,8 @@ one drives artificial variables out of the basis (redundant rows are
 dropped).  Pricing is Dantzig's rule with a permanent switch to Bland's rule
 after a long run of degenerate pivots, which guarantees termination.
 
-``solve_lp_scipy`` exposes the same contract through scipy's HiGHS backend
-for instances too large for the dense bundled solver.
+``solve_lp_scipy`` exposes the same contract through scipy's HiGHS backend,
+which MO uses unless a scenario asks for the bundled solver.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ class LpProblem:
             raise ValueError("column size mismatch")
         if len(self.b) != m or len(self.senses) != m:
             raise ValueError("row size mismatch")
-        for s in self.senses:
-            if s not in (LE, EQ, GE):
-                raise ValueError(f"unknown sense {s!r}")
+        if not set(self.senses) <= {LE, EQ, GE}:
+            unknown = next(s for s in self.senses if s not in (LE, EQ, GE))
+            raise ValueError(f"unknown sense {unknown!r}")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound above upper bound")
 
@@ -332,26 +332,25 @@ def solve_lp_scipy(problem: LpProblem, time_limit: float | None = None) -> LpSol
 
     senses = np.array(problem.senses)
     a = problem.a.tocsr()
-    le = senses == LE
-    ge = senses == GE
-    eq = senses == EQ
-    a_ub_parts, b_ub_parts = [], []
-    if le.any():
-        a_ub_parts.append(a[le])
-        b_ub_parts.append(problem.b[le])
-    if ge.any():
-        a_ub_parts.append(-a[ge])
-        b_ub_parts.append(-problem.b[ge])
-    a_ub = sp.vstack(a_ub_parts) if a_ub_parts else None
-    b_ub = np.concatenate(b_ub_parts) if b_ub_parts else None
-    a_eq = a[eq] if eq.any() else None
-    b_eq = problem.b[eq] if eq.any() else None
+    le = np.flatnonzero(senses == LE)
+    ge = np.flatnonzero(senses == GE)
+    eq = np.flatnonzero(senses == EQ)
+    a_ub = b_ub = a_eq = b_eq = None
+    if le.size or ge.size:
+        # the LE rows, then the GE rows negated
+        a_ub = a[np.concatenate((le, ge))]
+        negated = a_ub.data[a_ub.indptr[le.size]:]
+        np.negative(negated, out=negated)
+        b_ub = np.concatenate((problem.b[le], -problem.b[ge]))
+    if eq.size:
+        a_eq = a[eq]
+        b_eq = problem.b[eq]
     options = {"presolve": True}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     res = linprog(
         problem.c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=list(zip(problem.lower, problem.upper)),
+        bounds=np.column_stack((problem.lower, problem.upper)),
         method="highs", options=options,
     )
     status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}.get(

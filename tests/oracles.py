@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -256,3 +257,128 @@ def enumerate_transitions(model, state, action):
             prob *= p if bit else 1.0 - p
         outcomes.append((type(state)(tuple(burning), next_fuel), prob, reward))
     return outcomes
+
+
+def reference_calibrate(spread, state, horizon, delta=0.1, cap=1e12):
+    """The fluid model's (ibar, f0) as a per-cell loop.
+
+    ibar[t, x] is ibar[t-1, x] plus the sum of ibar[t-1, y] over the
+    in-edges of x, summed in in-edge order, capped at ``cap``; f0[x] is delta
+    plus the ibar sum over periods 0..min(horizon, fuel(x)).
+    """
+    n = len(state.burning)
+    ibar = np.zeros((horizon + 1, n))
+    ibar[0] = np.asarray(state.burning, dtype=float)
+    for t in range(1, horizon + 1):
+        prev = ibar[t - 1]
+        cur = prev.copy()
+        for x in range(n):
+            acc = 0.0
+            for y, _ in spread.in_edges[x]:
+                acc += prev[y]
+            cur[x] += acc
+        ibar[t] = np.minimum(cur, cap)
+    f0 = np.zeros(n)
+    for x in range(n):
+        acc = 0.0
+        for t in range(min(horizon, state.fuel[x]) + 1):
+            acc += ibar[t, x]
+        f0[x] = delta + acc
+    return ibar, f0
+
+
+def reference_build_model(calibration, state, rewards, teams):
+    """The fluid model's LP, one row at a time, as a namespace with ``c``,
+    ``a`` (CSR), ``senses``, ``b``, ``lower``, ``upper``, ``integer_mask`` and
+    ``row_labels``.
+
+    Columns: intensity I(t, x), fuel F(t, x), indicator Z(t, x), then the
+    assignments A(t, x, i), each block t-major.  Rows, in order: the
+    intensity recursion (t = 1..T), the cumulative fuel equation, the
+    fuel/indicator forcing pair, the low-fuel cutoff (t = 0..T-1) and one
+    row per team and period.  Zero coefficients are left out.
+    """
+    import scipy.sparse as sp
+
+    horizon = calibration.horizon
+    n = len(state.burning)
+    delta, f0, ibar = calibration.delta, calibration.f0, calibration.ibar
+    transmission, suppression = calibration.transmission, calibration.suppression
+    size = (horizon + 1) * n
+
+    def i_index(t, x):
+        return t * n + x
+
+    def f_index(t, x):
+        return size + t * n + x
+
+    def z_index(t, x):
+        return 2 * size + t * n + x
+
+    def a_index(t, x, i):
+        return 3 * size + (t * n + x) * teams + i
+
+    n_vars = size * (3 + teams)
+    c = np.zeros(n_vars)
+    importance = -np.asarray(rewards.values)
+    for t in range(horizon + 1):
+        c[i_index(t, 0):i_index(t, 0) + n] = importance
+
+    rows, cols, vals = [], [], []
+    senses, b, labels = [], [], []
+
+    def add_row(entries, sense, rhs, label):
+        i = len(b)
+        for j, v in entries:
+            if v != 0.0:
+                rows.append(i)
+                cols.append(j)
+                vals.append(float(v))
+        senses.append(sense)
+        b.append(float(rhs))
+        labels.append(label)
+
+    for t in range(1, horizon + 1):
+        for x in range(n):
+            entries = [(i_index(t, x), 1.0), (i_index(t - 1, x), -1.0)]
+            for y, rate in transmission[x]:
+                entries.append((i_index(t - 1, y), -rate))
+            relief = ibar[t, x] * suppression[x]
+            for i in range(teams):
+                entries.append((a_index(t - 1, x, i), relief))
+            big_m = f0[x] + sum(f0[y] for y, _ in transmission[x])
+            entries.append((z_index(t - 1, x), big_m))
+            add_row(entries, ">=", 0.0, ("dyn", t, x))
+    for t in range(horizon + 1):
+        for x in range(n):
+            entries = [(f_index(t, x), 1.0)]
+            for tp in range(t):
+                entries.append((i_index(tp, x), 1.0))
+            add_row(entries, "=", f0[x], ("fuel", t, x))
+    for t in range(horizon + 1):
+        for x in range(n):
+            add_row([(f_index(t, x), 1.0), (z_index(t, x), delta)],
+                    ">=", delta, ("force_lo", t, x))
+    for t in range(horizon + 1):
+        for x in range(n):
+            add_row([(f_index(t, x), 1.0), (z_index(t, x), f0[x] - delta)],
+                    "<=", f0[x], ("force_hi", t, x))
+    for t in range(horizon):
+        for x in range(n):
+            add_row([(i_index(t + 1, x), 1.0), (z_index(t, x), f0[x])],
+                    "<=", f0[x], ("cutoff", t, x))
+    for t in range(horizon + 1):
+        for i in range(teams):
+            add_row([(a_index(t, x, i), 1.0) for x in range(n)],
+                    "<=", 1.0, ("assign", t, i))
+
+    lower = np.zeros(n_vars)
+    upper = np.full(n_vars, np.inf)
+    lower[:n] = upper[:n] = np.asarray(state.burning, dtype=float)
+    upper[2 * size:] = 1.0
+    integer_mask = np.zeros(n_vars, dtype=bool)
+    integer_mask[2 * size:] = True
+    a = sp.csr_matrix((vals, (rows, cols)), shape=(len(b), n_vars))
+    return types.SimpleNamespace(c=c, a=a, senses=tuple(senses), b=np.array(b),
+                                 lower=lower, upper=upper,
+                                 integer_mask=integer_mask, row_labels=labels)

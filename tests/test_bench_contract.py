@@ -81,6 +81,26 @@ def test_mo_policy_exposes_what_the_benchmark_rebuilds_it_from():
     assert set(info) >= {"mode", "status", "objective"}
 
 
+def test_mo_decision_goes_through_the_traced_names(monkeypatch):
+    # the tracer times fluid.build_model_ms and lp.highs_* by wrapping these
+    # names on the module; a decision that bypassed them would read zero
+    config = small_grid()
+    policy = config.make_policy("mo")
+    calls = {}
+
+    def counting(name, original):
+        def traced(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return traced
+
+    for name in ("calibrate", "build_model", "solve_lp_scipy"):
+        monkeypatch.setattr(fluid, name, counting(name, getattr(fluid, name)))
+    policy(config.initial_state(harness.episode_rng(0)), random.Random(0))
+    assert policy.last["mode"] == "relax-round"
+    assert calls == {"calibrate": 1, "build_model": 1, "solve_lp_scipy": 2}
+
+
 def test_episode_result_counts_mo_fallbacks():
     config = small_grid()
     result = harness.run_episode(config, config.make_policy("mo"), 0, "mo")

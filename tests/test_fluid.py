@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +15,14 @@ from firegrid.fluid import (
     calibrate,
     relax_and_score,
 )
+from firegrid.harness import episode_rng, load_scenario, scenario_from_dict
 from firegrid.heuristics import all_pairs_distances, fw_policy, fw_weights
 from firegrid.lp import EQ, GE, LE, OPTIMAL, solve_lp, solve_lp_scipy
 from firegrid.mdp import IDLE, FireState, GridSpec, RewardModel, SpreadModel, idle_action
 from firegrid.milp import branch_and_bound
 from firegrid.mpsio import parse_mps, write_mps
 
-from oracles import fluid_recursion
+from oracles import fluid_recursion, reference_build_model, reference_calibrate
 
 
 def uniform(k, h=None, p=0.06, q=0.8):
@@ -406,3 +410,125 @@ def test_mo_policy_infeasible_even_with_branching():
     res = branch_and_bound(model.problem, model.integer_mask)
     assert res.status == "infeasible"
     assert fluid_recursion(spread, state, 3) is None
+
+
+# -- the cached-pattern builder against the row-by-row oracle ------------------
+
+@st.composite
+def fluid_cases(draw):
+    """A grid of up to 4 x 3 cells with per-edge P (0 drops the edge), per-cell
+    Q (0 drops the relief), a random fire and fuel, horizon 1-4, 0-3 teams."""
+    spec = GridSpec(draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                    draw(st.sampled_from(["four", "eight"])))
+    n = spec.n_cells
+    probs = st.sampled_from([0.0, 0.06, 0.3, 1.0])
+    edges = {(x, y): draw(probs) for x in range(n) for y in spec.neighbors(x)}
+    q = draw(st.lists(st.sampled_from([0.0, 0.5, 0.8]), min_size=n, max_size=n))
+    cells = lambda values: st.lists(values, min_size=n, max_size=n)  # noqa: E731
+    state = FireState(tuple(draw(cells(st.integers(0, 1)))),
+                      tuple(draw(cells(st.integers(0, 5)))))
+    rewards = RewardModel(tuple(draw(cells(st.sampled_from([0.0, -1.0, -2.5, -10.0])))))
+    return (SpreadModel(spec, edges, q), state, rewards, draw(st.integers(1, 4)),
+            draw(st.integers(0, 3)), draw(st.sampled_from([0.1, 0.25, 1.0])))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(fluid_cases())
+@settings(max_examples=150, deadline=None)
+def test_build_model_matches_the_row_by_row_oracle(case):
+    spread, state, rewards, horizon, teams, delta = case
+    cal = calibrate(spread, state, horizon, delta=delta)
+    ibar, f0 = reference_calibrate(spread, state, horizon, delta=delta)
+    assert same_bits(cal.ibar, ibar)
+    assert same_bits(cal.f0, f0)
+    model = build_model(cal, state, rewards, teams)
+    ref = reference_build_model(cal, state, rewards, teams)
+    a, a_ref = model.problem.a, ref.a
+    assert a.shape == a_ref.shape
+    assert np.array_equal(a.indptr, a_ref.indptr)
+    assert np.array_equal(a.indices, a_ref.indices)
+    assert same_bits(a.data, a_ref.data)
+    for name in ("b", "c", "lower", "upper"):
+        assert same_bits(getattr(model.problem, name), getattr(ref, name)), name
+    assert model.problem.senses == ref.senses
+    assert list(model.row_labels) == ref.row_labels
+    assert np.array_equal(model.integer_mask, ref.integer_mask)
+
+
+# -- backend choice and the solver import -------------------------------------
+
+def test_auto_backend_solves_with_highs(monkeypatch):
+    # a grid1 k=4 model (296 x 320) once went to the dense bundled simplex
+    def bundled(problem):
+        raise AssertionError("auto backend called the bundled simplex")
+
+    monkeypatch.setattr("firegrid.fluid.solve_lp", bundled)
+    config = scenario_from_dict({"family": "grid1", "k": 4, "teams": 2,
+                                 "mo": {"horizon": 3, "time_limit": None}})
+    assert config.mo.get("backend", "auto") == "auto"
+    policy = config.make_policy("mo")
+    state = config.initial_state(episode_rng(0))
+    action = policy(state, None)
+    assert policy.fallbacks == 0
+    assert all(state.burning[x] for x in action)
+
+
+def test_scipy_optimize_is_imported_with_the_mo_policy_not_the_package():
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys\n"
+        "import firegrid.cli\n"
+        "from firegrid.harness import scenario_from_dict\n"
+        "config = scenario_from_dict({'family': 'grid1', 'k': 3, 'teams': 1})\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "config.make_policy('fw')\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "config.make_policy('mo')\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["False", "False", "True"]
+
+
+# -- pinned actions ------------------------------------------------------------
+
+# The relaxed LP is degenerate in the time-zero assignments: turning HiGHS's
+# presolve off, or hot-starting it, changes many actions while the objective
+# agrees to 1e-15.  So these pin what HiGHS is handed, not only what it finds.
+# Recorded with the row-by-row builder kept as ``oracles.reference_build_model``.
+MO_K8_GOLDEN = {
+    0: [(12, 20, 25, 28), (3, 11, 26, 27)],
+    1: [(28, 42, 44, 52), (37, 42, 43, 48)],
+    2: [(13, 14, 15, 30), (20, 21, 29, 45)],
+}
+
+
+def test_golden_first_mo_decisions_on_grid1_k8():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "grid1_k8.json")
+    config = load_scenario(path)
+    config = replace(config, mo=dict(config.mo, time_limit=None))
+    policy = config.make_policy("mo")
+    model = config.model()
+    played = {}
+    for seed in MO_K8_GOLDEN:
+        rng = episode_rng(seed)
+        state = config.initial_state(rng)
+        policy.reset()
+        played[seed] = []
+        for _ in range(2):
+            action = policy(state, rng)
+            played[seed].append(action)
+            state, _ = model.step(state, action, rng)
+        assert policy.fallbacks == 0
+        assert policy.last["mode"] == "relax-round"
+    assert played == MO_K8_GOLDEN
