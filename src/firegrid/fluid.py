@@ -4,11 +4,11 @@ The stochastic grid dynamics are smoothed into a linear system over a
 continuous per-cell fire intensity.  Intensity follows a one-step recursion
 lower bound, cumulative intensity is charged against a calibrated fuel
 budget, and indicator variables switch cells off once their fuel crosses a
-small threshold.  Suppression assignments enter the recursion as big-M
-relief terms.  The controller re-solves the model from the current state at
-every decision epoch (with team assignments relaxed to [0, 1]), scores each
-cell by its time-zero assignment mass, and sends the real teams to the
-top-scoring burning cells.
+small threshold.  Assignments y(t, x), the number of the identical teams on
+cell x in period t, enter the recursion as big-M relief terms.  The
+controller re-solves the model from the current state at every decision
+epoch (with y relaxed to [0, teams]), scores each cell by its time-zero
+assignment y(0, x), and sends the real teams to the top-scoring burning cells.
 
 Objective sign: the model minimizes sum_t sum_x (-R(x)) * I_t(x), the
 intensity weighted by the positive importance of each cell.  Feeding the raw
@@ -42,6 +42,7 @@ from .mdp import Action, FireState, RewardModel, SpreadModel, idle_action
 from .milp import branch_and_bound
 
 IBAR_CAP = 1e12
+TIE_BREAK = 1e-6  # times max|c|: the cost that orders equal LP optima
 
 
 @dataclass(frozen=True)
@@ -134,29 +135,19 @@ class FluidModel:
     state: FireState
     row_labels: tuple = field(repr=False, default=())
 
-    def i_index(self, t: int, x: int) -> int:
-        return t * self.n_cells + x
-
-    def f_index(self, t: int, x: int) -> int:
-        return (self.horizon + 1) * self.n_cells + t * self.n_cells + x
-
     def z_index(self, t: int, x: int) -> int:
         return 2 * (self.horizon + 1) * self.n_cells + t * self.n_cells + x
 
-    def a_index(self, t: int, x: int, i: int) -> int:
-        base = 3 * (self.horizon + 1) * self.n_cells
-        return base + (t * self.n_cells + x) * self.teams + i
+    def y_index(self, t: int, x: int) -> int:
+        return 3 * (self.horizon + 1) * self.n_cells + t * self.n_cells + x
 
     @property
     def n_vars(self) -> int:
-        return (self.horizon + 1) * self.n_cells * (3 + self.teams)
+        return 4 * (self.horizon + 1) * self.n_cells
 
     def z_indices(self) -> range:
         lo = self.z_index(0, 0)
         return range(lo, lo + (self.horizon + 1) * self.n_cells)
-
-    def a_indices(self) -> range:
-        return range(3 * (self.horizon + 1) * self.n_cells, self.n_vars)
 
     def intensity(self, x: np.ndarray) -> np.ndarray:
         """Reshape a solution vector into the (T+1, n) intensity trajectory."""
@@ -168,15 +159,9 @@ class FluidModel:
         return np.asarray(x[size:2 * size]).reshape(self.horizon + 1, self.n_cells)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        """Per-cell time-zero assignment mass v(x) = sum_i A_0(x, i), added
-        team by team."""
-        start = self.a_index(0, 0, 0)
-        a0 = np.asarray(x[start:start + self.n_cells * self.teams])
-        a0 = a0.reshape(self.n_cells, self.teams)
-        v = np.zeros(self.n_cells)
-        for i in range(self.teams):
-            v += a0[:, i]
-        return v
+        """Per-cell time-zero assignment mass v(x) = y(0, x)."""
+        start = self.y_index(0, 0)
+        return np.asarray(x[start:start + self.n_cells])
 
 
 @dataclass(frozen=True)
@@ -199,12 +184,13 @@ class _Pattern:
 
 
 @functools.lru_cache(maxsize=16)
-def _pattern(in_edges: tuple, horizon: int, teams: int) -> _Pattern:
-    """The part of ``build_model``'s matrix that no state changes."""
+def _pattern(in_edges: tuple, horizon: int) -> _Pattern:
+    """The part of ``build_model``'s matrix that no state or team count
+    changes: columns I(t, x), F(t, x), Z(t, x), then y(t, x), each t-major."""
     n = len(in_edges)
     steps = horizon * n  # cells x periods 1..T (or 0..T-1)
     size = (horizon + 1) * n  # cells x periods 0..T
-    i_col, f_col, z_col, a_col = 0, size, 2 * size, 3 * size
+    i_col, f_col, z_col, y_col = 0, size, 2 * size, 3 * size
     edge_cell = np.array([x for x, edges in enumerate(in_edges) for _ in edges], dtype=np.intp)
     edge_source = np.array([y for edges in in_edges for y, _ in edges], dtype=np.intp)
     n_edges = len(edge_cell)
@@ -228,8 +214,7 @@ def _pattern(in_edges: tuple, horizon: int, teams: int) -> _Pattern:
     add(dyn, i_col + dyn, 1)
     before = np.arange(horizon)[:, None] * n
     add(dyn[:, edge_cell], i_col + before + edge_source, 2 + np.arange(n_edges))
-    row = dyn[..., None]
-    add(row, a_col + row * teams + np.arange(teams), relief_at + row)
+    add(dyn, y_col + dyn, relief_at + dyn)
     add(dyn, z_col + dyn, big_m_at + cell)
     # cumulative fuel: F(t, x) + sum_{t' < t} I(t', x) = f0
     fuel = steps + np.arange(size)
@@ -246,24 +231,23 @@ def _pattern(in_edges: tuple, horizon: int, teams: int) -> _Pattern:
     cutoff = (steps + 3 * size + np.arange(steps)).reshape(horizon, n)
     add(cutoff, i_col + n + cutoff - cutoff[0, 0], 0)
     add(cutoff, z_col + cutoff - cutoff[0, 0], f0_at + cell)
-    # one cell per team and period: row (t, i), columns A(t, x, i)
+    # at most ``teams`` assignments per period: row t, columns y(t, x)
     assign0 = 2 * steps + 3 * size
-    t, i = np.arange(horizon + 1)[:, None, None], np.arange(teams)[:, None]
-    add(assign0 + t * teams + i, a_col + (t * n + cell) * teams + i, 0)
+    t = np.arange(horizon + 1)[:, None]
+    add(assign0 + t, y_col + t * n + cell, 0)
 
     rows, cols, take = (np.concatenate(p) for p in zip(*parts))
     order = np.lexsort((cols, rows))
-    n_rows = assign0 + (horizon + 1) * teams
+    n_rows = assign0 + horizon + 1
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    senses = (GE,) * steps + (EQ,) * size + (GE,) * size + (LE,) * (size + steps) \
-        + (LE,) * ((horizon + 1) * teams)
+    senses = (GE,) * steps + (EQ,) * size + (GE,) * size + (LE,) * (size + steps + horizon + 1)
     periods = range(horizon + 1)
     labels = [("dyn", t, x) for t in periods[1:] for x in range(n)]
     for kind in ("fuel", "force_lo", "force_hi"):
         labels += [(kind, t, x) for t in periods for x in range(n)]
     labels += [("cutoff", t, x) for t in periods[:-1] for x in range(n)]
-    labels += [("assign", t, i) for t in periods for i in range(teams)]
+    labels += [("assign", t) for t in periods]
     constants = np.concatenate(([1.0, -1.0], [-rate for edges in in_edges for _, rate in edges]))
     return _Pattern(indptr=indptr, indices=cols[order].astype(np.int32), take=take[order],
                     constants=constants, senses=senses, row_labels=tuple(labels))
@@ -277,16 +261,18 @@ def build_model(
 ) -> FluidModel:
     """Assemble the intensity model: recursion lower bounds, the cumulative
     fuel equation, the fuel/indicator forcing pair, the low-fuel intensity
-    cutoff, and one-cell-per-team rows.  Time-zero intensity is fixed from
-    the burning map.
+    cutoff, and one row sum_x y(t, x) <= teams per period.  Time-zero
+    intensity is fixed from the burning map.  Summing the identical teams
+    into 0 <= y <= teams is exact: any such y splits into one assignment per
+    team that sums to at most one over the cells.
 
     The sparsity pattern, the constant coefficients (1, -1 and -P(x, y)),
-    the senses and the row labels depend only on the in-edges, the horizon
-    and the team count; they are built once per such triple and cached in
-    the module.  Each call fills in the state's values: the relief
-    ibar[t, x] Q(x), big-M, f0, f0 - delta and delta, the right-hand sides
-    and the time-zero intensity bounds, and leaves out every coefficient
-    that comes out zero.
+    the senses and the row labels depend only on the in-edges and the
+    horizon; they are built once per such pair and cached in the module.
+    Each call fills in the state's values: the relief ibar[t, x] Q(x),
+    big-M, f0, f0 - delta and delta, the right-hand sides, the time-zero
+    intensity bounds and the assignment bounds, and leaves out every
+    coefficient that comes out zero.
     """
     horizon = calibration.horizon
     n = len(state.burning)
@@ -295,7 +281,7 @@ def build_model(
     delta = calibration.delta
     f0 = calibration.f0
     ibar = calibration.ibar
-    pattern = _pattern(calibration.transmission, horizon, teams)
+    pattern = _pattern(calibration.transmission, horizon)
     big_m = f0 + _in_edge_sums(_in_slots(calibration.transmission), f0)
     table = np.concatenate((pattern.constants,
                             (ibar[1:] * np.asarray(calibration.suppression)).ravel(),
@@ -305,7 +291,7 @@ def build_model(
     kept_before = np.concatenate(([0], np.cumsum(keep)))
     n_rows = len(pattern.senses)
     size = (horizon + 1) * n
-    n_vars = size * (3 + teams)
+    n_vars = 4 * size
     a = sp.csr_matrix((data[keep], pattern.indices[keep], kept_before[pattern.indptr]),
                       shape=(n_rows, n_vars))
 
@@ -313,14 +299,15 @@ def build_model(
                         np.tile(f0, horizon + 1),  # fuel
                         np.full(size, float(delta)),  # force_lo
                         np.tile(f0, 2 * horizon + 1),  # force_hi, cutoff
-                        np.ones((horizon + 1) * teams)))  # assign
+                        np.full(horizon + 1, float(teams))))  # assign
     c = np.zeros(n_vars)
     c[:size] = np.tile(-np.asarray(rewards.values), horizon + 1)
-    # I_0 is the burning map; the binaries z, then a, run to the last column
+    # I_0 is the burning map; the binaries z, then the integers y, run last
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
     lower[:n] = upper[:n] = np.asarray(state.burning, dtype=float)
-    upper[2 * size:] = 1.0
+    upper[2 * size:3 * size] = 1.0
+    upper[3 * size:] = float(teams)
     mask = np.zeros(n_vars, dtype=bool)
     mask[2 * size:] = True
     return FluidModel(
@@ -331,7 +318,6 @@ def build_model(
 
 def relax_and_score(
     model: FluidModel,
-    teams: int | None = None,
     time_limit: float | None = None,
     backend: str = "auto",
     bnb_binary_cap: int = 64,
@@ -343,10 +329,10 @@ def relax_and_score(
     the rounded re-solve) is infeasible, leaving the fallback decision to the
     caller.  Indicator variables stay binary when few enough to branch on
     within the budget; otherwise they are relaxed, rounded by thresholding
-    the solved fuel at delta, fixed, and the LP re-solved once.  Every LP
-    goes to HiGHS unless ``backend`` is ``"bundled"``.
+    the solved fuel at delta, fixed, and the LP re-solved once with ties
+    broken; ``info["objective"]`` is the unperturbed cost.  Every LP goes to
+    HiGHS unless ``backend`` is ``"bundled"``.
     """
-    teams = model.teams if teams is None else teams
     problem = model.problem
     if backend == "bundled":
         lp_solver = solve_lp
@@ -382,16 +368,20 @@ def relax_and_score(
         upper = problem.upper.copy()
         lower[z.start:z.stop] = bits
         upper[z.start:z.stop] = bits
-        fixed = LpProblem(problem.c, problem.a, problem.senses, problem.b,
-                          lower, upper)
+        # The LP is degenerate in y(0, x): which optimum HiGHS returns depends
+        # on its path.  Prefer higher-indexed cells; the index, not the fw
+        # order, keeps the model free of the heuristics.
+        c, y0, n = problem.c.copy(), model.y_index(0, 0), model.n_cells
+        c[y0:y0 + n] -= TIE_BREAK * np.abs(c).max() * (1.0 + np.arange(n) / n)
+        fixed = LpProblem(c, problem.a, problem.senses, problem.b, lower, upper)
         refit = lp_solver(fixed)
         if refit.status != OPTIMAL:
             info["status"] = f"rounded-{refit.status}"
             return None, info
-        info["objective"] = refit.objective
+        info["objective"] = float(problem.c @ refit.x)
         x = refit.x
 
-    return _action_from_scores(model.state, model.scores(x), teams), info
+    return _action_from_scores(model.state, model.scores(x), model.teams), info
 
 
 def _action_from_scores(state: FireState, v: np.ndarray, teams: int) -> Action:

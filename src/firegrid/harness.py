@@ -168,6 +168,7 @@ class ScenarioConfig:
         chance that one burning neighbor ignites a cell in one step.  A grid
         fire warms up for ``generation_horizon()`` steps, floor(k / 2p) or
         floor(k / 4p), which may not exceed ``MAX_WARMUP_STEPS`` (10 000).
+        The sum of |R| over all cells, divided by P_default, must be finite.
     ``Q_default``: number in [0, 1]; 0.8.  One team's chance of putting out
         its cell in one step.
     ``teams``: integer >= 0; 4.
@@ -266,6 +267,10 @@ class ScenarioConfig:
             rewards = grid2_rewards(self.k, self.lam, self.height)
         else:
             raise ScenarioError("field 'rewards': required for explicit family")
+        # every path is at least P_default long: this bounds every fw weight
+        if self.p_default > 0.0 and math.isinf(sum(map(abs, rewards.values)) / self.p_default):
+            raise ScenarioError("field 'P_default': so small that the fw weights "
+                                "overflow: sum |R| / P_default is inf")
         spread = SpreadModel.uniform(spec, self.p_default, self.q_default)
         built["_model"] = Wildfire(spec, spread, rewards)
         for name, value in built.items():

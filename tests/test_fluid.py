@@ -1,8 +1,10 @@
 import os
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ from firegrid.fluid import (
 )
 from firegrid.harness import episode_rng, load_scenario, scenario_from_dict
 from firegrid.heuristics import all_pairs_distances, fw_policy, fw_weights
-from firegrid.lp import EQ, GE, LE, OPTIMAL, solve_lp, solve_lp_scipy
+from firegrid.lp import EQ, GE, LE, OPTIMAL, LpProblem, solve_lp, solve_lp_scipy
 from firegrid.mdp import IDLE, FireState, GridSpec, RewardModel, SpreadModel, idle_action
 from firegrid.milp import branch_and_bound
 from firegrid.mpsio import parse_mps, write_mps
@@ -79,27 +81,30 @@ def test_calibration_reuses_mdp_rates():
 def test_variable_and_row_counts_single_cell():
     spec, spread = uniform(1)
     state = FireState((1,), (5,))
-    model = build_model(calibrate(spread, state, 1), state,
-                        RewardModel((-1.0,)), 1)
-    assert model.problem.shape == (10, 8)
-    kinds = [label[0] for label in model.row_labels]
-    assert kinds.count("dyn") == 1
-    assert kinds.count("fuel") == 2
-    assert kinds.count("force_lo") == 2
-    assert kinds.count("force_hi") == 2
-    assert kinds.count("cutoff") == 1
-    assert kinds.count("assign") == 2
+    for teams in (0, 1, 3):
+        model = build_model(calibrate(spread, state, 1), state,
+                            RewardModel((-1.0,)), teams)
+        assert model.problem.shape == (10, 8)
+        kinds = [label[0] for label in model.row_labels]
+        assert kinds.count("dyn") == 1
+        assert kinds.count("fuel") == 2
+        assert kinds.count("force_lo") == 2
+        assert kinds.count("force_hi") == 2
+        assert kinds.count("cutoff") == 1
+        assert kinds.count("assign") == 2
 
 
 def test_variable_counts_scale_exactly():
+    # one assignment column y(t, x) per cell and period, whatever the teams
     spec, spread = uniform(2)
     state = FireState((1, 0, 0, 0), (4,) * 4)
     for teams in (0, 1, 3):
         model = build_model(calibrate(spread, state, 3), state,
                             RewardModel((-1.0,) * 4), teams)
         n = 4 * (3 + 1)
-        assert model.problem.shape[1] == n * 3 + n * teams
-        assert int(model.integer_mask.sum()) == n + n * teams
+        assert model.problem.shape[1] == n * 4
+        assert int(model.integer_mask.sum()) == n * 2
+        np.testing.assert_array_equal(model.problem.upper[3 * n:], teams)
 
 
 def test_zero_teams_model_feasible():
@@ -139,8 +144,7 @@ def _solved_small_milp():
     model = build_model(calibrate(spread, state, 3), state,
                         RewardModel((-1.0, -2.0, -2.0, -4.0)), 1)
     res = branch_and_bound(model.problem, model.integer_mask,
-                           tiers=[list(model.z_indices()),
-                                  list(model.a_indices())])
+                           tiers=[list(model.z_indices())])
     assert res.status == OPTIMAL
     return model, res
 
@@ -437,6 +441,34 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def summed_teams(ref, n, horizon, teams):
+    """The per-team oracle model with its identical teams summed into one
+    column y(t, x) per cell and period, ``teams`` of them at most.
+
+    ``ref`` is the oracle built for max(teams, 1) teams: y(t, x) takes the
+    team-0 column of A(t, x, i), and the period's assign rows are summed into
+    one.  The aggregated matrix does not depend on the team count, so a zero
+    team model projects from a one team oracle.
+    """
+    size = (horizon + 1) * n
+    per_team = max(teams, 1)
+    kept = len(ref.b) - (horizon + 1) * per_team
+    cols = np.concatenate((np.arange(3 * size), 3 * size + np.arange(size) * per_team))
+    rows = sp.block_diag((sp.identity(kept),
+                          sp.kron(sp.identity(horizon + 1), np.ones((1, per_team)))),
+                         format="csr")
+    a = sp.csr_matrix(rows @ ref.a[:, cols])
+    a.sort_indices()
+    periods = range(horizon + 1)
+    return types.SimpleNamespace(
+        a=a, c=ref.c[cols], senses=ref.senses[:kept] + (LE,) * (horizon + 1),
+        b=np.concatenate((ref.b[:kept], np.full(horizon + 1, float(teams)))),
+        lower=ref.lower[cols],
+        upper=np.concatenate((ref.upper[:3 * size], np.full(size, float(teams)))),
+        integer_mask=ref.integer_mask[cols],
+        row_labels=ref.row_labels[:kept] + [("assign", t) for t in periods])
+
+
 @given(fluid_cases())
 @settings(max_examples=150, deadline=None)
 def test_build_model_matches_the_row_by_row_oracle(case):
@@ -446,7 +478,8 @@ def test_build_model_matches_the_row_by_row_oracle(case):
     assert same_bits(cal.ibar, ibar)
     assert same_bits(cal.f0, f0)
     model = build_model(cal, state, rewards, teams)
-    ref = reference_build_model(cal, state, rewards, teams)
+    ref = summed_teams(reference_build_model(cal, state, rewards, max(teams, 1)),
+                       len(state.burning), horizon, teams)
     a, a_ref = model.problem.a, ref.a
     assert a.shape == a_ref.shape
     assert np.array_equal(a.indptr, a_ref.indptr)
@@ -457,6 +490,24 @@ def test_build_model_matches_the_row_by_row_oracle(case):
     assert model.problem.senses == ref.senses
     assert list(model.row_labels) == ref.row_labels
     assert np.array_equal(model.integer_mask, ref.integer_mask)
+
+
+def oracle_problem(cal, state, rewards, teams):
+    """The per-team oracle model as an ``LpProblem``."""
+    ref = reference_build_model(cal, state, rewards, teams)
+    return LpProblem(ref.c, ref.a, ref.senses, ref.b, ref.lower, ref.upper)
+
+
+@given(fluid_cases())
+@settings(max_examples=100, deadline=None)
+def test_summed_teams_keep_the_per_team_lp_optimum(case):
+    spread, state, rewards, horizon, teams, delta = case
+    cal = calibrate(spread, state, horizon, delta=delta)
+    mine = solve_lp_scipy(build_model(cal, state, rewards, teams).problem)
+    ref = solve_lp_scipy(oracle_problem(cal, state, rewards, teams))
+    assert mine.status == ref.status
+    if ref.status == OPTIMAL:
+        assert mine.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
 
 
 # -- backend choice and the solver import -------------------------------------
@@ -508,11 +559,15 @@ def test_scipy_optimize_is_imported_with_the_mo_policy_not_the_package():
 MO_K8_GOLDEN = {
     0: [(12, 20, 25, 28), (3, 11, 26, 27)],
     1: [(28, 42, 44, 52), (37, 42, 43, 48)],
-    2: [(13, 14, 15, 30), (20, 21, 29, 45)],
+    2: [(14, 15, 21, 30), (27, 35, 44, 45)],
 }
 
 
-def test_golden_first_mo_decisions_on_grid1_k8():
+@pytest.fixture(scope="module")
+def k8_golden_play():
+    """The scenario, its MO policy, and per golden seed the first two
+    decisions as (state, action, the policy's ``last``), played with
+    ``time_limit`` null."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
                         "grid1_k8.json")
     config = load_scenario(path)
@@ -523,12 +578,45 @@ def test_golden_first_mo_decisions_on_grid1_k8():
     for seed in MO_K8_GOLDEN:
         rng = episode_rng(seed)
         state = config.initial_state(rng)
-        policy.reset()
         played[seed] = []
         for _ in range(2):
             action = policy(state, rng)
-            played[seed].append(action)
+            played[seed].append((state, action, dict(policy.last)))
             state, _ = model.step(state, action, rng)
-        assert policy.fallbacks == 0
-        assert policy.last["mode"] == "relax-round"
-    assert played == MO_K8_GOLDEN
+    return config, policy, played
+
+
+def test_golden_first_mo_decisions_on_grid1_k8(k8_golden_play):
+    _, _, played = k8_golden_play
+    for decisions in played.values():
+        for _, _, last in decisions:
+            assert last["mode"] == "relax-round"
+            assert not last["fallback"]
+    assert {seed: [action for _, action, _ in decisions]
+            for seed, decisions in played.items()} == MO_K8_GOLDEN
+
+
+def test_golden_states_play_the_same_on_the_per_team_model(k8_golden_play):
+    # relax-round with the same tie-break on the per-team oracle, scored by
+    # summing the teams: same action, same objective
+    config, policy, played = k8_golden_play
+    delta = policy.config.delta
+    for decisions in played.values():
+        for state, action, last in decisions:
+            model = policy.fluid_model(state)
+            n, teams = model.n_cells, model.teams
+            size = (model.horizon + 1) * n
+            problem = oracle_problem(model.calibration, state, config.reward_model(), teams)
+            relaxed = solve_lp_scipy(problem)
+            fuel = relaxed.x[size:2 * size]
+            lower, upper = problem.lower.copy(), problem.upper.copy()
+            lower[2 * size:3 * size] = upper[2 * size:3 * size] = fuel <= delta + 1e-9
+            c = problem.c.copy()
+            c[3 * size:3 * size + n * teams] -= (
+                1e-6 * np.abs(c).max() * np.repeat(1.0 + np.arange(n) / n, teams))
+            refit = solve_lp_scipy(LpProblem(c, problem.a, problem.senses, problem.b,
+                                             lower, upper))
+            assert refit.status == OPTIMAL
+            scores = refit.x[3 * size:3 * size + n * teams].reshape(n, teams).sum(axis=1)
+            assert _action_from_scores(state, scores, teams) == action
+            assert float(problem.c @ refit.x) == pytest.approx(last["objective"], rel=1e-12)

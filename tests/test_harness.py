@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from firegrid import fluid, heuristics
@@ -475,6 +475,18 @@ def test_tiny_p_default_rejected_before_warm_up():
     assert longest.generation_horizon() == MAX_WARMUP_STEPS
 
 
+def test_subnormal_p_default_rejected_before_the_fw_weights_overflow():
+    # at 1e-310, R / P_default overflows to -inf, which fw_weights would zero
+    # as if the cell were unreachable: w = (0, 0, 0), and fw would pick cell 0
+    doc = {"family": "explicit", "k": 3, "height": 1, "teams": 1,
+           "rewards": [-1.0, -1.0, -10.0], "fuel": [5, 5, 5], "burning": [1, 1, 0]}
+    with pytest.raises(ScenarioError, match=r"^field 'P_default': .* overflow"):
+        scenario_from_dict(dict(doc, P_default=1e-310))
+    config = scenario_from_dict(dict(doc, P_default=1e-300))
+    assert np.all(np.isfinite(config.weights.w))
+    assert config.make_policy("fw")(config.initial_state(None), None) == (1,)
+
+
 # -- every action is legal ---------------------------------------------------------
 
 @st.composite
@@ -483,14 +495,19 @@ def small_fires(draw):
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     n = width * height
     cells = lambda values: st.lists(values, min_size=n, max_size=n)  # noqa: E731
-    return scenario_from_dict({
-        "family": "explicit", "k": width, "height": height,
-        "teams": draw(st.integers(0, 3)),
-        "P_default": draw(st.floats(0.0, 1.0)), "Q_default": draw(st.floats(0.0, 1.0)),
-        "rewards": draw(cells(st.floats(-10.0, 0.0))),
-        "fuel": draw(cells(st.integers(0, 4))),
-        "burning": draw(cells(st.integers(0, 1))),
-        "mcts": {"budget_iterations": 5, "budget_seconds": None}})
+    try:
+        return scenario_from_dict({
+            "family": "explicit", "k": width, "height": height,
+            "teams": draw(st.integers(0, 3)),
+            "P_default": draw(st.floats(0.0, 1.0)), "Q_default": draw(st.floats(0.0, 1.0)),
+            "rewards": draw(cells(st.floats(-10.0, 0.0))),
+            "fuel": draw(cells(st.integers(0, 4))),
+            "burning": draw(cells(st.integers(0, 1))),
+            "mcts": {"budget_iterations": 5, "budget_seconds": None}})
+    except ScenarioError as exc:
+        # a subnormal P_default: the fw weights would overflow
+        assert "'P_default'" in str(exc)
+        assume(False)
 
 
 @given(small_fires(), st.integers(0, 2 ** 31))

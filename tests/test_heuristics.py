@@ -277,6 +277,23 @@ def test_fw_policy_follows_priority_sort(fire, teams):
     assert fw_policy(state, weights, teams) == expected
 
 
+@given(ranked_fires(), st.integers(0, 6), st.integers(0, 2 ** 31))
+@settings(max_examples=200, deadline=None)
+def test_fw_sample_picks_burning_cells_and_covers_them_when_teams_suffice(fire, teams, seed):
+    priority, burning = fire
+    weights = WeightMap(w=-priority, priority=priority)
+    state = FireState(burning, (1,) * len(burning))
+    action = fw_sample_policy(state, weights, teams, random.Random(seed))
+    cells = burning_cells(state)
+    assert len(action) == teams
+    if not cells:
+        assert action == idle_action(teams)
+        return
+    assert set(action) <= set(cells)
+    if teams >= len(cells):
+        assert set(action) == set(cells)
+
+
 def test_priority_ranks_match_reference_on_grid_weights():
     spec = GridSpec(6, 6)
     spread = SpreadModel.uniform(spec, 0.06, 0.8)
