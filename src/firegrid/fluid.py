@@ -49,40 +49,30 @@ TIE_BREAK = 1e-6  # times max|c|: the cost that orders equal LP optima
 class Calibration:
     """Fluid-model constants derived from the MDP parameters.
 
-    ``transmission[x]`` lists (y, rate) pairs with rate = P(x, y) for every
-    in-neighbor y of x; ``suppression[x]`` is Q(x), shared by all teams and
-    periods.  ``ibar[t, x]`` is the no-intervention, infinite-fuel intensity
-    upper bound obtained by iterating the recursion with all transmission
-    rates at 1, and ``f0`` is the fluid fuel budget: delta plus the ibar sum
-    over the first min(horizon, fuel(x)) periods.
+    ``spread`` is the MDP's own spread model: its in-edges carry the
+    transmission rates P(x, y) and its ``q`` the suppression rates Q(x),
+    shared by all teams and periods.  ``ibar[t, x]`` is the
+    no-intervention, infinite-fuel intensity upper bound obtained by
+    iterating the recursion with all transmission rates at 1, and ``f0`` is
+    the fluid fuel budget: delta plus the ibar sum over the first
+    min(horizon, fuel(x)) periods.
     """
 
     horizon: int
     delta: float
-    transmission: tuple
-    suppression: tuple
+    spread: SpreadModel
     ibar: np.ndarray
     f0: np.ndarray
 
 
-@functools.lru_cache(maxsize=16)
-def _in_slots(in_edges: tuple) -> tuple:
-    """The in-edges of every cell, one slot at a time: slot k is the pair
-    (cells, sources) of the cells that have a k-th in-edge and its source."""
-    slots = []
-    for k in range(max(map(len, in_edges), default=0)):
-        cells = [x for x, edges in enumerate(in_edges) if len(edges) > k]
-        sources = [in_edges[x][k][0] for x in cells]
-        slots.append((np.array(cells, dtype=np.intp), np.array(sources, dtype=np.intp)))
-    return tuple(slots)
-
-
-def _in_edge_sums(slots: tuple, values: np.ndarray) -> np.ndarray:
-    """Per cell, the sum of ``values`` over its in-edge sources, added one
-    slot at a time, so in in-edge order as a per-cell loop adds them."""
+def _in_edge_sums(spread: SpreadModel, values: np.ndarray) -> np.ndarray:
+    """Per cell, the sum of the finite, non-negative ``values`` over its
+    in-edge sources, added one slot of the spread's table at a time, so in
+    in-edge order as a per-cell loop adds them.  A padding slot adds
+    ``values[0] * 0.0 = 0.0``, which leaves such a sum unchanged."""
     acc = np.zeros(len(values))
-    for cells, sources in slots:
-        acc[cells] += values[sources]
+    for source, edge in zip(spread.slot_source, spread.slot_rate > 0.0):
+        acc += values[source] * edge
     return acc
 
 
@@ -97,12 +87,11 @@ def calibrate(
     if delta <= 0:
         raise ValueError("delta must be positive")
     n = spread.spec.n_cells
-    slots = _in_slots(spread.in_edges)
     ibar = np.zeros((horizon + 1, n))
     ibar[0] = np.asarray(state.burning, dtype=float)
     for t in range(1, horizon + 1):
         prev = ibar[t - 1]
-        ibar[t] = np.minimum(prev + _in_edge_sums(slots, prev), IBAR_CAP)
+        ibar[t] = np.minimum(prev + _in_edge_sums(spread, prev), IBAR_CAP)
     if ibar.max(initial=0.0) >= IBAR_CAP:
         warnings.warn(
             "intensity upper bounds hit the big-M cap; horizon or degree too large",
@@ -112,14 +101,7 @@ def calibrate(
     cumulative = np.cumsum(ibar, axis=0)
     fuel = np.minimum(np.asarray(state.fuel, dtype=np.int64), horizon)
     f0 = delta + cumulative[fuel, np.arange(n)]
-    return Calibration(
-        horizon=horizon,
-        delta=delta,
-        transmission=spread.in_edges,
-        suppression=spread.q,
-        ibar=ibar,
-        f0=f0,
-    )
+    return Calibration(horizon=horizon, delta=delta, spread=spread, ibar=ibar, f0=f0)
 
 
 @dataclass
@@ -184,15 +166,21 @@ class _Pattern:
 
 
 @functools.lru_cache(maxsize=16)
-def _pattern(in_edges: tuple, horizon: int) -> _Pattern:
+def _pattern(spread: SpreadModel, horizon: int) -> _Pattern:
     """The part of ``build_model``'s matrix that no state or team count
-    changes: columns I(t, x), F(t, x), Z(t, x), then y(t, x), each t-major."""
-    n = len(in_edges)
+    changes: columns I(t, x), F(t, x), Z(t, x), then y(t, x), each t-major.
+
+    Cached by the spread model's identity.  Its in-edges come from the
+    transposed slot table, cell-major and in in-edge order within a cell.
+    """
+    n = spread.spec.n_cells
     steps = horizon * n  # cells x periods 1..T (or 0..T-1)
     size = (horizon + 1) * n  # cells x periods 0..T
     i_col, f_col, z_col, y_col = 0, size, 2 * size, 3 * size
-    edge_cell = np.array([x for x, edges in enumerate(in_edges) for _ in edges], dtype=np.intp)
-    edge_source = np.array([y for edges in in_edges for y, _ in edges], dtype=np.intp)
+    rate = spread.slot_rate.T
+    edge = rate > 0.0
+    edge_cell = np.nonzero(edge)[0]
+    edge_source = spread.slot_source.T[edge]
     n_edges = len(edge_cell)
     # where the per-state values start in the value table
     relief_at = 2 + n_edges
@@ -248,7 +236,7 @@ def _pattern(in_edges: tuple, horizon: int) -> _Pattern:
         labels += [(kind, t, x) for t in periods for x in range(n)]
     labels += [("cutoff", t, x) for t in periods[:-1] for x in range(n)]
     labels += [("assign", t) for t in periods]
-    constants = np.concatenate(([1.0, -1.0], [-rate for edges in in_edges for _, rate in edges]))
+    constants = np.concatenate(([1.0, -1.0], -rate[edge]))
     return _Pattern(indptr=indptr, indices=cols[order].astype(np.int32), take=take[order],
                     constants=constants, senses=senses, row_labels=tuple(labels))
 
@@ -267,7 +255,7 @@ def build_model(
     team that sums to at most one over the cells.
 
     The sparsity pattern, the constant coefficients (1, -1 and -P(x, y)),
-    the senses and the row labels depend only on the in-edges and the
+    the senses and the row labels depend only on the spread model and the
     horizon; they are built once per such pair and cached in the module.
     Each call fills in the state's values: the relief ibar[t, x] Q(x),
     big-M, f0, f0 - delta and delta, the right-hand sides, the time-zero
@@ -276,15 +264,16 @@ def build_model(
     """
     horizon = calibration.horizon
     n = len(state.burning)
-    if len(calibration.f0) != n or len(calibration.transmission) != n:
+    spread = calibration.spread
+    if len(calibration.f0) != n or spread.spec.n_cells != n:
         raise ValueError("calibration grid size mismatch")
     delta = calibration.delta
     f0 = calibration.f0
     ibar = calibration.ibar
-    pattern = _pattern(calibration.transmission, horizon)
-    big_m = f0 + _in_edge_sums(_in_slots(calibration.transmission), f0)
+    pattern = _pattern(spread, horizon)
+    big_m = f0 + _in_edge_sums(spread, f0)
     table = np.concatenate((pattern.constants,
-                            (ibar[1:] * np.asarray(calibration.suppression)).ravel(),
+                            (ibar[1:] * np.asarray(spread.q)).ravel(),
                             big_m, f0, f0 - delta, [delta]))
     data = table[pattern.take]
     keep = data != 0.0

@@ -671,21 +671,23 @@ def summary_to_csv(summary: RunSummary) -> str:
             "" if ps.improvement_vs_random is None else repr(ps.improvement_vs_random),
         ])
     writer.writerow([])
-    writer.writerow(["mean_cells_burning", repr(summary.mean_burning)])
-    writer.writerow(["max_cells_burning", summary.max_burning])
-    writer.writerow(["mean_fuel_burning_cells", repr(summary.mean_fuel_burning)])
-    writer.writerow(["fuel_non_burnt_cells", repr(summary.fuel_non_burnt)])
+    _write_fire_stats(writer, summary.mean_burning, summary.max_burning,
+                      summary.mean_fuel_burning, summary.fuel_non_burnt)
     return out.getvalue()
 
 
 def stats_to_csv(config: ScenarioConfig, reps: int | None = None) -> str:
-    mean_burn, max_burn, mean_fuel, untouched = initial_fire_stats(config, reps)
     out = io.StringIO()
     out.write(STATS_SCHEMA + "\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["statistic", "value"])
+    _write_fire_stats(writer, *initial_fire_stats(config, reps))
+    return out.getvalue()
+
+
+def _write_fire_stats(writer, mean_burn, max_burn, mean_fuel, untouched):
+    """The four labelled initial-fire statistic rows both CSVs end with."""
     writer.writerow(["mean_cells_burning", repr(mean_burn)])
     writer.writerow(["max_cells_burning", max_burn])
     writer.writerow(["mean_fuel_burning_cells", repr(mean_fuel)])
     writer.writerow(["fuel_non_burnt_cells", repr(untouched)])
-    return out.getvalue()

@@ -2,7 +2,8 @@
 
 The weighted rule scores each cell by summing R(y) / D(x, y) over all other
 cells, where D is the all-pairs shortest-path length using the transmission
-probability P(x, y) as the length of the edge between adjacent cells.  Cells
+probability P(x, y) as the length of the edge between adjacent cells; the
+edges are read from the spread model's in-edge slot table.  Cells
 sitting close (in that metric) to large-magnitude burn costs get the highest
 suppression priority.  ``ScenarioConfig.weights`` builds the distances and
 the weight map once per scenario; every fw policy, MCTS rollout and MO
@@ -19,18 +20,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall
 
 from .mdp import Action, FireState, RewardModel, SpreadModel, burning_cells, idle_action
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    """Dense all-pairs shortest-path matrix; +inf marks unreachable pairs."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n = self.matrix.shape[0]
-        if self.matrix.shape != (n, n):
-            raise ValueError("distance matrix must be square")
 
 
 @dataclass(frozen=True)
@@ -62,27 +51,30 @@ class WeightMap:
         object.__setattr__(self, "tie_start", tuple(tie_start))
 
 
-def all_pairs_distances(spread: SpreadModel) -> DistanceTable:
-    """Shortest paths under edge length P(x, y), exact, via Floyd-Warshall."""
+def all_pairs_distances(spread: SpreadModel) -> np.ndarray:
+    """The dense ``(n, n)`` matrix D(x, y) of shortest paths under edge
+    length P(x, y), exact, via Floyd-Warshall; +inf marks unreachable pairs.
+
+    The edges are the spread model's in-edge slots: slot j of cell x is the
+    edge x -> ``slot_source[j, x]``, and padding (rate 0.0) is no edge.
+    """
     n = spread.spec.n_cells
-    rows, cols, vals = [], [], []
-    for (x, y), p in spread.p_edges.items():
-        rows.append(x)
-        cols.append(y)
-        vals.append(p)
-    graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
+    rate = spread.slot_rate
+    edge = rate > 0.0
+    cells = np.broadcast_to(np.arange(n), rate.shape)
+    graph = csr_matrix((rate[edge], (cells[edge], spread.slot_source[edge])), shape=(n, n))
     dist = floyd_warshall(graph, directed=True)
     np.fill_diagonal(dist, 0.0)
-    return DistanceTable(dist)
+    return dist
 
 
-def fw_weights(distances: DistanceTable, rewards: RewardModel) -> WeightMap:
-    """Score w(x) = sum_{y != x} R(y) / D(x, y); priority ranks -w descending.
+def fw_weights(d: np.ndarray, rewards: RewardModel) -> WeightMap:
+    """Score w(x) = sum_{y != x} R(y) / D(x, y) from the distance matrix
+    ``d``; priority ranks -w descending.
 
     The self term is excluded (D(x, x) = 0 would divide by zero) and
     unreachable cells contribute nothing.
     """
-    d = distances.matrix
     r = np.asarray(rewards.values, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         contrib = r[np.newaxis, :] / d

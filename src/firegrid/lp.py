@@ -361,19 +361,3 @@ def solve_lp_scipy(problem: LpProblem, time_limit: float | None = None) -> LpSol
                           iterations=int(res.nit), message=res.message)
     return LpSolution(status, iterations=int(getattr(res, "nit", 0) or 0),
                       message=res.message)
-
-
-def check_feasible(problem: LpProblem, x: np.ndarray, tol: float = 1e-6) -> float:
-    """Largest constraint/bound violation of x; 0 means feasible within tol."""
-    ax = problem.a @ x
-    worst = 0.0
-    for i, s in enumerate(problem.senses):
-        if s == LE:
-            worst = max(worst, ax[i] - problem.b[i])
-        elif s == GE:
-            worst = max(worst, problem.b[i] - ax[i])
-        else:
-            worst = max(worst, abs(ax[i] - problem.b[i]))
-    worst = max(worst, float(np.max(problem.lower - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - problem.upper, initial=0.0)))
-    return worst

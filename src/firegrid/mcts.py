@@ -41,7 +41,6 @@ class MctsConfig:
     u_recombine: float = 0.3
     use_genetic: bool = True
     rollout: str = "fw"  # "fw" or "random"
-    reuse_tree: bool = True
     gen_retries: int = 10
 
     def __post_init__(self):
@@ -156,10 +155,7 @@ class Planner:
         if 1 not in root.burning:
             raise ValueError("plan() requires a non-terminal root state")
         cfg = self.config
-        if cfg.reuse_tree:
-            self._prune_to(root)
-        else:
-            self._nodes.clear()
+        self._prune_to(root)
         deadline = None
         if cfg.budget_seconds is not None:
             deadline = time.monotonic() + cfg.budget_seconds

@@ -9,15 +9,10 @@ neighbors y, a burning cell is extinguished with probability
 fuel is exhausted).  Fuel drops by one per burning step.  The step reward
 charges R(x) <= 0 for every cell burning in the pre-step state.
 
-``Wildfire`` evaluates the law for all cells at once with numpy.  It pads
-each cell's in-edges, sorted by source cell, into two ``(max degree, n)``
-slot tables: the source cell y and the factor 1 - P(x, y), where a padding
-slot points at cell 0 with factor 1.0.  Slot j multiplies every cell's
-survival product by its j-th factor if that source burns, so each product
-is formed in in-edge order, as a per-cell loop forms it, and comes out
-identical to the last bit.  Exact outcome distributions are enumerated
-only in the tests, from an independent per-cell copy of the law, so they
-check this kernel rather than share it.
+``Wildfire`` evaluates the law for all cells at once with numpy, one
+in-edge slot of ``SpreadModel`` at a time.  Exact outcome distributions are
+enumerated only in the tests, from an independent per-cell copy of the law,
+so they check this kernel rather than share it.
 
 All step randomness comes from an explicit ``random.Random`` stream, so a
 fixed seed reproduces a trajectory exactly.  The draw order is part of the
@@ -101,11 +96,22 @@ class SpreadModel:
     """Transmission probabilities P(x, y) and suppression success Q(x).
 
     ``P(x, y)`` is the chance that a fire in y ignites x in one step; it is
-    stored sparsely and only allowed on pairs where y neighbors x.  ``Q(x)``
-    is the per-attempt success probability of one suppression team on x.
+    only allowed on pairs where y neighbors x.  ``Q(x)`` is the per-attempt
+    success probability of one suppression team on x.
+
+    ``in_edges[x]`` lists the (y, P(x, y)) pairs with P > 0, sorted by
+    source cell y.  The same graph is padded into one slot table of shape
+    ``(max degree, n)``: ``slot_source[j, x]`` and ``slot_rate[j, x]`` are
+    the source and rate of x's j-th in-edge, and a padding slot has source 0
+    and rate 0.0.  The simulator, the fluid model and the fw distances all
+    read the graph from this table.  The simulator's survival products and
+    the fluid model's in-edge sums walk it one slot at a time, so each
+    per-cell product or sum is formed in in-edge order, as a per-cell loop
+    forms it, and comes out identical to the last bit.  The table is
+    read-only: readers share it and cache what they derive from it.
     """
 
-    def __init__(self, spec: GridSpec, p_edges: dict, q: Sequence[float]):
+    def __init__(self, spec: GridSpec, edges: dict, q: Sequence[float]):
         n = spec.n_cells
         if len(q) != n:
             raise ValueError("Q must have one entry per cell")
@@ -114,7 +120,7 @@ class SpreadModel:
                 raise ValueError(f"Q({x}) = {prob} outside [0, 1]")
         incoming = [[] for _ in range(n)]
         neighbors = {}  # x -> spec.neighbors(x), computed once per cell
-        for (x, y), prob in p_edges.items():
+        for (x, y), prob in edges.items():
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"P({x}, {y}) = {prob} outside [0, 1]")
             if not (0 <= x < n and 0 <= y < n):
@@ -125,11 +131,19 @@ class SpreadModel:
             if y not in near:
                 raise ValueError(f"P({x}, {y}) set but {y} is not a neighbor of {x}")
             if prob > 0.0:
-                incoming[x].append((y, prob))
+                incoming[x].append((y, float(prob)))
         self.spec = spec
         self.q = tuple(float(v) for v in q)
-        self.p_edges = {k: float(v) for k, v in p_edges.items() if v > 0.0}
         self.in_edges = tuple(tuple(sorted(v)) for v in incoming)
+        degree = max(map(len, self.in_edges), default=0)
+        self.slot_source = np.zeros((degree, n), dtype=np.intp)
+        self.slot_rate = np.zeros((degree, n))
+        for x, listed in enumerate(self.in_edges):
+            for j, (y, prob) in enumerate(listed):
+                self.slot_source[j, x] = y
+                self.slot_rate[j, x] = prob
+        self.slot_source.setflags(write=False)
+        self.slot_rate.setflags(write=False)
 
     @classmethod
     def uniform(cls, spec: GridSpec, p: float, q: float) -> "SpreadModel":
@@ -140,7 +154,10 @@ class SpreadModel:
         return cls(spec, edges, [q] * spec.n_cells)
 
     def p(self, x: int, y: int) -> float:
-        return self.p_edges.get((x, y), 0.0)
+        for source, prob in self.in_edges[x]:
+            if source == y:
+                return prob
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -198,17 +215,9 @@ class Wildfire:
         self.rewards = rewards
         self._q = spread.q
         self._r = rewards.values
-        # slot tables: row j holds every cell's j-th in-edge, padding keeps 1.0
-        n = spec.n_cells
-        degree = max(map(len, spread.in_edges), default=0)
-        src = [[0] * n for _ in range(degree)]
-        keep = [[1.0] * n for _ in range(degree)]
-        for x, edges in enumerate(spread.in_edges):
-            for j, (y, p) in enumerate(edges):
-                src[j][x] = y
-                keep[j][x] = 1.0 - p
-        self._src = np.array(src, dtype=np.intp).reshape(degree, n)
-        self._keep = np.array(keep, dtype=float).reshape(degree, n)
+        # per slot, the source and the factor 1 - P(x, y); padding keeps 1.0
+        self._src = spread.slot_source
+        self._keep = 1.0 - spread.slot_rate
 
     # -- transition law ------------------------------------------------
 

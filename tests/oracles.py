@@ -303,7 +303,7 @@ def reference_build_model(calibration, state, rewards, teams):
     horizon = calibration.horizon
     n = len(state.burning)
     delta, f0, ibar = calibration.delta, calibration.f0, calibration.ibar
-    transmission, suppression = calibration.transmission, calibration.suppression
+    transmission, suppression = calibration.spread.in_edges, calibration.spread.q
     size = (horizon + 1) * n
 
     def i_index(t, x):

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` replaces public names where their callers look them
 up.  ``perfbench/reference.py`` reads ``make_policy("mcts").planner`` and
-``EpisodeResult.mo_fallbacks``, and ``perfbench/worker.py`` rebuilds MO's
+``EpisodeResult.mo_fallbacks`` and builds the fw weights from the scenario's
+spread and rewards, and ``perfbench/worker.py`` rebuilds MO's
 model from the policy's ``spread``, ``rewards``, ``teams`` and ``config``.
 Renaming or rebinding one of them would otherwise show only as a failing
 ``perfbench/run.py`` run.
@@ -40,6 +41,13 @@ def test_every_traced_name_resolves():
 
 def test_mcts_policy_exposes_its_planner():
     assert callable(small_grid().make_policy("mcts").planner.plan)
+
+
+def test_fw_weights_rebuild_from_the_scenario_as_the_reference_layers_do():
+    config = small_grid()
+    weights = heuristics.fw_weights(heuristics.all_pairs_distances(config.spread()),
+                                    config.reward_model())
+    assert weights.w.tobytes() == config.weights.w.tobytes()
 
 
 @pytest.mark.parametrize("name, rule", [

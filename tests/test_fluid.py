@@ -72,8 +72,7 @@ def test_calibration_reuses_mdp_rates():
     spec, spread = uniform(2)
     state = FireState((1, 0, 0, 0), (3,) * 4)
     cal = calibrate(spread, state, 2)
-    assert cal.transmission is spread.in_edges
-    assert cal.suppression == spread.q
+    assert cal.spread is spread
 
 
 # -- model structure ---------------------------------------------------------
@@ -490,6 +489,51 @@ def test_build_model_matches_the_row_by_row_oracle(case):
     assert model.problem.senses == ref.senses
     assert list(model.row_labels) == ref.row_labels
     assert np.array_equal(model.integer_mask, ref.integer_mask)
+
+
+@st.composite
+def spread_fires(draw):
+    """A grid of up to 5 x 4 cells, four or eight neighbours, with P drawn
+    from [0, 1] and often exactly 0 (no edge) or 1, given as ints, and a
+    random fire."""
+    spec = GridSpec(draw(st.integers(1, 5)), draw(st.integers(1, 4)),
+                    draw(st.sampled_from(["four", "eight"])))
+    n = spec.n_cells
+    probs = st.one_of(st.sampled_from([0, 1]), st.floats(0.0, 1.0))
+    edges = {(x, y): draw(probs) for x in range(n) for y in spec.neighbors(x)}
+    cells = lambda values: st.lists(values, min_size=n, max_size=n)  # noqa: E731
+    state = FireState(tuple(draw(cells(st.integers(0, 1)))),
+                      tuple(draw(cells(st.integers(0, 5)))))
+    return SpreadModel(spec, edges, [0.8] * n), edges, state, draw(st.integers(1, 4))
+
+
+@given(spread_fires())
+@settings(max_examples=150, deadline=None)
+def test_slot_table_lists_the_in_edges_and_its_readers_sum_them_in_order(case):
+    spread, edges, state, horizon = case
+    n = spread.spec.n_cells
+    for x in range(n):
+        listed = sorted((y, p) for (cell, y), p in edges.items() if cell == x and p > 0.0)
+        assert list(spread.in_edges[x]) == listed
+    degree = max(map(len, spread.in_edges), default=0)
+    assert spread.slot_source.shape == spread.slot_rate.shape == (degree, n)
+    assert spread.slot_source.dtype == np.intp
+    for x, listed in enumerate(spread.in_edges):
+        column = list(zip(spread.slot_source[:, x].tolist(), spread.slot_rate[:, x].tolist()))
+        assert column == list(listed) + [(0, 0.0)] * (degree - len(listed))
+    for (x, y), p in edges.items():
+        assert spread.p(x, y) == p and type(spread.p(x, y)) is float
+
+    cal = calibrate(spread, state, horizon)
+    ibar, f0 = reference_calibrate(spread, state, horizon)
+    assert list(map(float.hex, cal.ibar.ravel())) == list(map(float.hex, ibar.ravel()))
+    model = build_model(cal, state, RewardModel((-1.0,) * n), 1)
+    for x, listed in enumerate(spread.in_edges):
+        acc = 0.0
+        for y, _ in listed:
+            acc += f0[y]
+        big_m = model.problem.a[x, model.z_index(0, x)]  # row ("dyn", 1, x)
+        assert float.hex(float(big_m)) == float.hex(float(f0[x] + acc))
 
 
 def oracle_problem(cal, state, rewards, teams):

@@ -210,6 +210,8 @@ def test_scenario_wrong_array_length_named():
 def test_scenario_planner_blocks_validated_at_load():
     with pytest.raises(ScenarioError, match="mcts.budget_secs"):
         scenario_from_dict(explicit_doc(mcts={"budget_secs": 1.0}))
+    with pytest.raises(ScenarioError, match="mcts.reuse_tree"):
+        scenario_from_dict(explicit_doc(mcts={"reuse_tree": True}))
     with pytest.raises(ScenarioError, match="'mo': unknown backend"):
         scenario_from_dict(explicit_doc(mo={"backend": "cplex"}))
     with pytest.raises(ScenarioError, match="field 'mcts.depth': expected int, got str"):

@@ -37,20 +37,20 @@ def line_spread(n, p=0.06):
 
 
 def test_distance_single_edge():
-    d = all_pairs_distances(line_spread(2)).matrix
+    d = all_pairs_distances(line_spread(2))
     assert d[0, 1] == pytest.approx(0.06)
     assert d[0, 0] == 0.0
 
 
 def test_distance_two_edge_path():
-    d = all_pairs_distances(line_spread(3)).matrix
+    d = all_pairs_distances(line_spread(3))
     assert d[0, 2] == pytest.approx(0.12)
 
 
 def test_distance_disconnected_is_inf():
     spec = GridSpec(2, 1)
     spread = SpreadModel(spec, {}, [0.8, 0.8])
-    d = all_pairs_distances(spread).matrix
+    d = all_pairs_distances(spread)
     assert math.isinf(d[0, 1])
 
 
@@ -63,7 +63,7 @@ def test_distances_match_dijkstra_on_random_grids():
             for y in spec.neighbors(x):
                 edges[(x, y)] = rng.choice([0.02, 0.05, 0.08, 0.3])
         spread = SpreadModel(spec, edges, [0.8] * spec.n_cells)
-        d = all_pairs_distances(spread).matrix
+        d = all_pairs_distances(spread)
         for source in range(0, spec.n_cells, 7):
             ref = dijkstra(spec.n_cells, edges, source)
             np.testing.assert_allclose(d[source], ref, rtol=0, atol=1e-12)

@@ -12,7 +12,6 @@ from firegrid.lp import (
     UNBOUNDED,
     LpProblem,
     LpSolution,
-    check_feasible,
     solve_lp,
     solve_lp_scipy,
 )
@@ -27,6 +26,22 @@ def lp(c, a, senses, b, lower=None, upper=None):
     upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
     return LpProblem(c, sp.csr_matrix(np.asarray(a, dtype=float)), tuple(senses),
                      np.asarray(b, dtype=float), lower, upper)
+
+
+def check_feasible(problem: LpProblem, x: np.ndarray) -> float:
+    """Largest constraint/bound violation of x; 0 means feasible."""
+    ax = problem.a @ x
+    worst = 0.0
+    for i, s in enumerate(problem.senses):
+        if s == LE:
+            worst = max(worst, ax[i] - problem.b[i])
+        elif s == GE:
+            worst = max(worst, problem.b[i] - ax[i])
+        else:
+            worst = max(worst, abs(ax[i] - problem.b[i]))
+    worst = max(worst, float(np.max(problem.lower - x, initial=0.0)))
+    worst = max(worst, float(np.max(x - problem.upper, initial=0.0)))
+    return worst
 
 
 def test_simple_bounded_max():

@@ -353,7 +353,7 @@ def test_plan_actions_target_burning_cells():
 def test_tree_reuse_prunes_unreachable_states():
     model = small_model()
     s1 = FireState((1, 1, 0, 0), (3, 3, 3, 3))
-    planner = make_planner(model, budget_iterations=300, reuse_tree=True)
+    planner = make_planner(model, budget_iterations=300)
     rng = random.Random(6)
     planner.plan(s1, rng)
     node = planner._nodes[s1]
