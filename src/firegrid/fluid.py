@@ -308,7 +308,7 @@ def build_model(
 def relax_and_score(
     model: FluidModel,
     time_limit: float | None = None,
-    backend: str = "auto",
+    backend: str = "highs",
     bnb_binary_cap: int = 64,
     node_limit: int | None = None,
 ):
@@ -400,14 +400,14 @@ def _action_from_scores(state: FireState, v: np.ndarray, teams: int) -> Action:
 class MoConfig:
     """Receding-horizon controller settings (defaults follow the benchmark).
 
-    ``backend``: ``"auto"`` and ``"highs"`` solve every LP with HiGHS;
-    ``"bundled"`` uses the dense simplex in ``lp.py``.
+    ``backend``: ``"highs"`` solves every LP with HiGHS, through
+    ``scipy.optimize``; ``"bundled"`` uses the dense simplex in ``lp.py``.
     """
 
     horizon: int = 10
     time_limit: float | None = 60.0
     delta: float = 0.1
-    backend: str = "auto"
+    backend: str = "highs"
     bnb_binary_cap: int = 64
     node_limit: int | None = None
 
@@ -418,8 +418,9 @@ class MoConfig:
             raise ValueError("time_limit must be positive or null")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.backend not in ("auto", "highs", "bundled"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.backend not in ("highs", "bundled"):
+            raise ValueError(f"unknown backend {self.backend!r}: "
+                             "use \"highs\" or \"bundled\"")
         if self.bnb_binary_cap < 0:
             raise ValueError("bnb_binary_cap must be >= 0")
         if self.node_limit is not None and self.node_limit < 1:
@@ -442,7 +443,7 @@ class MoPolicy:
         self.teams = teams
         self.config = config
         self.fallback = fallback
-        if config.backend != "bundled":
+        if config.backend == "highs":
             # HiGHS comes with scipy.optimize, whose import takes about 0.2 s:
             # pay it here, not inside the first decision.
             import scipy.optimize  # noqa: F401

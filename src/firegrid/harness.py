@@ -30,9 +30,8 @@ import numpy as np
 
 from . import heuristics
 from .fluid import MoConfig, MoPolicy
-from .mcts import MctsConfig, Planner
+from .mcts import MctsConfig, MctsPolicy
 from .mdp import (
-    Action,
     FireState,
     GridSpec,
     RewardModel,
@@ -372,31 +371,6 @@ def load_scenario(path: str) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     return scenario_from_dict(doc)
-
-
-class MctsPolicy:
-    """One tree search per decision with ``rollout`` as the default policy.
-    ``last`` holds the latest search's ``PlanResult`` figures."""
-
-    def __init__(self, model: Wildfire, teams: int, config: MctsConfig, rollout):
-        self.planner = Planner(model, teams, config, rollout)
-        self.teams = teams
-        self.reset()
-
-    def reset(self):
-        self.planner.reset()
-        self.fallbacks = 0
-        self.last = {}
-
-    def __call__(self, state: FireState, rng) -> Action:
-        if 1 not in state.burning:
-            return idle_action(self.teams)
-        result = self.planner.plan(state, rng)
-        if result.fallback:
-            self.fallbacks += 1
-        self.last = {"iterations": result.iterations, "fallback": result.fallback,
-                     "root_value": result.root_value}
-        return result.action
 
 
 # -- episodes and benchmarks ---------------------------------------------

@@ -11,22 +11,51 @@ Q(s,a) + c * sqrt(log N(s) / N(s,a)), with untried actions taking priority.
 New candidate actions come from a genetic generator: with probability
 ``u_mutate`` a tournament-selected known action is mutated, with probability
 ``u_recombine`` two are crossed over, otherwise the rollout policy proposes
-one.  Duplicates are retried a bounded number of times and then returned
-as-is (the tree keeps a single copy of the statistics).
+one.  A duplicate of a known action is re-drawn up to ``GEN_RETRIES`` times
+and then returned as-is (the tree keeps a single copy of the statistics).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import ceil, log, sqrt
+from math import inf, log, sqrt
 
 from .mdp import Action, FireState, Wildfire, burning_cells, idle_action
 
 
+# duplicate proposals re-drawn by the action generator before one is kept
+GEN_RETRIES = 10
+
+
 @dataclass
 class MctsConfig:
-    """Search hyperparameters; defaults follow the benchmark configuration."""
+    """Search hyperparameters; defaults follow the benchmark configuration.
+
+    Each is a scenario file's ``mcts`` key; a value outside its range raises
+    ``ValueError`` naming the key.
+
+    ``exploration_c``: number >= 0; 50.  The UCB constant c.
+    ``widen_k_action``, ``widen_alpha_action``: number > 0, and in (0, 1];
+        40 and 0.5.  A node tries a new action while |A(s)| < k * N(s)**alpha.
+    ``widen_k_state``, ``widen_alpha_state``: number > 0, and in (0, 1]; 40
+        and 0.2.  An action samples a fresh child while
+        |V(s,a)| < k' * N(s,a)**alpha'.
+    ``depth``: integer >= 1; 10.  Steps simulated below the root, tree and
+        rollout together.
+    ``gamma``: number in [0, 1]; 1.  The discount per step.
+    ``u_mutate``, ``u_recombine``: numbers >= 0 summing to at most 1; 0.3
+        each.  The chances that a new action is a mutated or a recombined
+        known action; the rollout policy proposes the rest.  Both 0: no
+        genetic generation.
+    ``budget_seconds``: finite number >= 0 or null; 60.  Wall clock per
+        decision.
+    ``budget_iterations``: integer >= 0 or null; null.  Simulations per
+        decision.  At least one budget is set; the search stops at the first
+        one spent, and a search with no iteration plays the rollout policy.
+    ``rollout``: "fw" (fw_sample) or "random"; "fw".  The rollout policy,
+        which also proposes actions.
+    """
 
     exploration_c: float = 50.0
     widen_k_action: float = 40.0
@@ -39,25 +68,35 @@ class MctsConfig:
     budget_iterations: int | None = None
     u_mutate: float = 0.3
     u_recombine: float = 0.3
-    use_genetic: bool = True
-    rollout: str = "fw"  # "fw" or "random"
-    gen_retries: int = 10
+    rollout: str = "fw"
 
     def __post_init__(self):
-        if not 0.0 < self.widen_alpha_action <= 1.0:
-            raise ValueError("action widening exponent must be in (0, 1]")
-        if not 0.0 < self.widen_alpha_state <= 1.0:
-            raise ValueError("state widening exponent must be in (0, 1]")
-        if self.u_mutate + self.u_recombine > 1.0 + 1e-12:
-            raise ValueError("u_mutate + u_recombine must not exceed 1")
+        # written ``not <in range>`` so that a NaN fails too
+        if not self.exploration_c >= 0.0:
+            raise ValueError("exploration_c must be >= 0")
+        for key in ("widen_k_action", "widen_k_state"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be > 0")
+        for key in ("widen_alpha_action", "widen_alpha_state"):
+            if not 0.0 < getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must be in (0, 1]")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
+        for key in ("u_mutate", "u_recombine"):
+            if not getattr(self, key) >= 0.0:
+                raise ValueError(f"{key} must be >= 0")
+        if self.u_mutate + self.u_recombine > 1.0 + 1e-12:
+            raise ValueError("u_mutate + u_recombine must not exceed 1")
+        if self.budget_seconds is not None and not 0.0 <= self.budget_seconds < inf:
+            raise ValueError("budget_seconds must be a finite number >= 0 or null")
+        if self.budget_iterations is not None and self.budget_iterations < 0:
+            raise ValueError("budget_iterations must be >= 0 or null")
         if self.budget_seconds is None and self.budget_iterations is None:
-            raise ValueError("need a wall-clock or iteration budget")
+            raise ValueError("budget_seconds and budget_iterations must not both be null")
         if self.rollout not in ("fw", "random"):
-            raise ValueError(f"unknown rollout policy {self.rollout!r}")
+            raise ValueError(f"rollout: unknown rollout policy {self.rollout!r}")
 
 
 class _Edge:
@@ -71,12 +110,11 @@ class _Edge:
 
 
 class _Node:
-    __slots__ = ("n", "edges", "burning")
+    __slots__ = ("n", "edges")
 
-    def __init__(self, burning):
+    def __init__(self):
         self.n = 0.0
         self.edges = {}  # action -> _Edge, in insertion order
-        self.burning = burning
 
 
 @dataclass
@@ -136,9 +174,8 @@ class Planner:
     planners.
     """
 
-    def __init__(self, model: Wildfire, teams: int, config: MctsConfig, pi0):
+    def __init__(self, model: Wildfire, config: MctsConfig, pi0):
         self.model = model
-        self.teams = teams
         self.config = config
         self.pi0 = pi0
         self._nodes = {}
@@ -164,8 +201,6 @@ class Planner:
             if cfg.budget_iterations is not None and iterations >= cfg.budget_iterations:
                 break
             if deadline is not None and time.monotonic() >= deadline:
-                break
-            if cfg.budget_iterations is None and deadline is None:
                 break
             self._simulate(root, cfg.depth, rng)
             iterations += 1
@@ -207,15 +242,15 @@ class Planner:
         nodes = self._nodes
         node = nodes.get(state)
         if node is None:
-            node = _Node(burning_cells(state))
+            node = _Node()
             nodes[state] = node
             return self._rollout(state, depth, rng)
-        if not node.burning:
+        if 1 not in state.burning:
             return 0.0  # terminal: zero reward forever after
         node.n += 1
         edges = node.edges
         if len(edges) < cfg.widen_k_action * node.n ** cfg.widen_alpha_action:
-            action = self._generate(node, state, rng)[0]
+            action = self._generate(node, state, rng)
             if action not in edges:
                 edges[action] = _Edge()
         # UCB selection; untried actions take priority in insertion order
@@ -266,32 +301,28 @@ class Planner:
         edge.child_visits += 1
         return state, record[1]
 
-    def _generate(self, node: _Node, state: FireState, rng):
+    def _generate(self, node: _Node, state: FireState, rng) -> Action:
         """Propose a candidate action; see module docstring for the scheme."""
         cfg = self.config
         edges = node.edges
-        u1, u2 = (cfg.u_mutate, cfg.u_recombine) if cfg.use_genetic else (0.0, 0.0)
-        candidate, branch = None, "default"
-        for _ in range(cfg.gen_retries + 1):
+        u1, u2 = cfg.u_mutate, cfg.u_recombine
+        for _ in range(GEN_RETRIES + 1):
             u = rng.random()
             if u < u1 and len(edges) >= 1:
                 actions = list(edges.keys())
                 qs = [edges[a].q for a in actions]
                 candidate = mutate(tournament_select(actions, qs, rng), state, rng)
-                branch = "mutate"
             elif u < u1 + u2 and len(edges) >= 2:
                 actions = list(edges.keys())
                 qs = [edges[a].q for a in actions]
                 first = tournament_select(actions, qs, rng)
                 second = tournament_select(actions, qs, rng)
                 candidate = recombine(first, second, rng)
-                branch = "recombine"
             else:
                 candidate = self.pi0(state, rng)
-                branch = "default"
             if candidate not in edges:
-                return candidate, branch
-        return candidate, branch
+                return candidate
+        return candidate
 
     def _rollout(self, state: FireState, depth: int, rng) -> float:
         model = self.model
@@ -307,3 +338,28 @@ class Planner:
             total += weight * reward
             weight *= gamma
         return total
+
+
+class MctsPolicy:
+    """One tree search per decision with ``rollout`` as the default policy.
+    ``last`` holds the latest search's ``PlanResult`` figures."""
+
+    def __init__(self, model: Wildfire, teams: int, config: MctsConfig, rollout):
+        self.planner = Planner(model, config, rollout)
+        self.teams = teams
+        self.reset()
+
+    def reset(self):
+        self.planner.reset()
+        self.fallbacks = 0
+        self.last = {}
+
+    def __call__(self, state: FireState, rng) -> Action:
+        if 1 not in state.burning:
+            return idle_action(self.teams)
+        result = self.planner.plan(state, rng)
+        if result.fallback:
+            self.fallbacks += 1
+        self.last = {"iterations": result.iterations, "fallback": result.fallback,
+                     "root_value": result.root_value}
+        return result.action

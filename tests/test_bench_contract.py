@@ -5,10 +5,13 @@ up.  ``perfbench/reference.py`` reads ``make_policy("mcts").planner`` and
 ``EpisodeResult.mo_fallbacks`` and builds the fw weights from the scenario's
 spread and rewards, and ``perfbench/worker.py`` rebuilds MO's
 model from the policy's ``spread``, ``rewards``, ``teams`` and ``config``.
-Renaming or rebinding one of them would otherwise show only as a failing
+``perfbench/worker.py``'s workloads load shipped scenarios with overrides of
+their own.  Renaming or rebinding one of them, or removing a scenario key
+they still carry, would otherwise show only as a failing
 ``perfbench/run.py`` run.
 """
 
+import importlib
 import importlib.util
 import random
 from pathlib import Path
@@ -18,7 +21,8 @@ import pytest
 from firegrid import fluid, harness, heuristics
 from firegrid.mdp import RewardModel, SpreadModel
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def small_grid():
@@ -113,3 +117,13 @@ def test_episode_result_counts_mo_fallbacks():
     config = small_grid()
     result = harness.run_episode(config, config.make_policy("mo"), 0, "mo")
     assert result.mo_fallbacks == 0
+
+
+def test_every_benchmark_workload_loads_its_scenario(monkeypatch):
+    # the constructor loads the scenario file and applies the workload's
+    # overrides; no round is played
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    assert worker.WORKLOADS
+    for name, workload in worker.WORKLOADS.items():
+        assert isinstance(workload(0).config, harness.ScenarioConfig), name

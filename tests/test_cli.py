@@ -326,6 +326,11 @@ def test_malformed_scenario_fails_at_load(tmp_path, capsys, doc, field):
     ({"mcts": {"depth": 0}}, "mcts"),
     ({"mo": {"horizon": 0}}, "mo"),
     ({"mcts": {"depth": "deep"}}, "mcts.depth"),
+    ({"mcts": {"use_genetic": True}}, "mcts.use_genetic"),
+    ({"mcts": {"gen_retries": -1}}, "mcts.gen_retries"),
+    ({"mo": {"backend": "auto"}}, "mo"),
+    ({"mcts": {"widen_k_action": 0}}, "mcts"),
+    ({"mcts": {"budget_iterations": -1}}, "mcts"),
 ])
 def test_bad_planner_option_names_field(tmp_path, capsys, block, field):
     scenario = write_scenario(tmp_path, explicit_doc(**block))

@@ -556,16 +556,17 @@ def test_summed_teams_keep_the_per_team_lp_optimum(case):
 
 # -- backend choice and the solver import -------------------------------------
 
-def test_auto_backend_solves_with_highs(monkeypatch):
+def test_default_backend_solves_with_highs(monkeypatch):
     # a grid1 k=4 model (296 x 320) once went to the dense bundled simplex
     def bundled(problem):
-        raise AssertionError("auto backend called the bundled simplex")
+        raise AssertionError("the default backend called the bundled simplex")
 
     monkeypatch.setattr("firegrid.fluid.solve_lp", bundled)
     config = scenario_from_dict({"family": "grid1", "k": 4, "teams": 2,
                                  "mo": {"horizon": 3, "time_limit": None}})
-    assert config.mo.get("backend", "auto") == "auto"
+    assert "backend" not in config.mo
     policy = config.make_policy("mo")
+    assert policy.config.backend == "highs"
     state = config.initial_state(episode_rng(0))
     action = policy(state, None)
     assert policy.fallbacks == 0

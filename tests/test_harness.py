@@ -218,6 +218,36 @@ def test_scenario_planner_blocks_validated_at_load():
         scenario_from_dict(explicit_doc(mcts={"depth": "deep"}))
     with pytest.raises(ScenarioError, match="'mo': must be an object"):
         scenario_from_dict(explicit_doc(mo=[3]))
+    # one spelling per setting: u_mutate = u_recombine = 0 is no genetic
+    # generation, the retry count is a constant, and "highs" is HiGHS
+    for key, value in (("use_genetic", False), ("gen_retries", 3)):
+        with pytest.raises(ScenarioError, match=f"^field 'mcts.{key}': unknown mcts option"):
+            scenario_from_dict(explicit_doc(mcts={key: value}))
+    with pytest.raises(ScenarioError, match="^field 'mo': unknown backend 'auto'"):
+        scenario_from_dict(explicit_doc(mo={"backend": "auto"}))
+    # every range rule names its key
+    for options, message in (
+        ({"exploration_c": -1.0}, "exploration_c must be >= 0"),
+        ({"widen_k_action": 0}, "widen_k_action must be > 0"),
+        ({"widen_k_action": -2.5}, "widen_k_action must be > 0"),
+        ({"widen_k_state": 0.0}, "widen_k_state must be > 0"),
+        ({"widen_alpha_action": 0.0}, r"widen_alpha_action must be in \(0, 1\]"),
+        ({"widen_alpha_state": 1.5}, r"widen_alpha_state must be in \(0, 1\]"),
+        ({"depth": 0}, "depth must be >= 1"),
+        ({"gamma": 1.1}, r"gamma must be in \[0, 1\]"),
+        ({"u_mutate": -0.5, "u_recombine": 1.2}, "u_mutate must be >= 0"),
+        ({"u_recombine": -0.1}, "u_recombine must be >= 0"),
+        ({"u_mutate": 0.6, "u_recombine": 0.6}, r"u_mutate \+ u_recombine must not exceed 1"),
+        ({"budget_seconds": -1.0}, "budget_seconds must be a finite number >= 0"),
+        ({"budget_seconds": math.inf}, "budget_seconds must be a finite number >= 0"),
+        ({"budget_iterations": -5}, "budget_iterations must be >= 0"),
+        ({"budget_seconds": None}, "budget_seconds and budget_iterations must not both be null"),
+        ({"rollout": "greedy"}, "rollout: unknown rollout policy 'greedy'"),
+    ):
+        with pytest.raises(ScenarioError, match=f"^field 'mcts': {message}"):
+            scenario_from_dict(explicit_doc(mcts=options))
+    # zero budgets stay legal: the search falls back to the rollout policy
+    scenario_from_dict(explicit_doc(mcts={"budget_seconds": 0.0, "budget_iterations": 0}))
 
 
 # -- episodes ------------------------------------------------------------------

@@ -5,8 +5,17 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from firegrid.harness import episode_rng, load_scenario
+from firegrid import mcts
+from firegrid.harness import (
+    ScenarioError,
+    episode_rng,
+    load_scenario,
+    run_episode,
+    scenario_from_dict,
+)
 from firegrid.heuristics import random_policy
 from firegrid.mcts import (
     MctsConfig,
@@ -33,15 +42,17 @@ def small_model(p=0.06, q=0.8, rewards=(-1.0, -2.0, -2.0, -10.0)):
 
 
 def make_planner(model, teams=1, **overrides):
+    """A planner proposing only rollout-policy actions unless ``overrides``
+    set the genetic mix ``u_mutate`` and ``u_recombine``."""
     defaults = dict(budget_iterations=100, budget_seconds=None,
-                    rollout="random", use_genetic=False, depth=3)
+                    rollout="random", u_mutate=0.0, u_recombine=0.0, depth=3)
     defaults.update(overrides)
     config = MctsConfig(**defaults)
 
     def pi0(state, rng):
         return random_policy(state, teams, rng)
 
-    return Planner(model, teams, config, pi0)
+    return Planner(model, config, pi0)
 
 
 # -- genetic operators -------------------------------------------------------
@@ -139,18 +150,31 @@ def test_tournament_uniform_on_ties():
 
 # -- action generation inside the tree ---------------------------------------
 
-def test_generation_branch_frequencies():
-    # big grid so duplicate proposals are vanishingly rare
+def count_proposals(monkeypatch, planner) -> Counter:
+    """Counts every call ``planner._generate`` makes to ``mutate``,
+    ``recombine`` and the rollout policy, retried proposals included."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(mcts, "mutate", counted("mutate", mcts.mutate))
+    monkeypatch.setattr(mcts, "recombine", counted("recombine", mcts.recombine))
+    planner.pi0 = counted("rollout", planner.pi0)
+    return calls
+
+
+def test_generation_branch_frequencies(monkeypatch):
+    # every proposal, retries included, draws its branch afresh: 0.3, 0.3, 0.4
     k = 20
     spec = GridSpec(k, k)
     model = Wildfire(spec, SpreadModel.uniform(spec, 0.06, 0.8),
                      RewardModel((-1.0,) * spec.n_cells))
     state = FireState((1,) * spec.n_cells, (3,) * spec.n_cells)
-    # retries are off so the measured tag is exactly the branch drawn; with
-    # retries on, duplicate recombinations of a tiny action set re-roll the
-    # branch and skew the returned shares
-    planner = make_planner(model, teams=4, use_genetic=True,
-                           u_mutate=0.3, u_recombine=0.3, gen_retries=0)
+    planner = make_planner(model, teams=4, u_mutate=0.3, u_recombine=0.3)
     rng = random.Random(77)
     node_rng = random.Random(78)
     planner._simulate(state, 3, node_rng)  # create the root node
@@ -159,29 +183,31 @@ def test_generation_branch_frequencies():
     seed_actions = [tuple(sorted(rng.sample(range(spec.n_cells), 4))) for _ in range(3)]
     for action in seed_actions:
         planner._simulate(state, 1, node_rng)  # grow visit counts a bit
-    from firegrid.mcts import _Edge
     for action in seed_actions:
         if action not in node.edges:
-            edge = node.edges[action] = _Edge()
+            edge = node.edges[action] = mcts._Edge()
             edge.n, edge.q = 1.0, -1.0
-    n = 10_000
-    counts = Counter(planner._generate(node, state, rng)[1] for _ in range(n))
-    for branch, expected in (("mutate", 0.3), ("recombine", 0.3), ("default", 0.4)):
+    calls = count_proposals(monkeypatch, planner)
+    for _ in range(10_000):
+        planner._generate(node, state, rng)
+    n = sum(calls.values())
+    for branch, expected in (("mutate", 0.3), ("recombine", 0.3), ("rollout", 0.4)):
         se = math.sqrt(expected * (1 - expected) / n)
-        assert abs(counts[branch] / n - expected) <= 3 * se, (branch, counts)
+        assert abs(calls[branch] / n - expected) <= 3 * se, (branch, calls)
 
 
-def test_generation_falls_back_without_actions():
+def test_generation_falls_back_without_actions(monkeypatch):
     model = small_model()
     state = FireState((1, 1, 0, 0), (3, 3, 3, 3))
-    planner = make_planner(model, teams=1, use_genetic=True,
-                           u_mutate=1.0, u_recombine=0.0)
+    planner = make_planner(model, teams=1, u_mutate=1.0, u_recombine=0.0)
     rng = random.Random(5)
     planner._simulate(state, 3, rng)
     node = planner._nodes[state]
     node.edges.clear()
-    _, branch = planner._generate(node, state, rng)
-    assert branch == "default"
+    calls = count_proposals(monkeypatch, planner)
+    action = planner._generate(node, state, rng)
+    assert calls == {"rollout": 1}
+    assert state.burning[action[0]]
 
 
 # -- rollout and simulate ----------------------------------------------------
@@ -258,8 +284,8 @@ def test_q_is_mean_of_backed_up_returns():
             return q
 
     config = MctsConfig(budget_iterations=400, budget_seconds=None,
-                        rollout="random", use_genetic=False, depth=3)
-    planner = Recorder(model, 1, config, lambda s, r: (0,))
+                        rollout="random", u_mutate=0.0, u_recombine=0.0, depth=3)
+    planner = Recorder(model, config, lambda s, r: (0,))
     rng = random.Random(12)
     result = planner.plan(state, rng)
     edge = planner._nodes[state].edges[(0,)]
@@ -276,7 +302,7 @@ def test_widening_bounds_hold_everywhere():
     planner = make_planner(model, teams=2, budget_iterations=800,
                            widen_k_action=1.0, widen_alpha_action=0.5,
                            widen_k_state=1.0, widen_alpha_state=0.4,
-                           use_genetic=True)
+                           u_mutate=0.3, u_recombine=0.3)
     rng = random.Random(3)
     planner.plan(state, rng)
     checked = 0
@@ -332,7 +358,7 @@ def test_plan_deterministic_under_seed():
     state = FireState((1, 1, 0, 1), (3, 2, 4, 2))
     actions = set()
     for _ in range(3):
-        planner = make_planner(model, budget_iterations=500, use_genetic=True)
+        planner = make_planner(model, budget_iterations=500, u_mutate=0.3, u_recombine=0.3)
         result = planner.plan(state, random.Random(42))
         actions.add((result.action, result.iterations))
     assert len(actions) == 1
@@ -342,7 +368,7 @@ def test_plan_actions_target_burning_cells():
     model = small_model()
     state = FireState((1, 0, 1, 0), (3, 3, 3, 3))
     planner = make_planner(model, teams=2, budget_iterations=400,
-                           use_genetic=True)
+                           u_mutate=0.3, u_recombine=0.3)
     result = planner.plan(state, random.Random(17))
     assert all(state.burning[c] for c in result.action)
     node = planner._nodes[state]
@@ -379,6 +405,64 @@ def test_plan_matches_expectimax_on_easy_instance():
     result = planner.plan(state, random.Random(2))
     assert result.action == best
     assert result.root_value == pytest.approx(qs[best], rel=0.1)
+
+
+# -- every mcts block that loads plays ------------------------------------------
+
+@st.composite
+def mcts_blocks(draw):
+    """An ``mcts`` block with values from the documented ranges, their
+    closed ends included, so that a widening k of 0 is drawn too.  Depth and
+    budgets stay small: every example plays a whole episode."""
+    maybe = lambda key, values: {key: draw(values)} if draw(st.booleans()) else {}  # noqa: E731
+    k = st.integers(0, 50) | st.floats(0.0, 50.0)
+    u_mutate = draw(st.floats(0.0, 1.0))
+    block = {"depth": draw(st.integers(1, 3)),
+             "budget_iterations": draw(st.none() | st.integers(0, 5)),
+             "budget_seconds": draw(st.none() | st.floats(0.0, 0.002)),
+             "u_mutate": u_mutate,
+             "u_recombine": draw(st.floats(0.0, 1.0 - u_mutate)),
+             **maybe("exploration_c", st.floats(0.0, 100.0)),
+             **maybe("widen_k_action", k),
+             **maybe("widen_alpha_action", st.floats(0.0, 1.0)),
+             **maybe("widen_k_state", k),
+             **maybe("widen_alpha_state", st.floats(0.0, 1.0)),
+             **maybe("gamma", st.floats(0.0, 1.0)),
+             **maybe("rollout", st.sampled_from(["fw", "random"]))}
+    if block["budget_iterations"] is None and block["budget_seconds"] is None:
+        block["budget_iterations"] = 0
+    return block
+
+
+@given(mcts_blocks(), st.integers(0, 2 ** 31))
+@example({"depth": 2, "budget_iterations": 5, "budget_seconds": None,
+          "u_mutate": 0.3, "u_recombine": 0.3, "widen_k_action": 0}, 0)
+@settings(max_examples=80, deadline=None)
+def test_every_mcts_block_that_loads_plays_a_legal_episode(block, seed):
+    # a block that does not load is refused whole, naming the mcts block
+    try:
+        config = scenario_from_dict({
+            "family": "explicit", "k": 3, "teams": 2, "P_default": 0.3,
+            "Q_default": 0.5, "rewards": [-1, -2, -3, -2, -3, -4, -3, -4, -10],
+            "fuel": [2, 3, 2, 3, 3, 3, 2, 3, 2], "burning": [1, 1, 0, 0, 1, 0, 0, 0, 0],
+            "mcts": block})
+    except ScenarioError as exc:
+        assert str(exc).startswith("field 'mcts"), exc
+        assume(False)
+    policy = config.make_policy("mcts")
+    played = []
+
+    def checked(state, rng):
+        action = policy(state, rng)
+        played.append((state, action))
+        return action
+
+    result = run_episode(config, checked, seed, "mcts")
+    assert len(played) == result.steps > 0
+    for state, action in played:
+        assert len(action) == config.teams
+        assert all(0 <= target < len(state.burning) and state.burning[target]
+                   for target in action), (state, action)
 
 
 def test_golden_first_decisions_on_k20_fire():
