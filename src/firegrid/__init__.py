@@ -6,7 +6,7 @@ Modules:
     mcts        -- tree search with double progressive widening
     fluid       -- fluid intensity MILP and the receding-horizon controller
     lp / milp   -- bundled simplex and branch-and-bound solvers
-    mpsio       -- fixed-format MPS writer/parser
+    mpsio       -- fixed-format MPS writer
     harness     -- scenario generators, episode runner, paired benchmarks
     cli         -- command-line interface
 """
@@ -19,7 +19,6 @@ from .mdp import (
     SpreadModel,
     Wildfire,
     idle_action,
-    make_action,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "SpreadModel",
     "Wildfire",
     "idle_action",
-    "make_action",
 ]
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,7 +115,6 @@ class FluidModel:
     teams: int
     calibration: Calibration
     state: FireState
-    row_labels: tuple = field(repr=False, default=())
 
     def z_index(self, t: int, x: int) -> int:
         return 2 * (self.horizon + 1) * self.n_cells + t * self.n_cells + x
@@ -162,7 +161,6 @@ class _Pattern:
     take: np.ndarray
     constants: np.ndarray
     senses: tuple
-    row_labels: tuple
 
 
 @functools.lru_cache(maxsize=16)
@@ -230,15 +228,9 @@ def _pattern(spread: SpreadModel, horizon: int) -> _Pattern:
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     senses = (GE,) * steps + (EQ,) * size + (GE,) * size + (LE,) * (size + steps + horizon + 1)
-    periods = range(horizon + 1)
-    labels = [("dyn", t, x) for t in periods[1:] for x in range(n)]
-    for kind in ("fuel", "force_lo", "force_hi"):
-        labels += [(kind, t, x) for t in periods for x in range(n)]
-    labels += [("cutoff", t, x) for t in periods[:-1] for x in range(n)]
-    labels += [("assign", t) for t in periods]
     constants = np.concatenate(([1.0, -1.0], -rate[edge]))
     return _Pattern(indptr=indptr, indices=cols[order].astype(np.int32), take=take[order],
-                    constants=constants, senses=senses, row_labels=tuple(labels))
+                    constants=constants, senses=senses)
 
 
 def build_model(
@@ -254,9 +246,9 @@ def build_model(
     into 0 <= y <= teams is exact: any such y splits into one assignment per
     team that sums to at most one over the cells.
 
-    The sparsity pattern, the constant coefficients (1, -1 and -P(x, y)),
-    the senses and the row labels depend only on the spread model and the
-    horizon; they are built once per such pair and cached in the module.
+    The sparsity pattern, the constant coefficients (1, -1 and -P(x, y))
+    and the senses depend only on the spread model and the horizon; they
+    are built once per such pair and cached in the module.
     Each call fills in the state's values: the relief ibar[t, x] Q(x),
     big-M, f0, f0 - delta and delta, the right-hand sides, the time-zero
     intensity bounds and the assignment bounds, and leaves out every
@@ -301,8 +293,7 @@ def build_model(
     mask[2 * size:] = True
     return FluidModel(
         problem=LpProblem(c, a, pattern.senses, b, lower, upper), integer_mask=mask,
-        horizon=horizon, n_cells=n, teams=teams, calibration=calibration, state=state,
-        row_labels=pattern.row_labels)
+        horizon=horizon, n_cells=n, teams=teams, calibration=calibration, state=state)
 
 
 def relax_and_score(
@@ -319,24 +310,26 @@ def relax_and_score(
     caller.  Indicator variables stay binary when few enough to branch on
     within the budget; otherwise they are relaxed, rounded by thresholding
     the solved fuel at delta, fixed, and the LP re-solved once with ties
-    broken; ``info["objective"]`` is the unperturbed cost.  Every LP goes to
-    HiGHS unless ``backend`` is ``"bundled"``.
+    broken; ``info["objective"]`` is the unperturbed cost.  ``backend`` is
+    ``"highs"`` (every LP goes to HiGHS) or ``"bundled"`` (the dense simplex).
     """
     problem = model.problem
     if backend == "bundled":
         lp_solver = solve_lp
-    else:
+    elif backend == "highs":
         lp_solver = lambda p: solve_lp_scipy(p, time_limit=time_limit)  # noqa: E731
-    z_list = list(model.z_indices())
+    else:
+        raise ValueError(f"unknown backend {backend!r}: use \"highs\" or \"bundled\"")
+    z = model.z_indices()
     info = {"status": None, "objective": None, "mode": None}
 
-    if len(z_list) <= bnb_binary_cap:
+    if len(z) <= bnb_binary_cap:
         info["mode"] = "branch-and-bound"
         z_mask = np.zeros(model.n_vars, dtype=bool)
-        z_mask[z_list] = True
+        z_mask[z.start:z.stop] = True
         res = branch_and_bound(
             problem, z_mask, time_limit=time_limit, node_limit=node_limit,
-            tiers=[z_list], lp_solver=lp_solver,
+            lp_solver=lp_solver,
         )
         info["status"] = res.status
         if res.x is None:
@@ -352,7 +345,6 @@ def relax_and_score(
         # z_index(t, x) runs t-major like the (T+1, n) fuel array
         fuel = model.fuel_values(sol.x)
         bits = np.where(fuel <= model.calibration.delta + 1e-9, 1.0, 0.0).ravel()
-        z = model.z_indices()
         lower = problem.lower.copy()
         upper = problem.upper.copy()
         lower[z.start:z.stop] = bits
@@ -412,12 +404,13 @@ class MoConfig:
     node_limit: int | None = None
 
     def __post_init__(self):
+        # written ``not <in range>`` so that a NaN fails too
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive or null")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if self.time_limit is not None and not 0.0 < self.time_limit < np.inf:
+            raise ValueError("time_limit must be a finite number > 0 or null")
+        if not 0.0 < self.delta < np.inf:
+            raise ValueError("delta must be a finite number > 0")
         if self.backend not in ("highs", "bundled"):
             raise ValueError(f"unknown backend {self.backend!r}: "
                              "use \"highs\" or \"bundled\"")

@@ -122,7 +122,7 @@ def grid2_rewards(k: int, lam: float, height: int | None = None) -> RewardModel:
     """Column-only cost -C * exp(-lam * col), scaled so one row sums to -1."""
     if k < 2:
         raise ScenarioError("field 'k': grid2 needs k >= 2")
-    if lam <= 0:
+    if not lam > 0:  # a NaN fails too
         raise ScenarioError("field 'lambda': grid2 needs lambda > 0")
     height = k if height is None else height
     norm = sum(math.exp(-lam * i) for i in range(1, k + 1))
@@ -321,7 +321,6 @@ class ScenarioConfig:
         """Build policy ``name``, a callable ``(state, rng) -> action``.  The
         planners ``mcts`` and ``mo`` also carry ``reset()``, ``fallbacks``
         and ``last``, a dict about their latest decision."""
-        name = name.lower()
         if name not in POLICY_NAMES:
             raise ScenarioError(f"field 'policies': unknown policy {name!r}")
         teams = self.teams

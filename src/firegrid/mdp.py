@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,12 +153,6 @@ class SpreadModel:
                 edges[(x, y)] = p
         return cls(spec, edges, [q] * spec.n_cells)
 
-    def p(self, x: int, y: int) -> float:
-        for source, prob in self.in_edges[x]:
-            if source == y:
-                return prob
-        return 0.0
-
 
 @dataclass(frozen=True)
 class RewardModel:
@@ -181,16 +175,6 @@ class RewardModel:
 
 def idle_action(teams: int) -> Action:
     return (IDLE,) * teams
-
-
-def make_action(cells: Iterable[int], teams: int | None = None) -> Action:
-    """Canonical action: targets sorted ascending, padded with IDLE if short."""
-    targets = sorted(cells)
-    if teams is not None:
-        if len(targets) > teams:
-            raise ValueError("more targets than teams")
-        targets = [IDLE] * (teams - len(targets)) + targets
-    return tuple(targets)
 
 
 def burning_cells(state: FireState) -> tuple:

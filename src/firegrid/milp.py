@@ -2,10 +2,8 @@
 
 Meant as an exact reference for small instances: each node re-solves the LP
 relaxation with tightened bounds, fractional variables are branched
-most-fractional-first (honoring an optional tier order so structural
-indicator variables split before assignment variables), and the incumbent /
-best open bound give the optimality gap whenever a node or time limit stops
-the search early.
+most-fractional-first, and the incumbent / best open bound give the
+optimality gap whenever a node or time limit stops the search early.
 """
 
 from __future__ import annotations
@@ -43,21 +41,18 @@ class MilpSolution:
     nodes: int = 0
 
 
-def _fractional(x, int_indices, tiers):
-    """Branching variable: first tier containing a fractional entry, then the
-    entry closest to one half (ties to the lowest index)."""
-    for tier in tiers:
-        best, best_score = None, -1.0
-        for j in tier:
-            frac = abs(x[j] - round(x[j]))
-            if frac <= _INT_TOL:
-                continue
-            score = 0.5 - abs(frac - 0.5)
-            if score > best_score + 1e-12:
-                best, best_score = j, score
-        if best is not None:
-            return best
-    return None
+def _fractional(x, int_indices):
+    """Branching variable: the fractional entry closest to one half (ties to
+    the lowest index), or None when every entry is integral."""
+    best, best_score = None, -1.0
+    for j in int_indices:
+        frac = abs(x[j] - round(x[j]))
+        if frac <= _INT_TOL:
+            continue
+        score = 0.5 - abs(frac - 0.5)
+        if score > best_score + 1e-12:
+            best, best_score = j, score
+    return best
 
 
 def _gap(incumbent, bound):
@@ -71,26 +66,17 @@ def branch_and_bound(
     integer_mask,
     time_limit: float | None = None,
     node_limit: int | None = None,
-    tiers: list | None = None,
     lp_solver=solve_lp,
 ) -> MilpSolution:
     """Minimize ``problem`` with the masked variables forced integral.
 
-    ``tiers`` is an optional list of index groups tried in order when picking
-    the branching variable.  ``time_limit`` is wall-clock seconds; with no
-    incumbent at the limit the result carries the best open bound and the
-    explicit ``no-incumbent`` status.
+    ``time_limit`` is wall-clock seconds; with no incumbent at the limit the
+    result carries the best open bound and the explicit ``no-incumbent``
+    status.
     """
     integer_mask = np.asarray(integer_mask, dtype=bool)
     int_indices = np.flatnonzero(integer_mask)
-    if tiers is None:
-        tiers = [list(int_indices)]
-    else:
-        tiers = [list(t) for t in tiers]
-        covered = {j for t in tiers for j in t}
-        rest = [j for j in int_indices if j not in covered]
-        if rest:
-            tiers.append(rest)
+    int_list = int_indices.tolist()
 
     def solve_node(node_problem):
         # A child LP stuck on iterations/numerics must not silently prune a
@@ -128,7 +114,7 @@ def branch_and_bound(
         bound, _, lower, upper, relax = heapq.heappop(heap)
         if incumbent_obj is not None and bound >= incumbent_obj - 1e-9:
             continue
-        j = _fractional(relax.x, int_indices, tiers)
+        j = _fractional(relax.x, int_list)
         if j is None:
             x = relax.x.copy()
             x[int_indices] = np.round(x[int_indices])

@@ -1,21 +1,19 @@
-"""Fixed-format MPS interchange for LpProblem instances.
+"""Fixed-format MPS export of LpProblem instances, for ``export-lp``.
 
-Writer and parser agree on one canonical layout (fields at columns 2, 5, 15,
-25 and 40; generated names R0000001/C0000001; one coefficient per line;
-integer columns wrapped in INTORG/INTEND markers), so exporting a parsed
-file reproduces it byte for byte.  Any external MILP solver that reads fixed
-MPS can consume the output.
+One canonical layout: fields at columns 2, 5, 15, 25 and 40; generated
+names R0000001/C0000001; one coefficient per line; integer columns wrapped
+in INTORG/INTEND markers.  Any external MILP solver that reads fixed MPS can
+consume the output.  The package only writes MPS; the reader that checks
+this writer lives in the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lp import EQ, GE, LE, LpProblem
 
 _SENSE_TO_TAG = {LE: "L", EQ: "E", GE: "G"}
-_TAG_TO_SENSE = {v: k for k, v in _SENSE_TO_TAG.items()}
 
 
 def _fmt(value: float) -> str:
@@ -98,127 +96,3 @@ def write_mps(problem: LpProblem, integer_mask=None, name: str = "FIREGRID") -> 
 
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
-
-
-def parse_mps(text: str):
-    """Inverse of ``write_mps``: returns (LpProblem, integer_mask, name).
-
-    Accepts whitespace-delimited fixed MPS with N/L/G/E rows, INTORG/INTEND
-    markers, one RHS set and UP/LO/FX/MI/PL/BV bounds.  RANGES sections are
-    rejected.
-    """
-    name = ""
-    section = None
-    row_order = []
-    senses = {}
-    objective_row = None
-    col_order = []
-    col_pos = {}
-    coeffs = []  # (row, col, value)
-    c_entries = {}
-    rhs = {}
-    bounds_lo = {}
-    bounds_hi = {}
-    integer_cols = set()
-    in_integer = False
-
-    for raw in text.splitlines():
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        head = raw[0] not in (" ", "\t")
-        tokens = raw.split()
-        if head:
-            keyword = tokens[0].upper()
-            if keyword == "NAME":
-                name = tokens[1] if len(tokens) > 1 else ""
-                continue
-            if keyword == "ENDATA":
-                break
-            if keyword == "RANGES":
-                raise ValueError("RANGES sections are not supported")
-            if keyword in ("ROWS", "COLUMNS", "RHS", "BOUNDS"):
-                section = keyword
-                continue
-            raise ValueError(f"unknown MPS section {keyword!r}")
-        if section == "ROWS":
-            tag, rname = tokens[0].upper(), tokens[1]
-            if tag == "N":
-                if objective_row is None:
-                    objective_row = rname
-                continue
-            if tag not in _TAG_TO_SENSE:
-                raise ValueError(f"unknown row type {tag!r}")
-            senses[rname] = _TAG_TO_SENSE[tag]
-            row_order.append(rname)
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                if tokens[-1] == "'INTORG'":
-                    in_integer = True
-                elif tokens[-1] == "'INTEND'":
-                    in_integer = False
-                continue
-            cname = tokens[0]
-            if cname not in col_pos:
-                col_pos[cname] = len(col_order)
-                col_order.append(cname)
-                if in_integer:
-                    integer_cols.add(cname)
-            for k in range(1, len(tokens) - 1, 2):
-                rname, value = tokens[k], float(tokens[k + 1])
-                if rname == objective_row:
-                    c_entries[cname] = value
-                else:
-                    coeffs.append((rname, cname, value))
-        elif section == "RHS":
-            for k in range(1, len(tokens) - 1, 2):
-                rhs[tokens[k]] = float(tokens[k + 1])
-        elif section == "BOUNDS":
-            btype = tokens[0].upper()
-            cname = tokens[2]
-            value = float(tokens[3]) if len(tokens) > 3 else None
-            if btype == "UP":
-                bounds_hi[cname] = value
-            elif btype == "LO":
-                bounds_lo[cname] = value
-            elif btype == "FX":
-                bounds_lo[cname] = value
-                bounds_hi[cname] = value
-            elif btype == "MI":
-                bounds_lo[cname] = -np.inf
-            elif btype == "PL":
-                bounds_hi[cname] = np.inf
-            elif btype == "BV":
-                bounds_lo[cname] = 0.0
-                bounds_hi[cname] = 1.0
-                integer_cols.add(cname)
-            else:
-                raise ValueError(f"unknown bound type {btype!r}")
-        elif section is not None:
-            raise ValueError(f"data line outside a known section: {raw!r}")
-
-    m, n = len(row_order), len(col_order)
-    row_pos = {r: i for i, r in enumerate(row_order)}
-    rows, cols, vals = [], [], []
-    for rname, cname, value in coeffs:
-        if rname not in row_pos:
-            raise ValueError(f"coefficient references unknown row {rname!r}")
-        rows.append(row_pos[rname])
-        cols.append(col_pos[cname])
-        vals.append(value)
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
-    c = np.zeros(n)
-    for cname, value in c_entries.items():
-        c[col_pos[cname]] = value
-    b = np.zeros(m)
-    for rname, value in rhs.items():
-        if rname in row_pos:
-            b[row_pos[rname]] = value
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
-    for cname, value in bounds_lo.items():
-        lower[col_pos[cname]] = value
-    for cname, value in bounds_hi.items():
-        upper[col_pos[cname]] = value
-    mask = np.array([cname in integer_cols for cname in col_order], dtype=bool)
-    problem = LpProblem(c, a, tuple(senses[r] for r in row_order), b, lower, upper)
-    return problem, mask, name

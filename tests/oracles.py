@@ -3,8 +3,9 @@
 Everything here is deliberately written from first principles (and slowly):
 Dijkstra instead of Floyd-Warshall, vertex enumeration instead of simplex,
 exhaustive expectimax instead of tree search, a per-cell loop and exact
-outcome enumeration instead of the vectorised transition law, and a direct
-forward recursion for the fluid dynamics.  None of it imports the
+outcome enumeration instead of the vectorised transition law, a direct
+forward recursion for the fluid dynamics, and the fixed-format MPS reader
+that the package's writer is checked against.  None of it imports the
 implementation paths it verifies beyond plain data containers.
 """
 
@@ -135,12 +136,11 @@ def fluid_recursion(spread, state, horizon, delta=0.1):
     (the model is infeasible there).
     """
     n = spread.spec.n_cells
-    neighbors = [[y for y, _ in spread.in_edges[x]] for x in range(n)]
     ibar = np.zeros((horizon + 1, n))
     ibar[0] = np.asarray(state.burning, dtype=float)
     for t in range(1, horizon + 1):
         for x in range(n):
-            ibar[t][x] = ibar[t - 1][x] + sum(ibar[t - 1][y] for y in neighbors[x])
+            ibar[t][x] = ibar[t - 1][x] + sum(ibar[t - 1][y] for y, _ in spread.in_edges[x])
     f0 = np.zeros(n)
     for x in range(n):
         f0[x] = delta + sum(ibar[t][x] for t in range(min(horizon, state.fuel[x]) + 1))
@@ -157,7 +157,7 @@ def fluid_recursion(spread, state, horizon, delta=0.1):
                 intensity[t][x] = 0.0
             else:
                 intensity[t][x] = intensity[t - 1][x] + sum(
-                    spread.p(x, y) * intensity[t - 1][y] for y in neighbors[x]
+                    p * intensity[t - 1][y] for y, p in spread.in_edges[x]
                 )
         z = z | (fuel <= delta + 1e-12)
     return intensity
@@ -174,10 +174,11 @@ def ignition_prob(spread, state, x):
     neighbours y, or 0 once x has no fuel."""
     if state.fuel[x] <= 0:
         return 0.0
+    rates = dict(spread.in_edges[x])  # no entry: P(x, y) = 0
     keep = 1.0
     for y in spread.spec.neighbors(x):
         if state.burning[y]:
-            keep *= 1.0 - spread.p(x, y)
+            keep *= 1.0 - rates.get(y, 0.0)
     return 1.0 - keep
 
 
@@ -382,3 +383,135 @@ def reference_build_model(calibration, state, rewards, teams):
     return types.SimpleNamespace(c=c, a=a, senses=tuple(senses), b=np.array(b),
                                  lower=lower, upper=upper,
                                  integer_mask=integer_mask, row_labels=labels)
+
+
+_TAG_TO_SENSE = {"L": "<=", "E": "=", "G": ">="}
+
+
+def parse_mps(text: str):
+    """Inverse of ``firegrid.mpsio.write_mps``: returns (LpProblem,
+    integer_mask, name).
+
+    Accepts whitespace-delimited fixed MPS with N/L/G/E rows, INTORG/INTEND
+    markers, one RHS set and UP/LO/FX/MI/PL/BV bounds.  RANGES sections are
+    rejected.
+    """
+    import scipy.sparse as sp
+
+    from firegrid.lp import LpProblem
+
+    name = ""
+    section = None
+    row_order = []
+    senses = {}
+    objective_row = None
+    col_order = []
+    col_pos = {}
+    coeffs = []  # (row, col, value)
+    c_entries = {}
+    rhs = {}
+    bounds_lo = {}
+    bounds_hi = {}
+    integer_cols = set()
+    in_integer = False
+
+    for raw in text.splitlines():
+        if not raw.strip() or raw.lstrip().startswith("*"):
+            continue
+        head = raw[0] not in (" ", "\t")
+        tokens = raw.split()
+        if head:
+            keyword = tokens[0].upper()
+            if keyword == "NAME":
+                name = tokens[1] if len(tokens) > 1 else ""
+                continue
+            if keyword == "ENDATA":
+                break
+            if keyword == "RANGES":
+                raise ValueError("RANGES sections are not supported")
+            if keyword in ("ROWS", "COLUMNS", "RHS", "BOUNDS"):
+                section = keyword
+                continue
+            raise ValueError(f"unknown MPS section {keyword!r}")
+        if section == "ROWS":
+            tag, rname = tokens[0].upper(), tokens[1]
+            if tag == "N":
+                if objective_row is None:
+                    objective_row = rname
+                continue
+            if tag not in _TAG_TO_SENSE:
+                raise ValueError(f"unknown row type {tag!r}")
+            senses[rname] = _TAG_TO_SENSE[tag]
+            row_order.append(rname)
+        elif section == "COLUMNS":
+            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
+                if tokens[-1] == "'INTORG'":
+                    in_integer = True
+                elif tokens[-1] == "'INTEND'":
+                    in_integer = False
+                continue
+            cname = tokens[0]
+            if cname not in col_pos:
+                col_pos[cname] = len(col_order)
+                col_order.append(cname)
+                if in_integer:
+                    integer_cols.add(cname)
+            for k in range(1, len(tokens) - 1, 2):
+                rname, value = tokens[k], float(tokens[k + 1])
+                if rname == objective_row:
+                    c_entries[cname] = value
+                else:
+                    coeffs.append((rname, cname, value))
+        elif section == "RHS":
+            for k in range(1, len(tokens) - 1, 2):
+                rhs[tokens[k]] = float(tokens[k + 1])
+        elif section == "BOUNDS":
+            btype = tokens[0].upper()
+            cname = tokens[2]
+            value = float(tokens[3]) if len(tokens) > 3 else None
+            if btype == "UP":
+                bounds_hi[cname] = value
+            elif btype == "LO":
+                bounds_lo[cname] = value
+            elif btype == "FX":
+                bounds_lo[cname] = value
+                bounds_hi[cname] = value
+            elif btype == "MI":
+                bounds_lo[cname] = -np.inf
+            elif btype == "PL":
+                bounds_hi[cname] = np.inf
+            elif btype == "BV":
+                bounds_lo[cname] = 0.0
+                bounds_hi[cname] = 1.0
+                integer_cols.add(cname)
+            else:
+                raise ValueError(f"unknown bound type {btype!r}")
+        elif section is not None:
+            raise ValueError(f"data line outside a known section: {raw!r}")
+
+    m, n = len(row_order), len(col_order)
+    row_pos = {r: i for i, r in enumerate(row_order)}
+    rows, cols, vals = [], [], []
+    for rname, cname, value in coeffs:
+        if rname not in row_pos:
+            raise ValueError(f"coefficient references unknown row {rname!r}")
+        rows.append(row_pos[rname])
+        cols.append(col_pos[cname])
+        vals.append(value)
+    a = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
+    c = np.zeros(n)
+    for cname, value in c_entries.items():
+        c[col_pos[cname]] = value
+    b = np.zeros(m)
+    for rname, value in rhs.items():
+        if rname in row_pos:
+            b[row_pos[rname]] = value
+    lower = np.zeros(n)
+    upper = np.full(n, np.inf)
+    for cname, value in bounds_lo.items():
+        lower[col_pos[cname]] = value
+    for cname, value in bounds_hi.items():
+        upper[col_pos[cname]] = value
+    mask = np.array([cname in integer_cols for cname in col_order], dtype=bool)
+    problem = LpProblem(c, a, tuple(senses[r] for r in row_order), b, lower, upper)
+    return problem, mask, name

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -8,7 +9,9 @@ import pytest
 from firegrid.cli import main
 from firegrid.harness import POLICY_NAMES, ScenarioError, load_scenario, scenario_from_dict
 from firegrid.lp import OPTIMAL, solve_lp
-from firegrid.mpsio import parse_mps, write_mps
+from firegrid.mpsio import write_mps
+
+from oracles import parse_mps
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 GOLDEN = Path(__file__).parent / "golden"
@@ -305,6 +308,7 @@ GRID1_DOC = {"family": "grid1", "k": 4, "P_default": 0.06, "Q_default": 0.8,
     (explicit_doc(rewards=[-1.0, "x", -2.0, -4.0]), "rewards"),
     ({k: v for k, v in explicit_doc().items() if k != "rewards"}, "rewards"),
     (dict(GRID1_DOC, P_default=1e-6), "P_default"),
+    (dict(GRID1_DOC, family="grid2", **{"lambda": math.nan}), "lambda"),
 ])
 def test_malformed_scenario_fails_at_load(tmp_path, capsys, doc, field):
     with pytest.raises(ScenarioError, match=f"^field '{field}'"):
@@ -331,6 +335,8 @@ def test_malformed_scenario_fails_at_load(tmp_path, capsys, doc, field):
     ({"mo": {"backend": "auto"}}, "mo"),
     ({"mcts": {"widen_k_action": 0}}, "mcts"),
     ({"mcts": {"budget_iterations": -1}}, "mcts"),
+    ({"mo": {"delta": math.nan}}, "mo"),
+    ({"mo": {"time_limit": math.inf}}, "mo"),
 ])
 def test_bad_planner_option_names_field(tmp_path, capsys, block, field):
     scenario = write_scenario(tmp_path, explicit_doc(**block))
@@ -355,6 +361,18 @@ def test_unknown_policy_rejected(tmp_path, capsys):
                  "--summary-out", str(tmp_path / "s.csv")])
     assert code != 0
     assert "zen" in capsys.readouterr().err
+
+
+def test_policy_names_have_one_spelling(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, explicit_doc())
+    code = main(["benchmark", "--scenario", scenario, "--policies", "MO",
+                 "--out", str(tmp_path / "r.csv"),
+                 "--summary-out", str(tmp_path / "s.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("firegrid: scenario error: field 'policies': unknown policy 'MO'")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_shipped_scenarios_load():

@@ -22,9 +22,9 @@ from firegrid.heuristics import all_pairs_distances, fw_policy, fw_weights
 from firegrid.lp import EQ, GE, LE, OPTIMAL, LpProblem, solve_lp, solve_lp_scipy
 from firegrid.mdp import IDLE, FireState, GridSpec, RewardModel, SpreadModel, idle_action
 from firegrid.milp import branch_and_bound
-from firegrid.mpsio import parse_mps, write_mps
+from firegrid.mpsio import write_mps
 
-from oracles import fluid_recursion, reference_build_model, reference_calibrate
+from oracles import fluid_recursion, parse_mps, reference_build_model, reference_calibrate
 
 
 def uniform(k, h=None, p=0.06, q=0.8):
@@ -80,11 +80,16 @@ def test_calibration_reuses_mdp_rates():
 def test_variable_and_row_counts_single_cell():
     spec, spread = uniform(1)
     state = FireState((1,), (5,))
+    rewards = RewardModel((-1.0,))
+    cal = calibrate(spread, state, 1)
     for teams in (0, 1, 3):
-        model = build_model(calibrate(spread, state, 1), state,
-                            RewardModel((-1.0,)), teams)
+        model = build_model(cal, state, rewards, teams)
         assert model.problem.shape == (10, 8)
-        kinds = [label[0] for label in model.row_labels]
+        # row kinds from the oracle, whose row order build_model matches
+        ref = summed_teams(reference_build_model(cal, state, rewards, max(teams, 1)),
+                           1, 1, teams)
+        assert model.problem.senses == ref.senses
+        kinds = [label[0] for label in ref.row_labels]
         assert kinds.count("dyn") == 1
         assert kinds.count("fuel") == 2
         assert kinds.count("force_lo") == 2
@@ -142,8 +147,7 @@ def _solved_small_milp():
     state = FireState((1, 1, 0, 0), (8, 8, 8, 8))
     model = build_model(calibrate(spread, state, 3), state,
                         RewardModel((-1.0, -2.0, -2.0, -4.0)), 1)
-    res = branch_and_bound(model.problem, model.integer_mask,
-                           tiers=[list(model.z_indices())])
+    res = branch_and_bound(model.problem, model.integer_mask)
     assert res.status == OPTIMAL
     return model, res
 
@@ -183,8 +187,7 @@ def test_zero_team_trajectory_matches_forward_recursion():
     horizon = 4
     model = build_model(calibrate(spread, state, horizon), state,
                         RewardModel(tuple(-1.0 - 0.2 * i for i in range(9))), 0)
-    res = branch_and_bound(model.problem, model.integer_mask,
-                           tiers=[list(model.z_indices())])
+    res = branch_and_bound(model.problem, model.integer_mask)
     assert res.status == OPTIMAL
     oracle = fluid_recursion(spread, state, horizon)
     assert oracle is not None
@@ -195,14 +198,18 @@ def test_recursion_rows_tight_where_intensity_positive():
     spec, spread = uniform(3)
     state = FireState((0, 1, 0, 0, 1, 0, 0, 0, 0), (15,) * 9)
     horizon = 3
-    model = build_model(calibrate(spread, state, horizon), state,
-                        RewardModel(tuple(-1.0 - 0.1 * i for i in range(9))), 0)
-    res = branch_and_bound(model.problem, model.integer_mask,
-                           tiers=[list(model.z_indices())])
+    rewards = RewardModel(tuple(-1.0 - 0.1 * i for i in range(9)))
+    cal = calibrate(spread, state, horizon)
+    model = build_model(cal, state, rewards, 0)
+    res = branch_and_bound(model.problem, model.integer_mask)
     assert res.status == OPTIMAL
     residual = model.problem.a @ res.x - model.problem.b
     intensity = model.intensity(res.x)
-    for row, label in enumerate(model.row_labels):
+    # row kinds from the oracle, whose row order build_model matches bit for bit
+    labels = summed_teams(reference_build_model(cal, state, rewards, 1),
+                          9, horizon, 0).row_labels
+    assert len(labels) == len(residual)
+    for row, label in enumerate(labels):
         if label[0] == "dyn":
             _, t, cell = label
             if intensity[t, cell] > 1e-9:
@@ -487,7 +494,6 @@ def test_build_model_matches_the_row_by_row_oracle(case):
     for name in ("b", "c", "lower", "upper"):
         assert same_bits(getattr(model.problem, name), getattr(ref, name)), name
     assert model.problem.senses == ref.senses
-    assert list(model.row_labels) == ref.row_labels
     assert np.array_equal(model.integer_mask, ref.integer_mask)
 
 
@@ -515,14 +521,13 @@ def test_slot_table_lists_the_in_edges_and_its_readers_sum_them_in_order(case):
     for x in range(n):
         listed = sorted((y, p) for (cell, y), p in edges.items() if cell == x and p > 0.0)
         assert list(spread.in_edges[x]) == listed
+        assert all(type(p) is float for _, p in spread.in_edges[x])
     degree = max(map(len, spread.in_edges), default=0)
     assert spread.slot_source.shape == spread.slot_rate.shape == (degree, n)
     assert spread.slot_source.dtype == np.intp
     for x, listed in enumerate(spread.in_edges):
         column = list(zip(spread.slot_source[:, x].tolist(), spread.slot_rate[:, x].tolist()))
         assert column == list(listed) + [(0, 0.0)] * (degree - len(listed))
-    for (x, y), p in edges.items():
-        assert spread.p(x, y) == p and type(spread.p(x, y)) is float
 
     cal = calibrate(spread, state, horizon)
     ibar, f0 = reference_calibrate(spread, state, horizon)
@@ -571,6 +576,17 @@ def test_default_backend_solves_with_highs(monkeypatch):
     action = policy(state, None)
     assert policy.fallbacks == 0
     assert all(state.burning[x] for x in action)
+
+
+def test_relax_and_score_rejects_an_unknown_backend():
+    # only "highs" and "bundled" name a solver; "auto" and misspellings are refused
+    spec, spread = uniform(2)
+    state = FireState((0, 1, 0, 0), (6,) * 4)
+    model = build_model(calibrate(spread, state, 3), state,
+                        RewardModel((-1.0, -5.0, -1.0, -1.0)), 2)
+    for backend in ("auto", "autoo", "HIGHS"):
+        with pytest.raises(ValueError, match=f"unknown backend '{backend}'"):
+            relax_and_score(model, backend=backend)
 
 
 def test_scipy_optimize_is_imported_with_the_mo_policy_not_the_package():

@@ -182,8 +182,10 @@ def test_scenario_round_trip(tmp_path):
 
 
 def test_make_policy_rejects_unknown_name():
-    with pytest.raises(ScenarioError, match="'policies': unknown policy 'nope'"):
-        scenario_from_dict(explicit_doc()).make_policy("nope")
+    # one spelling per policy: "MO" is not "mo"
+    for name in ("nope", "MO"):
+        with pytest.raises(ScenarioError, match=f"'policies': unknown policy '{name}'"):
+            scenario_from_dict(explicit_doc()).make_policy(name)
 
 
 def test_scenario_unknown_field_named():
@@ -246,6 +248,16 @@ def test_scenario_planner_blocks_validated_at_load():
     ):
         with pytest.raises(ScenarioError, match=f"^field 'mcts': {message}"):
             scenario_from_dict(explicit_doc(mcts=options))
+    for options, message in (
+        ({"delta": math.nan}, "delta must be a finite number > 0"),
+        ({"delta": math.inf}, "delta must be a finite number > 0"),
+        ({"delta": 0.0}, "delta must be a finite number > 0"),
+        ({"time_limit": math.nan}, "time_limit must be a finite number > 0 or null"),
+        ({"time_limit": math.inf}, "time_limit must be a finite number > 0 or null"),
+        ({"time_limit": -1.0}, "time_limit must be a finite number > 0 or null"),
+    ):
+        with pytest.raises(ScenarioError, match=f"^field 'mo': {message}"):
+            scenario_from_dict(explicit_doc(mo=options))
     # zero budgets stay legal: the search falls back to the rollout policy
     scenario_from_dict(explicit_doc(mcts={"budget_seconds": 0.0, "budget_iterations": 0}))
 

@@ -14,7 +14,6 @@ from firegrid.mdp import (
     Wildfire,
     burning_cells,
     idle_action,
-    make_action,
 )
 from oracles import (
     enumerate_transitions,
@@ -167,13 +166,6 @@ def test_enumerate_two_teams_all_burning_q08():
     by_burning = {s.burning: p for s, p, _ in outs}
     assert by_burning[(1, 1, 1, 1)] == pytest.approx(0.2 ** 2)
     assert by_burning[(0, 1, 1, 1)] == pytest.approx(1 - 0.2 ** 2)
-
-
-def test_make_action_canonical():
-    assert make_action([3, 1, 2]) == (1, 2, 3)
-    assert make_action([2], teams=3) == (-1, -1, 2)
-    with pytest.raises(ValueError):
-        make_action([1, 2], teams=1)
 
 
 # -- sampled-frequency agreement with the exact law ------------------------

@@ -5,7 +5,9 @@ import scipy.sparse as sp
 from firegrid.lp import EQ, GE, LE, OPTIMAL, LpProblem, solve_lp
 from firegrid.fluid import build_model, calibrate
 from firegrid.mdp import FireState, GridSpec, RewardModel, SpreadModel
-from firegrid.mpsio import parse_mps, write_mps
+from firegrid.mpsio import write_mps
+
+from oracles import parse_mps
 
 
 def small_problem():
