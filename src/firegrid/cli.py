@@ -15,7 +15,9 @@ cells at the decision), ``action`` (the teams' target cells) and ``ms``
 (``branch-and-bound`` or ``relax-round``), ``status``, ``objective`` and
 ``fallback``.  When ``--trace`` or ``--out`` is ``-``, the episode's
 ``policy=... steps=...`` summary line goes to stderr, so stdout holds only
-the JSON lines or the CSV.
+the JSON lines or the CSV; ``benchmark`` does the same with its per-policy
+``mean=... median=...`` lines when ``--out`` or ``--summary-out`` is ``-``.
+Two outputs of one command may not name the same file, or both ``-``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -39,6 +42,15 @@ def _write(path: str | None, text: str):
             fh.write(text)
 
 
+def _refuse_one_target(args, first: str, second: str):
+    """Raise when the output flags ``first`` and ``second`` name one target:
+    the later write would replace the earlier, or both would share stdout."""
+    paths = [getattr(args, flag[2:].replace("-", "_")) for flag in (first, second)]
+    targets = {p if p == "-" else os.path.realpath(p) for p in paths if p is not None}
+    if len(targets) == 1 and None not in paths:
+        raise ValueError(f"{first} and {second} name the same output {paths[1]!r}")
+
+
 def _load(args) -> harness.ScenarioConfig:
     config = harness.load_scenario(args.scenario)
     if getattr(args, "seed", None) is not None:
@@ -47,6 +59,7 @@ def _load(args) -> harness.ScenarioConfig:
 
 
 def _cmd_simulate(args) -> int:
+    _refuse_one_target(args, "--trace", "--out")
     config = _load(args)
     policy = config.make_policy(args.policy)
     records = None if args.trace is None else []
@@ -63,6 +76,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    _refuse_one_target(args, "--out", "--summary-out")
     config = _load(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
@@ -71,11 +85,12 @@ def _cmd_benchmark(args) -> int:
         config, policies, reps=args.reps, jobs=args.jobs)
     _write(args.out, harness.results_to_csv(results))
     _write(args.summary_out, harness.summary_to_csv(summary))
+    log = sys.stderr if "-" in (args.out, args.summary_out) else sys.stdout
     for ps in summary.policies:
         rel = ("-" if ps.improvement_vs_random is None
                else f"{ps.improvement_vs_random:+.2f}%")
         print(f"{ps.policy}: mean={ps.mean:.3f} median={ps.median:.3f} "
-              f"vs-random={rel}")
+              f"vs-random={rel}", file=log)
     return 0
 
 

@@ -17,6 +17,10 @@ intensity, detaching the solution from the dynamics (the zero-team
 trajectory would no longer track the forward recursion), so the magnitudes
 are used.
 
+The model's layout, four column blocks I, F, Z and y of (T+1) x n
+columns each and six row blocks, is declared once, in ``_pattern``; its
+``columns`` map is how every reader finds a variable.
+
 Known pathology (kept, by design): the indicator that vacates the intensity
 recursion acts with a one-step lag, so a state containing burning cells with
 almost no fuel left can make the model infeasible regardless of the
@@ -28,6 +32,7 @@ than patching the formulation.
 from __future__ import annotations
 
 import functools
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -39,7 +44,7 @@ import scipy.sparse as sp
 from .heuristics import all_pairs_distances, fw_policy, fw_weights  # noqa: F401
 from .lp import EQ, GE, LE, OPTIMAL, LpProblem, solve_lp, solve_lp_scipy
 from .mdp import Action, FireState, RewardModel, SpreadModel, idle_action
-from .milp import branch_and_bound
+from .milp import TIME_LIMIT, branch_and_bound
 
 IBAR_CAP = 1e12
 TIE_BREAK = 1e-6  # times max|c|: the cost that orders equal LP optima
@@ -106,131 +111,127 @@ def calibrate(
 
 @dataclass
 class FluidModel:
-    """LP/MILP encoding of the fluid dynamics for one planning epoch."""
+    """LP/MILP encoding of the fluid dynamics for one planning epoch.
+
+    ``columns`` maps each variable block, "I" (intensity), "F" (fuel), "Z"
+    (indicators) and "y" (assignments), to its read-only (T+1, n) array of
+    column indices: ``x[columns["F"]]`` is a solution's fuel trajectory.
+    """
 
     problem: LpProblem
     integer_mask: np.ndarray
-    horizon: int
-    n_cells: int
+    columns: dict
     teams: int
     calibration: Calibration
     state: FireState
 
-    def z_index(self, t: int, x: int) -> int:
-        return 2 * (self.horizon + 1) * self.n_cells + t * self.n_cells + x
-
-    def y_index(self, t: int, x: int) -> int:
-        return 3 * (self.horizon + 1) * self.n_cells + t * self.n_cells + x
-
-    @property
-    def n_vars(self) -> int:
-        return 4 * (self.horizon + 1) * self.n_cells
-
-    def z_indices(self) -> range:
-        lo = self.z_index(0, 0)
-        return range(lo, lo + (self.horizon + 1) * self.n_cells)
-
-    def intensity(self, x: np.ndarray) -> np.ndarray:
-        """Reshape a solution vector into the (T+1, n) intensity trajectory."""
-        size = (self.horizon + 1) * self.n_cells
-        return np.asarray(x[:size]).reshape(self.horizon + 1, self.n_cells)
-
-    def fuel_values(self, x: np.ndarray) -> np.ndarray:
-        size = (self.horizon + 1) * self.n_cells
-        return np.asarray(x[size:2 * size]).reshape(self.horizon + 1, self.n_cells)
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        """Per-cell time-zero assignment mass v(x) = y(0, x)."""
-        start = self.y_index(0, 0)
-        return np.asarray(x[start:start + self.n_cells])
+    def z_indices(self) -> np.ndarray:
+        """The indicator columns Z(t, x), t-major."""
+        return self.columns["Z"].ravel()
 
 
 @dataclass(frozen=True)
 class _Pattern:
-    """The fluid model's constraint matrix without its state-dependent values.
+    """The fluid model's layout without its state-dependent values.
 
-    ``indices`` holds the column of every entry that may be nonzero, sorted
-    within each row, and ``indptr`` the row starts.  Entry j's value is
-    ``table[take[j]]``, where a state's value table starts with
-    ``constants`` (1, -1, then -P(x, y) per in-edge) and continues with the
-    relief ibar[t, x] Q(x) for t = 1..T, big-M, f0, f0 - delta and delta.
+    ``columns`` holds the column blocks that ``FluidModel.columns`` names
+    and ``shape`` the matrix's (rows, columns).  ``indices`` holds the
+    column of every entry that may be nonzero, sorted within each row, and
+    ``indptr`` the row starts.  Entry j's value is ``table[take[j]]`` and
+    row i's right-hand side ``table[rhs[i]]``, where a state's value table
+    starts with ``constants`` (0, 1, -1, then -P(x, y) per in-edge) and
+    continues with the relief ibar[t, x] Q(x) for t = 1..T, big-M, f0,
+    f0 - delta, delta and the team count.
     """
 
+    columns: dict
+    shape: tuple
     indptr: np.ndarray
     indices: np.ndarray
     take: np.ndarray
+    rhs: np.ndarray
     constants: np.ndarray
     senses: tuple
 
 
 @functools.lru_cache(maxsize=16)
 def _pattern(spread: SpreadModel, horizon: int) -> _Pattern:
-    """The part of ``build_model``'s matrix that no state or team count
-    changes: columns I(t, x), F(t, x), Z(t, x), then y(t, x), each t-major.
+    """The part of ``build_model``'s model that no state or team count
+    changes: four column blocks, I(t, x), F(t, x), Z(t, x), then y(t, x),
+    each t-major, and six row blocks, numbered in the order they are
+    declared below, each with its sense and right-hand side.
 
     Cached by the spread model's identity.  Its in-edges come from the
     transposed slot table, cell-major and in in-edge order within a cell.
     """
     n = spread.spec.n_cells
-    steps = horizon * n  # cells x periods 1..T (or 0..T-1)
-    size = (horizon + 1) * n  # cells x periods 0..T
-    i_col, f_col, z_col, y_col = 0, size, 2 * size, 3 * size
+    periods = horizon + 1
+    size = periods * n
+    i, f, z, y = (k * size + np.arange(size).reshape(periods, n) for k in range(4))
+    for block in (i, f, z, y):
+        block.setflags(write=False)
     rate = spread.slot_rate.T
     edge = rate > 0.0
     edge_cell = np.nonzero(edge)[0]
     edge_source = spread.slot_source.T[edge]
-    n_edges = len(edge_cell)
+    constants = np.concatenate(([0.0, 1.0, -1.0], -rate[edge]))
+    zero, one, minus_one, p_at = 0, 1, 2, 3
     # where the per-state values start in the value table
-    relief_at = 2 + n_edges
-    big_m_at = relief_at + steps
-    f0_at = big_m_at + n
-    f0_less_delta_at = f0_at + n
-    delta_at = f0_less_delta_at + n
+    relief_at, big_m_at, f0_at, f0_less_delta_at, delta_at, teams_at = (
+        len(constants) + np.cumsum([0, horizon * n, n, n, n, 1]))
+    cell = np.arange(n)
 
-    parts = []  # (rows, columns, value-table slots), broadcast to one shape
+    entries = []  # (rows, columns, value-table slots), broadcast to one shape
+    senses, rhs = [], []
+
+    def row_block(shape, sense, rhs_at):
+        """The next block of rows, with its sense and right-hand-side slots."""
+        block = len(senses) + np.arange(np.prod(shape)).reshape(shape)
+        senses.extend([sense] * block.size)
+        rhs.append(np.broadcast_to(rhs_at, shape).ravel())
+        return block
 
     def add(rows, cols, take):
         rows, cols, take = np.broadcast_arrays(rows, cols, take)
-        parts.append((rows.ravel(), cols.ravel(), take.ravel()))
+        entries.append((rows.ravel(), cols.ravel(), take.ravel()))
 
-    # intensity recursion, t = 1..T: row (t-1) n + x
-    dyn = np.arange(steps).reshape(horizon, n)
-    cell = np.arange(n)
-    add(dyn, i_col + n + dyn, 0)
-    add(dyn, i_col + dyn, 1)
-    before = np.arange(horizon)[:, None] * n
-    add(dyn[:, edge_cell], i_col + before + edge_source, 2 + np.arange(n_edges))
-    add(dyn, y_col + dyn, relief_at + dyn)
-    add(dyn, z_col + dyn, big_m_at + cell)
+    # intensity recursion, t = 1..T:
+    # I(t) - I(t-1) - sum_y P I(t-1, y) + relief y(t-1) + big-M Z(t-1) >= 0
+    dyn = row_block((horizon, n), GE, zero)
+    add(dyn, i[1:], one)
+    add(dyn, i[:-1], minus_one)
+    add(dyn[:, edge_cell], i[:-1, edge_source], p_at + np.arange(len(edge_cell)))
+    add(dyn, y[:-1], relief_at + np.arange(horizon * n).reshape(horizon, n))
+    add(dyn, z[:-1], big_m_at + cell)
     # cumulative fuel: F(t, x) + sum_{t' < t} I(t', x) = f0
-    fuel = steps + np.arange(size)
-    add(fuel, f_col + np.arange(size), 0)
-    later, earlier = np.tril_indices(horizon + 1, -1)
-    add(steps + later[:, None] * n + cell, i_col + earlier[:, None] * n + cell, 0)
+    fuel = row_block((periods, n), EQ, f0_at + cell)
+    add(fuel, f, one)
+    later, earlier = np.tril_indices(periods, -1)
+    add(fuel[later], i[earlier], one)
     # forcing pair F + delta Z >= delta and F + (f0 - delta) Z <= f0
-    for row0, z_coef in ((steps + size, delta_at),
-                         (steps + 2 * size, f0_less_delta_at + cell)):
-        force = (row0 + np.arange(size)).reshape(horizon + 1, n)
-        add(force, f_col + force - row0, 0)
-        add(force, z_col + force - row0, z_coef)
+    force_lo = row_block((periods, n), GE, delta_at)
+    add(force_lo, f, one)
+    add(force_lo, z, delta_at)
+    force_hi = row_block((periods, n), LE, f0_at + cell)
+    add(force_hi, f, one)
+    add(force_hi, z, f0_less_delta_at + cell)
     # cutoff I(t+1, x) + f0 Z(t, x) <= f0, t = 0..T-1
-    cutoff = (steps + 3 * size + np.arange(steps)).reshape(horizon, n)
-    add(cutoff, i_col + n + cutoff - cutoff[0, 0], 0)
-    add(cutoff, z_col + cutoff - cutoff[0, 0], f0_at + cell)
-    # at most ``teams`` assignments per period: row t, columns y(t, x)
-    assign0 = 2 * steps + 3 * size
-    t = np.arange(horizon + 1)[:, None]
-    add(assign0 + t, y_col + t * n + cell, 0)
+    cutoff = row_block((horizon, n), LE, f0_at + cell)
+    add(cutoff, i[1:], one)
+    add(cutoff, z[:-1], f0_at + cell)
+    # at most ``teams`` assignments per period: sum_x y(t, x) <= teams
+    assign = row_block((periods, 1), LE, teams_at)
+    add(assign, y, one)
 
-    rows, cols, take = (np.concatenate(p) for p in zip(*parts))
+    rows, cols, take = (np.concatenate(p) for p in zip(*entries))
     order = np.lexsort((cols, rows))
-    n_rows = assign0 + horizon + 1
+    n_rows = len(senses)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    senses = (GE,) * steps + (EQ,) * size + (GE,) * size + (LE,) * (size + steps + horizon + 1)
-    constants = np.concatenate(([1.0, -1.0], -rate[edge]))
-    return _Pattern(indptr=indptr, indices=cols[order].astype(np.int32), take=take[order],
-                    constants=constants, senses=senses)
+    return _Pattern(columns={"I": i, "F": f, "Z": z, "y": y}, shape=(n_rows, 4 * size),
+                    indptr=indptr, indices=cols[order].astype(np.int32),
+                    take=take[order], rhs=np.concatenate(rhs), constants=constants,
+                    senses=tuple(senses))
 
 
 def build_model(
@@ -246,54 +247,46 @@ def build_model(
     into 0 <= y <= teams is exact: any such y splits into one assignment per
     team that sums to at most one over the cells.
 
-    The sparsity pattern, the constant coefficients (1, -1 and -P(x, y))
-    and the senses depend only on the spread model and the horizon; they
-    are built once per such pair and cached in the module.
-    Each call fills in the state's values: the relief ibar[t, x] Q(x),
-    big-M, f0, f0 - delta and delta, the right-hand sides, the time-zero
-    intensity bounds and the assignment bounds, and leaves out every
-    coefficient that comes out zero.
+    The layout (column and row blocks, the sparsity pattern, the constant
+    coefficients 1, -1 and -P(x, y), and the senses) depends only on the
+    spread model and the horizon; ``_pattern`` builds it once per such pair.
+    Each call fills the value table with the state's relief ibar[t, x] Q(x),
+    big-M, f0, f0 - delta, delta and the team count, reads the coefficients
+    and right-hand sides from it, leaving out every coefficient that comes
+    out zero, and sets costs, bounds and integrality per column block.
     """
-    horizon = calibration.horizon
     n = len(state.burning)
     spread = calibration.spread
     if len(calibration.f0) != n or spread.spec.n_cells != n:
         raise ValueError("calibration grid size mismatch")
-    delta = calibration.delta
-    f0 = calibration.f0
-    ibar = calibration.ibar
-    pattern = _pattern(spread, horizon)
+    delta, f0, ibar = calibration.delta, calibration.f0, calibration.ibar
+    pattern = _pattern(spread, calibration.horizon)
     big_m = f0 + _in_edge_sums(spread, f0)
     table = np.concatenate((pattern.constants,
                             (ibar[1:] * np.asarray(spread.q)).ravel(),
-                            big_m, f0, f0 - delta, [delta]))
+                            big_m, f0, f0 - delta, [delta, teams]))
     data = table[pattern.take]
     keep = data != 0.0
     kept_before = np.concatenate(([0], np.cumsum(keep)))
-    n_rows = len(pattern.senses)
-    size = (horizon + 1) * n
-    n_vars = 4 * size
     a = sp.csr_matrix((data[keep], pattern.indices[keep], kept_before[pattern.indptr]),
-                      shape=(n_rows, n_vars))
+                      shape=pattern.shape)
 
-    b = np.concatenate((np.zeros(horizon * n),  # recursion
-                        np.tile(f0, horizon + 1),  # fuel
-                        np.full(size, float(delta)),  # force_lo
-                        np.tile(f0, 2 * horizon + 1),  # force_hi, cutoff
-                        np.full(horizon + 1, float(teams))))  # assign
+    cols = pattern.columns
+    n_vars = pattern.shape[1]
     c = np.zeros(n_vars)
-    c[:size] = np.tile(-np.asarray(rewards.values), horizon + 1)
-    # I_0 is the burning map; the binaries z, then the integers y, run last
+    c[cols["I"]] = -np.asarray(rewards.values)
+    # I(0) is the burning map; Z is binary and y integer
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
-    lower[:n] = upper[:n] = np.asarray(state.burning, dtype=float)
-    upper[2 * size:3 * size] = 1.0
-    upper[3 * size:] = float(teams)
+    lower[cols["I"][0]] = upper[cols["I"][0]] = np.asarray(state.burning, dtype=float)
+    upper[cols["Z"]] = 1.0
+    upper[cols["y"]] = float(teams)
     mask = np.zeros(n_vars, dtype=bool)
-    mask[2 * size:] = True
+    mask[cols["Z"]] = mask[cols["y"]] = True
     return FluidModel(
-        problem=LpProblem(c, a, pattern.senses, b, lower, upper), integer_mask=mask,
-        horizon=horizon, n_cells=n, teams=teams, calibration=calibration, state=state)
+        problem=LpProblem(c, a, pattern.senses, table[pattern.rhs], lower, upper),
+        integer_mask=mask, columns=dict(cols), teams=teams, calibration=calibration,
+        state=state)
 
 
 def relax_and_score(
@@ -312,23 +305,31 @@ def relax_and_score(
     the solved fuel at delta, fixed, and the LP re-solved once with ties
     broken; ``info["objective"]`` is the unperturbed cost.  ``backend`` is
     ``"highs"`` (every LP goes to HiGHS) or ``"bundled"`` (the dense simplex).
+
+    ``time_limit`` is wall-clock seconds for the whole call: each HiGHS LP
+    gets what is left of it, and when nothing is left before the re-solve
+    there is no action and the status is ``"time-limit"``.
     """
-    problem = model.problem
+    problem, cols = model.problem, model.columns
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+
+    def time_left():
+        return None if deadline is None else max(deadline - time.monotonic(), 0.0)
+
     if backend == "bundled":
         lp_solver = solve_lp
     elif backend == "highs":
-        lp_solver = lambda p: solve_lp_scipy(p, time_limit=time_limit)  # noqa: E731
+        lp_solver = lambda p: solve_lp_scipy(p, time_limit=time_left())  # noqa: E731
     else:
         raise ValueError(f"unknown backend {backend!r}: use \"highs\" or \"bundled\"")
-    z = model.z_indices()
     info = {"status": None, "objective": None, "mode": None}
 
-    if len(z) <= bnb_binary_cap:
+    if cols["Z"].size <= bnb_binary_cap:
         info["mode"] = "branch-and-bound"
-        z_mask = np.zeros(model.n_vars, dtype=bool)
-        z_mask[z.start:z.stop] = True
+        z_mask = np.zeros(len(problem.c), dtype=bool)
+        z_mask[cols["Z"]] = True
         res = branch_and_bound(
-            problem, z_mask, time_limit=time_limit, node_limit=node_limit,
+            problem, z_mask, time_limit=time_left(), node_limit=node_limit,
             lp_solver=lp_solver,
         )
         info["status"] = res.status
@@ -342,18 +343,18 @@ def relax_and_score(
         info["status"] = sol.status
         if sol.status != OPTIMAL:
             return None, info
-        # z_index(t, x) runs t-major like the (T+1, n) fuel array
-        fuel = model.fuel_values(sol.x)
-        bits = np.where(fuel <= model.calibration.delta + 1e-9, 1.0, 0.0).ravel()
+        if time_left() == 0.0:  # no time left for the re-solve
+            info["status"] = TIME_LIMIT
+            return None, info
+        bits = np.where(sol.x[cols["F"]] <= model.calibration.delta + 1e-9, 1.0, 0.0)
         lower = problem.lower.copy()
         upper = problem.upper.copy()
-        lower[z.start:z.stop] = bits
-        upper[z.start:z.stop] = bits
+        lower[cols["Z"]] = upper[cols["Z"]] = bits
         # The LP is degenerate in y(0, x): which optimum HiGHS returns depends
         # on its path.  Prefer higher-indexed cells; the index, not the fw
         # order, keeps the model free of the heuristics.
-        c, y0, n = problem.c.copy(), model.y_index(0, 0), model.n_cells
-        c[y0:y0 + n] -= TIE_BREAK * np.abs(c).max() * (1.0 + np.arange(n) / n)
+        c, y0 = problem.c.copy(), cols["y"][0]
+        c[y0] -= TIE_BREAK * np.abs(c).max() * (1.0 + np.arange(len(y0)) / len(y0))
         fixed = LpProblem(c, problem.a, problem.senses, problem.b, lower, upper)
         refit = lp_solver(fixed)
         if refit.status != OPTIMAL:
@@ -362,7 +363,7 @@ def relax_and_score(
         info["objective"] = float(problem.c @ refit.x)
         x = refit.x
 
-    return _action_from_scores(model.state, model.scores(x), model.teams), info
+    return _action_from_scores(model.state, x[cols["y"][0]], model.teams), info
 
 
 def _action_from_scores(state: FireState, v: np.ndarray, teams: int) -> Action:
@@ -392,8 +393,24 @@ def _action_from_scores(state: FireState, v: np.ndarray, teams: int) -> Action:
 class MoConfig:
     """Receding-horizon controller settings (defaults follow the benchmark).
 
-    ``backend``: ``"highs"`` solves every LP with HiGHS, through
-    ``scipy.optimize``; ``"bundled"`` uses the dense simplex in ``lp.py``.
+    Each is a scenario file's ``mo`` key; a value outside its range raises
+    ``ValueError`` naming the key.
+
+    ``horizon``: integer >= 1; 10.  The model's periods T after time zero.
+    ``time_limit``: finite number > 0 or null; 60.  Wall-clock seconds for
+        one decision's solve.  Every HiGHS LP gets what is left of it, branch
+        and bound stops when it is spent, and relax-round with nothing left
+        before its re-solve gives no action (status ``"time-limit"``), so the
+        policy plays its fallback.  Null: no limit.
+    ``delta``: finite number > 0; 0.1.  The fuel level at which a cell's
+        indicator switches it off, also added to each fuel budget f0.
+    ``backend``: "highs" or "bundled"; "highs".  Solve every LP with HiGHS,
+        through ``scipy.optimize``, or with the dense simplex in ``lp.py``.
+    ``bnb_binary_cap``: integer >= 0; 64.  Branch and bound keeps the
+        indicators binary when there are at most this many; above it,
+        relax-round.
+    ``node_limit``: integer >= 1 or null; null.  Branch-and-bound nodes per
+        decision.
     """
 
     horizon: int = 10

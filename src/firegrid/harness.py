@@ -6,12 +6,15 @@ bottom-left corner of a k x k grid with linearly growing burn costs and a
 decaying exponentially across columns.  Both let the fire spread uncontrolled
 for a fuel-scaled warmup and then shrink all fuel by k**-0.25.
 
-Benchmarks are paired: replication r of every policy plays against the
-identical initial fire and the identical random stream, both drawn from a
+Benchmarks are paired: replication r of every policy starts from the
+identical initial fire and the identical stream state, both drawn from a
 stream seeded only by (seed + r).  A benchmark generates each seed's fire
 once and plays every policy on it from a copy of the stream state; under
-``--jobs`` the seed is the unit of work.  Results and summaries serialize to
-CSV with a versioned header comment.
+``--jobs`` the seed is the unit of work.  The transitions are not paired:
+``random``, ``fw_sample`` and ``mcts`` draw from the stream the transitions
+use, and a step draws once per cell whose next state is uncertain, so once
+two policies' draws or states differ, their transitions read other draws.
+Results and summaries serialize to CSV with a versioned header comment.
 """
 
 from __future__ import annotations
@@ -548,9 +551,12 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
 
     Replication r of every policy uses seed ``config.seed + r``.  Each seed's
     initial fire is generated once and shared by all policies, which play it
-    in turn from the same stream state, so every policy sees the same fire
-    and the same draws.  A name given twice plays twice.  Each policy is built
-    once per call; ``run_episode`` resets it before every episode.  With ``jobs > 1`` seeds fan out to a process pool.
+    in turn from the same stream state.  So every policy sees the same fire
+    and starts from the same stream, but a policy that draws from the stream
+    (``random``, ``fw_sample``, ``mcts``) shifts the draws of the transitions
+    after it.  A name given twice plays twice.  Each policy is built once per
+    call; ``run_episode`` resets it before every episode.  With ``jobs > 1``
+    seeds fan out to a process pool.
     Results are merged in (policy, seed) order, so the output depends neither
     on scheduling nor on the order the policies were given.
     """

@@ -70,23 +70,25 @@ def branch_and_bound(
 ) -> MilpSolution:
     """Minimize ``problem`` with the masked variables forced integral.
 
-    ``time_limit`` is wall-clock seconds; with no incumbent at the limit the
-    result carries the best open bound and the explicit ``no-incumbent``
-    status.
+    ``time_limit`` is wall-clock seconds for the whole search, retries
+    included; with no incumbent at the limit the result carries the best
+    open bound and the explicit ``no-incumbent`` status.
     """
     integer_mask = np.asarray(integer_mask, dtype=bool)
     int_indices = np.flatnonzero(integer_mask)
     int_list = int_indices.tolist()
 
+    start = time.monotonic()
+
     def solve_node(node_problem):
         # A child LP stuck on iterations/numerics must not silently prune a
-        # feasible subtree; retry it on the alternate backend.
+        # feasible subtree; retry it on the alternate backend, in the time left.
         sol = lp_solver(node_problem)
-        if sol.status == ITERATION_LIMIT:
-            sol = solve_lp_scipy(node_problem)
+        left = None if time_limit is None else time_limit - (time.monotonic() - start)
+        if sol.status == ITERATION_LIMIT and (left is None or left > 0.0):
+            sol = solve_lp_scipy(node_problem, time_limit=left)
         return sol
 
-    start = time.monotonic()
     root = solve_node(problem)
     nodes = 1
     if root.status == INFEASIBLE:

@@ -123,6 +123,40 @@ def test_simulate_to_stdout_prints_only_the_trace_or_csv(capsys, policy, flag):
     assert steps > 0
 
 
+@pytest.mark.parametrize("trace, out", [("t", "t"), ("-", "-"), ("t", "./t")])
+def test_simulate_refuses_a_trace_and_csv_on_one_target(tmp_path, capsys, monkeypatch,
+                                                         trace, out):
+    monkeypatch.chdir(tmp_path)
+    path = os.path.join(SCENARIOS, "tiny_explicit.json")
+    assert main(["simulate", "--scenario", path, "--policy", "fw",
+                 "--trace", trace, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert "--trace and --out name the same output" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_refuses_results_and_summary_on_one_target(tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = os.path.join(SCENARIOS, "tiny_explicit.json")
+    assert main(["benchmark", "--scenario", path, "--out", "r.csv",
+                 "--summary-out", "r.csv"]) == 1
+    captured = capsys.readouterr()
+    assert "--out and --summary-out name the same output" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_to_stdout_prints_only_the_results_csv(tmp_path, capsys):
+    path = os.path.join(SCENARIOS, "tiny_explicit.json")
+    argv = ["benchmark", "--scenario", path, "--summary-out", str(tmp_path / "s.csv")]
+    assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert out == (tmp_path / "r.csv").read_text()
+    assert "fw: mean=" in err
+
+
 @pytest.mark.parametrize("policy", ["mcts", "mo"])
 def test_simulate_trace_leaves_the_episode_unchanged(tmp_path, capsys, policy):
     scenario = grid1_k8_work_budgets(tmp_path)
@@ -263,7 +297,7 @@ def test_export_lp_writes_the_model_mo_solves(tmp_path):
     config = scenario_from_dict(doc)
     state = config.initial_state(None)
     model = config.make_policy("mo").fluid_model(state)
-    assert (model.horizon, model.calibration.delta) == (2, 0.25)
+    assert (model.calibration.horizon, model.calibration.delta) == (2, 0.25)
     assert out.read_text() == write_mps(model.problem, model.integer_mask)
     for flag in ("--horizon", "--delta"):
         with pytest.raises(SystemExit):

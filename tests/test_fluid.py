@@ -1,4 +1,5 @@
 import os
+import time
 import types
 from dataclasses import replace
 
@@ -136,7 +137,7 @@ def test_time_zero_intensity_fixed_from_burning_map():
     model = build_model(calibrate(spread, state, 2), state,
                         RewardModel((-1.0,) * 4), 1)
     sol = solve_lp(model.problem)
-    np.testing.assert_allclose(model.intensity(sol.x)[0], [1, 0, 1, 0],
+    np.testing.assert_allclose(sol.x[model.columns["I"][0]], [1, 0, 1, 0],
                                atol=1e-9)
 
 
@@ -154,21 +155,21 @@ def _solved_small_milp():
 
 def test_fuel_accounting_exact():
     model, res = _solved_small_milp()
-    intensity = model.intensity(res.x)
-    fuel = model.fuel_values(res.x)
+    intensity = res.x[model.columns["I"]]
+    fuel = res.x[model.columns["F"]]
     f0 = model.calibration.f0
-    for t in range(model.horizon + 1):
+    for t in range(model.calibration.horizon + 1):
         expected = f0 - intensity[:t].sum(axis=0)
         np.testing.assert_allclose(fuel[t], expected, atol=1e-7)
 
 
 def test_indicator_forces_fuel_band():
     model, res = _solved_small_milp()
-    fuel = model.fuel_values(res.x)
+    fuel = res.x[model.columns["F"]]
     delta = model.calibration.delta
-    for t in range(model.horizon + 1):
-        for cell in range(model.n_cells):
-            z = res.x[model.z_index(t, cell)]
+    for t in range(model.calibration.horizon + 1):
+        for cell in range(len(model.state.burning)):
+            z = res.x[model.columns["Z"][t, cell]]
             if z > 0.5:
                 assert fuel[t, cell] <= delta + 1e-7
             else:
@@ -191,7 +192,7 @@ def test_zero_team_trajectory_matches_forward_recursion():
     assert res.status == OPTIMAL
     oracle = fluid_recursion(spread, state, horizon)
     assert oracle is not None
-    np.testing.assert_allclose(model.intensity(res.x), oracle, atol=1e-6)
+    np.testing.assert_allclose(res.x[model.columns["I"]], oracle, atol=1e-6)
 
 
 def test_recursion_rows_tight_where_intensity_positive():
@@ -204,7 +205,7 @@ def test_recursion_rows_tight_where_intensity_positive():
     res = branch_and_bound(model.problem, model.integer_mask)
     assert res.status == OPTIMAL
     residual = model.problem.a @ res.x - model.problem.b
-    intensity = model.intensity(res.x)
+    intensity = res.x[model.columns["I"]]
     # row kinds from the oracle, whose row order build_model matches bit for bit
     labels = summed_teams(reference_build_model(cal, state, rewards, 1),
                           9, horizon, 0).row_labels
@@ -267,8 +268,55 @@ def test_bundled_and_exported_external_solve_agree():
     external = solve_lp_scipy(parsed)
     assert mine.status == external.status == OPTIMAL
     assert mine.objective == pytest.approx(external.objective, abs=1e-7)
-    np.testing.assert_allclose(model.scores(mine.x), model.scores(external.x),
-                               atol=1e-5)
+    y0 = model.columns["y"][0]
+    np.testing.assert_allclose(mine.x[y0], external.x[y0], atol=1e-5)
+
+
+def recording_highs(monkeypatch, pause=0.0):
+    """Route MO's HiGHS calls through a recorder; returns the list of the
+    time limits each call was handed.  Each call first sleeps ``pause``
+    seconds and then solves with the limit it was given."""
+    limits = []
+
+    def solve(problem, time_limit=None):
+        limits.append(time_limit)
+        time.sleep(pause)
+        return solve_lp_scipy(problem, time_limit=time_limit)
+
+    monkeypatch.setattr("firegrid.fluid.solve_lp_scipy", solve)
+    return limits
+
+
+def test_time_limit_bounds_the_whole_relax_round_decision(monkeypatch):
+    # one deadline per call: the re-solve gets only what the first LP left
+    spec, spread = uniform(2)
+    rewards = RewardModel((-1.0, -2.0, -2.0, -4.0))
+    state = FireState((1, 1, 0, 0), (8,) * 4)
+    model = build_model(calibrate(spread, state, 3), state, rewards, 1)
+    limits = recording_highs(monkeypatch, pause=0.05)
+    action, info = relax_and_score(model, time_limit=5.0, bnb_binary_cap=0)
+    assert action is not None and info["status"] == OPTIMAL
+    assert len(limits) == 2
+    assert limits[0] <= 5.0 and limits[1] <= limits[0] - 0.05
+    # nothing left after the first LP: no action, and MoPolicy falls back
+    policy = MoPolicy(spread, rewards, 1,
+                      MoConfig(horizon=3, time_limit=0.04, bnb_binary_cap=0),
+                      fw_fallback(spread, rewards, 1))
+    limits.clear()
+    action = policy(state, None)
+    assert len(limits) == 1 and limits[0] <= 0.04
+    assert policy.fallbacks == 1
+    assert policy.last["status"] == "time-limit" and policy.last["fallback"]
+    assert state.burning[action[0]]
+
+
+def test_time_limit_bounds_every_branch_and_bound_node(monkeypatch):
+    model, _ = _solved_small_milp()
+    limits = recording_highs(monkeypatch, pause=0.001)
+    action, info = relax_and_score(model, time_limit=30.0)
+    assert info["mode"] == "branch-and-bound" and action is not None
+    assert len(limits) > 1 and limits[0] <= 30.0
+    assert all(later < earlier for earlier, later in zip(limits, limits[1:]))
 
 
 # -- the receding-horizon controller ------------------------------------------
@@ -406,7 +454,7 @@ def test_mo_policy_fluid_model_uses_the_config():
     policy.config.delta = 0.25
     state = FireState((1, 1, 0), (6, 6, 6))
     model = policy.fluid_model(state)
-    assert (model.horizon, model.teams, model.calibration.delta) == (3, 2, 0.25)
+    assert (model.calibration.horizon, model.teams, model.calibration.delta) == (3, 2, 0.25)
     expected = build_model(calibrate(spread, state, 3, delta=0.25), state, rewards, 2)
     assert (model.problem.a != expected.problem.a).nnz == 0
     np.testing.assert_array_equal(model.problem.b, expected.problem.b)
@@ -537,7 +585,7 @@ def test_slot_table_lists_the_in_edges_and_its_readers_sum_them_in_order(case):
         acc = 0.0
         for y, _ in listed:
             acc += f0[y]
-        big_m = model.problem.a[x, model.z_index(0, x)]  # row ("dyn", 1, x)
+        big_m = model.problem.a[x, model.columns["Z"][0, x]]  # row ("dyn", 1, x)
         assert float.hex(float(big_m)) == float.hex(float(f0[x] + acc))
 
 
@@ -665,8 +713,8 @@ def test_golden_states_play_the_same_on_the_per_team_model(k8_golden_play):
     for decisions in played.values():
         for state, action, last in decisions:
             model = policy.fluid_model(state)
-            n, teams = model.n_cells, model.teams
-            size = (model.horizon + 1) * n
+            n, teams = len(state.burning), model.teams
+            size = model.columns["I"].size
             problem = oracle_problem(model.calibration, state, config.reward_model(), teams)
             relaxed = solve_lp_scipy(problem)
             fuel = relaxed.x[size:2 * size]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from firegrid.lp import GE, INFEASIBLE, LE, OPTIMAL, LpProblem, solve_lp
+from firegrid.lp import (GE, INFEASIBLE, ITERATION_LIMIT, LE, OPTIMAL, LpProblem,
+                         LpSolution, solve_lp, solve_lp_scipy)
 from firegrid.milp import NO_INCUMBENT, branch_and_bound
 
 
@@ -101,6 +102,25 @@ def test_integral_root_beats_zero_time_limit():
     res = branch_and_bound(prob, [True], time_limit=0.0)
     assert res.status == OPTIMAL
     assert res.gap == 0.0
+
+
+def test_retry_of_a_stuck_node_gets_only_the_time_left(monkeypatch):
+    # a node LP that stops on its iteration limit is retried on HiGHS, within
+    # the search's time limit, and not at all once that is spent
+    prob = lp([-1.0], [[1.0]], [LE], [1.0], upper=[1.0])
+    limits = []
+
+    def retry(problem, time_limit=None):
+        limits.append(time_limit)
+        return solve_lp_scipy(problem, time_limit=time_limit)
+
+    monkeypatch.setattr("firegrid.milp.solve_lp_scipy", retry)
+    stuck = lambda problem: LpSolution(ITERATION_LIMIT)  # noqa: E731
+    res = branch_and_bound(prob, [True], time_limit=5.0, lp_solver=stuck)
+    assert res.status == OPTIMAL
+    assert len(limits) == 1 and 0.0 < limits[0] <= 5.0
+    res = branch_and_bound(prob, [True], time_limit=0.0, lp_solver=stuck)
+    assert res.status == NO_INCUMBENT and len(limits) == 1
 
 
 def test_infeasible_milp():
