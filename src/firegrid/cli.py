@@ -42,13 +42,16 @@ def _write(path: str | None, text: str):
             fh.write(text)
 
 
-def _refuse_one_target(args, first: str, second: str):
-    """Raise when the output flags ``first`` and ``second`` name one target:
-    the later write would replace the earlier, or both would share stdout."""
-    paths = [getattr(args, flag[2:].replace("-", "_")) for flag in (first, second)]
-    targets = {p if p == "-" else os.path.realpath(p) for p in paths if p is not None}
-    if len(targets) == 1 and None not in paths:
-        raise ValueError(f"{first} and {second} name the same output {paths[1]!r}")
+def _target(path: str) -> str:
+    return path if path == "-" else os.path.realpath(path)
+
+
+def _refuse_one_target(first: str, a: str | None, second: str, b: str | None):
+    """Raise when output ``a`` of flag ``first`` and ``b`` of ``second`` name
+    one target: the later write would replace the earlier, or both would
+    share stdout."""
+    if a is not None and b is not None and _target(a) == _target(b):
+        raise ValueError(f"{first} and {second} name the same output {b!r}")
 
 
 def _load(args) -> harness.ScenarioConfig:
@@ -59,7 +62,7 @@ def _load(args) -> harness.ScenarioConfig:
 
 
 def _cmd_simulate(args) -> int:
-    _refuse_one_target(args, "--trace", "--out")
+    _refuse_one_target("--trace", args.trace, "--out", args.out)
     config = _load(args)
     policy = config.make_policy(args.policy)
     records = None if args.trace is None else []
@@ -76,7 +79,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    _refuse_one_target(args, "--out", "--summary-out")
+    _refuse_one_target("--out", args.out, "--summary-out", args.summary_out)
     config = _load(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:

@@ -306,9 +306,10 @@ def relax_and_score(
     broken; ``info["objective"]`` is the unperturbed cost.  ``backend`` is
     ``"highs"`` (every LP goes to HiGHS) or ``"bundled"`` (the dense simplex).
 
-    ``time_limit`` is wall-clock seconds for the whole call: each HiGHS LP
-    gets what is left of it, and when nothing is left before the re-solve
-    there is no action and the status is ``"time-limit"``.
+    ``time_limit`` is wall-clock seconds for the whole call, read as one
+    deadline: each HiGHS LP gets what is left of it, branch and bound stops
+    at it, and when nothing is left before the re-solve there is no action
+    and the status is ``"time-limit"``.
     """
     problem, cols = model.problem, model.columns
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -329,7 +330,7 @@ def relax_and_score(
         z_mask = np.zeros(len(problem.c), dtype=bool)
         z_mask[cols["Z"]] = True
         res = branch_and_bound(
-            problem, z_mask, time_limit=time_left(), node_limit=node_limit,
+            problem, z_mask, deadline=deadline, node_limit=node_limit,
             lp_solver=lp_solver,
         )
         info["status"] = res.status

@@ -64,28 +64,32 @@ def _gap(incumbent, bound):
 def branch_and_bound(
     problem: LpProblem,
     integer_mask,
-    time_limit: float | None = None,
+    deadline: float | None = None,
     node_limit: int | None = None,
     lp_solver=solve_lp,
 ) -> MilpSolution:
     """Minimize ``problem`` with the masked variables forced integral.
 
-    ``time_limit`` is wall-clock seconds for the whole search, retries
-    included; with no incumbent at the limit the result carries the best
-    open bound and the explicit ``no-incumbent`` status.
+    ``deadline`` is a ``time.monotonic()`` instant that ends the whole
+    search, retries included; a caller that hands ``lp_solver`` a time limit
+    should derive it from the same instant.  A search cut short, by the
+    deadline, the node limit or a child LP that stays unsolved, reports that
+    stop (``time-limit``, ``node-limit`` or ``iteration-limit``) with the best
+    open bound, or ``no-incumbent`` when it found no integral point.
     """
     integer_mask = np.asarray(integer_mask, dtype=bool)
     int_indices = np.flatnonzero(integer_mask)
     int_list = int_indices.tolist()
 
-    start = time.monotonic()
+    def time_left():
+        return None if deadline is None else max(deadline - time.monotonic(), 0.0)
 
     def solve_node(node_problem):
-        # A child LP stuck on iterations/numerics must not silently prune a
-        # feasible subtree; retry it on the alternate backend, in the time left.
+        # A child LP stuck on iterations/numerics is retried on the alternate
+        # backend, in the time left.
         sol = lp_solver(node_problem)
-        left = None if time_limit is None else time_limit - (time.monotonic() - start)
-        if sol.status == ITERATION_LIMIT and (left is None or left > 0.0):
+        left = time_left()
+        if sol.status == ITERATION_LIMIT and left != 0.0:
             sol = solve_lp_scipy(node_problem, time_limit=left)
         return sol
 
@@ -106,7 +110,7 @@ def branch_and_bound(
     stopped = None
 
     def out_of_budget():
-        if time_limit is not None and time.monotonic() - start >= time_limit:
+        if time_left() == 0.0:
             return TIME_LIMIT
         if node_limit is not None and nodes >= node_limit:
             return NODE_LIMIT
@@ -140,12 +144,20 @@ def branch_and_bound(
                               child_lower, child_upper)
             sol = solve_node(child)
             nodes += 1
+            if sol.status == ITERATION_LIMIT:
+                # unsolved, the child must not prune a feasible subtree: stop
+                # with the parent's bound still open
+                stopped = TIME_LIMIT if time_left() == 0.0 else ITERATION_LIMIT
+                heapq.heappush(heap, (bound, -1, lower, upper, relax))
+                break
             if sol.status != OPTIMAL:
                 continue
             if incumbent_obj is not None and sol.objective >= incumbent_obj - 1e-9:
                 continue
             counter += 1
             heapq.heappush(heap, (sol.objective, counter, child_lower, child_upper, sol))
+        if stopped:
+            break
 
     open_bound = min((entry[0] for entry in heap), default=None)
     if incumbent_obj is not None:

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 
 from firegrid.lp import (GE, INFEASIBLE, ITERATION_LIMIT, LE, OPTIMAL, LpProblem,
                          LpSolution, solve_lp, solve_lp_scipy)
-from firegrid.milp import NO_INCUMBENT, branch_and_bound
+from firegrid.milp import NO_INCUMBENT, TIME_LIMIT, branch_and_bound
 
 
 def lp(c, a, senses, b, lower=None, upper=None):
@@ -92,14 +93,14 @@ def test_zero_time_limit_reports_no_incumbent_with_root_bound():
               upper=np.ones(3))
     root = solve_lp(prob)
     assert np.abs(root.x - np.round(root.x)).max() > 1e-6  # fractional root
-    res = branch_and_bound(prob, np.ones(3, dtype=bool), time_limit=0.0)
+    res = branch_and_bound(prob, np.ones(3, dtype=bool), deadline=time.monotonic())
     assert res.status == NO_INCUMBENT
     assert res.bound == pytest.approx(root.objective)
 
 
 def test_integral_root_beats_zero_time_limit():
     prob = lp([-1.0], [[1.0]], [LE], [1.0], upper=[1.0])
-    res = branch_and_bound(prob, [True], time_limit=0.0)
+    res = branch_and_bound(prob, [True], deadline=time.monotonic())
     assert res.status == OPTIMAL
     assert res.gap == 0.0
 
@@ -116,11 +117,30 @@ def test_retry_of_a_stuck_node_gets_only_the_time_left(monkeypatch):
 
     monkeypatch.setattr("firegrid.milp.solve_lp_scipy", retry)
     stuck = lambda problem: LpSolution(ITERATION_LIMIT)  # noqa: E731
-    res = branch_and_bound(prob, [True], time_limit=5.0, lp_solver=stuck)
+    res = branch_and_bound(prob, [True], deadline=time.monotonic() + 5.0,
+                           lp_solver=stuck)
     assert res.status == OPTIMAL
     assert len(limits) == 1 and 0.0 < limits[0] <= 5.0
-    res = branch_and_bound(prob, [True], time_limit=0.0, lp_solver=stuck)
+    res = branch_and_bound(prob, [True], deadline=time.monotonic(), lp_solver=stuck)
     assert res.status == NO_INCUMBENT and len(limits) == 1
+
+
+def test_a_child_cut_off_by_the_deadline_leaves_its_subtree_open():
+    # min x, 2x >= 3, x integral in [0, 5]: the root is x = 1.5; the x <= 1
+    # child runs past the deadline, so the x = 2 of its sibling is not proven
+    # optimal, nor may the search call the problem infeasible
+    prob = lp([1.0], [[2.0]], [GE], [3.0], upper=[5.0])
+    deadline = time.monotonic() + 0.5
+
+    def solver(problem):
+        if problem.upper[0] <= 1.0:
+            time.sleep(max(deadline - time.monotonic(), 0.0) + 0.01)
+            return LpSolution(ITERATION_LIMIT)
+        return solve_lp(problem)
+
+    res = branch_and_bound(prob, [True], deadline=deadline, lp_solver=solver)
+    assert res.status in (TIME_LIMIT, NO_INCUMBENT)
+    assert res.bound == pytest.approx(1.5)
 
 
 def test_infeasible_milp():
