@@ -42,9 +42,9 @@ import scipy.sparse as sp
 # Unused here: the benchmark's tracer still wraps these three names on this
 # module, and tests/test_bench_contract.py checks that they resolve.
 from .heuristics import all_pairs_distances, fw_policy, fw_weights  # noqa: F401
-from .lp import EQ, GE, LE, OPTIMAL, LpProblem, solve_lp, solve_lp_scipy
+from .lp import EQ, GE, LE, OPTIMAL, TIME_LIMIT, LpProblem, solve_lp, solve_lp_scipy
 from .mdp import Action, FireState, RewardModel, SpreadModel, idle_action
-from .milp import TIME_LIMIT, branch_and_bound
+from .milp import branch_and_bound
 
 IBAR_CAP = 1e12
 TIE_BREAK = 1e-6  # times max|c|: the cost that orders equal LP optima

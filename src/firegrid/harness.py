@@ -24,6 +24,7 @@ import functools
 import io
 import json
 import math
+import operator
 import random
 import time
 import typing
@@ -128,7 +129,9 @@ def grid2_rewards(k: int, lam: float, height: int | None = None) -> RewardModel:
     if not lam > 0:  # a NaN fails too
         raise ScenarioError("field 'lambda': grid2 needs lambda > 0")
     height = k if height is None else height
-    norm = sum(math.exp(-lam * i) for i in range(1, k + 1))
+    # left to right, as on Python 3.11: the builtin sum of 3.12+ compensates,
+    # which moves the costs' last bits and so the episodes
+    norm = functools.reduce(operator.add, (math.exp(-lam * i) for i in range(1, k + 1)), 0.0)
     if norm == 0.0:
         raise ScenarioError("field 'lambda': so large that every cost underflows to 0")
     row = [-math.exp(-lam * (col + 1)) / norm for col in range(k)]
@@ -556,7 +559,7 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     (``random``, ``fw_sample``, ``mcts``) shifts the draws of the transitions
     after it.  A name given twice plays twice.  Each policy is built once per
     call; ``run_episode`` resets it before every episode.  With ``jobs > 1``
-    seeds fan out to a process pool.
+    seeds fan out to a pool of at most ``reps`` processes.
     Results are merged in (policy, seed) order, so the output depends neither
     on scheduling nor on the order the policies were given.
     """
@@ -566,14 +569,15 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     names = list(policies)
     built = {name: config.make_policy(name) for name in names}
     seeds = [config.seed + r for r in range(reps)]
-    if jobs > 1:
+    workers = min(jobs, reps)  # a worker beyond one per seed would sit idle
+    if workers > 1:
         import multiprocessing as mp
 
         # fork keeps workers importable from any entry point (pytest, stdin),
         # and hands them the scenario and the built policies unpickled: MCTS
         # rollout closures cannot be pickled
         with mp.get_context("fork").Pool(
-                jobs, initializer=_init_worker,
+                workers, initializer=_init_worker,
                 initargs=(config, built, names)) as pool:
             played = pool.map(_seed_task, seeds, chunksize=1)
     else:

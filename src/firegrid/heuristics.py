@@ -117,7 +117,11 @@ def _weighted_index(weights, rng) -> int:
     whose running total exceeds a uniform draw on [0, sum), else the last.
 
     A plain scan: it stops at the pick, so it beats building every prefix
-    sum in C (``accumulate``) and bisecting them."""
+    sum in C (``accumulate``) and bisecting them.  The total is the builtin
+    ``sum``, compensated from Python 3.12, so there the last bit of ``u``,
+    and rarely the pick, may differ.  A left-to-right sum in Python takes
+    several times as long on this, MCTS's hot path, so it waits for the
+    array form of ROADMAP item 6."""
     u = rng.random() * sum(weights)
     acc = 0.0
     for i, w in enumerate(weights):

@@ -1,14 +1,17 @@
 """Linear programming layer: problem container and a bundled simplex solver.
 
 The bundled solver is a two-phase revised primal simplex over a dense basis
-inverse.  Variables are shifted/mirrored/split to the computational standard
-form (all nonnegative), finite upper bounds become explicit rows, and phase
-one drives artificial variables out of the basis (redundant rows are
-dropped).  Pricing is Dantzig's rule with a permanent switch to Bland's rule
-after a long run of degenerate pivots, which guarantees termination.
+inverse.  It takes the problems MO builds: at least one row, and a finite
+lower bound on every column.  Each column is shifted to its lower bound, so
+every variable is nonnegative; a finite upper bound becomes a unit row, each
+inequality row gets a slack column, and phase one drives artificial
+variables out of the basis (redundant rows are dropped).  Pricing is
+Dantzig's rule with a permanent switch to Bland's rule after a long run of
+degenerate pivots, which guarantees termination.
 
 ``solve_lp_scipy`` exposes the same contract through scipy's HiGHS backend,
-which MO uses unless a scenario asks for the bundled solver.
+for any ``LpProblem``; MO uses it unless a scenario asks for the bundled
+solver.
 """
 
 from __future__ import annotations
@@ -24,8 +27,11 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration-limit"
+TIME_LIMIT = "time-limit"
 
 _PIVOT_TOL = 1e-7   # smallest acceptable pivot element
+_FEAS_TOL = 1e-6    # phase one's largest artificial sum still feasible
+_OPT_TOL = 1e-7     # reduced costs above -_OPT_TOL count as optimal
 _DEGEN_TOL = 1e-9   # step sizes below this count as degenerate
 _REFACTOR_EVERY = 100
 
@@ -69,114 +75,45 @@ class LpSolution:
     x: np.ndarray | None = None
     objective: float | None = None
     iterations: int = 0
-    message: str = ""
 
 
-def _solve_unconstrained(problem: LpProblem) -> LpSolution:
-    # No rows: each variable independently sits at its cheapest bound.
-    x = np.zeros(len(problem.c))
-    for j, cj in enumerate(problem.c):
-        lo, hi = problem.lower[j], problem.upper[j]
-        if cj > 0:
-            if not np.isfinite(lo):
-                return LpSolution(UNBOUNDED, message=f"column {j} unbounded below")
-            x[j] = lo
-        elif cj < 0:
-            if not np.isfinite(hi):
-                return LpSolution(UNBOUNDED, message=f"column {j} unbounded above")
-            x[j] = hi
-        else:
-            x[j] = lo if np.isfinite(lo) else (hi if np.isfinite(hi) else 0.0)
-    return LpSolution(OPTIMAL, x=x, objective=float(problem.c @ x))
+def _standard_form(problem: LpProblem) -> tuple:
+    """``(a, b, c, slack_for_row)`` of min c'x, A x = b, x >= 0, with b >= 0:
+    each column shifted to its lower bound, a unit row for each finite upper
+    bound, and ``slack_for_row[i]`` the slack column of row i, or -1."""
+    a = problem.a.toarray()
+    b = problem.b.copy()
+    # Row equilibration: big-M rows otherwise swamp the absolute
+    # feasibility tolerances.  Pure row scaling leaves solutions intact.
+    scale = np.abs(a).max(axis=1, initial=0.0)
+    scale[scale <= 0.0] = 1.0
+    a = a / scale[:, None]
+    b = b / scale
+    lower, n = problem.lower, a.shape[1]
+    # Column by column, not ``b -= a @ lower``: a matrix product may round
+    # differently, and the goldens were recorded with this order.
+    for j in range(n):
+        b -= a[:, j] * lower[j]
+    bounded = np.flatnonzero(np.isfinite(problem.upper))
+    units = np.zeros((len(bounded), n))
+    units[np.arange(len(bounded)), bounded] = 1.0
+    a = np.vstack([a, units])
+    b = np.concatenate([b, problem.upper[bounded] - lower[bounded]])
+    senses = np.array(list(problem.senses) + [LE] * len(bounded))
+    # one slack column per inequality row, +1 on a LE row, -1 on a GE row
+    rows = np.flatnonzero(senses != EQ)
+    slacks = np.zeros((len(senses), len(rows)))
+    slacks[rows, np.arange(len(rows))] = np.where(senses[rows] == LE, 1.0, -1.0)
+    slack_for_row = np.full(len(senses), -1)
+    slack_for_row[rows] = n + np.arange(len(rows))
+    a = np.hstack([a, slacks])
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] = -b[neg]
+    return a, b, np.concatenate([problem.c, np.zeros(len(rows))]), slack_for_row
 
 
-class _Standardizer:
-    """Rewrites an LpProblem into min c'x, A x = b, x >= 0 with a recovery map."""
-
-    def __init__(self, problem: LpProblem):
-        a = problem.a.toarray()
-        b = problem.b.copy()
-        # Row equilibration: big-M rows otherwise swamp the absolute
-        # feasibility tolerances.  Pure row scaling leaves solutions intact.
-        scale = np.abs(a).max(axis=1, initial=0.0)
-        scale[scale <= 0.0] = 1.0
-        a = a / scale[:, None]
-        b = b / scale
-        n = a.shape[1]
-        cols = []
-        c_std = []
-        ubounds = []  # (std_col, bound) rows to append
-        self.recover = []  # per original var: (kind, payload, std indices)
-        for j in range(n):
-            lo, hi = problem.lower[j], problem.upper[j]
-            col = a[:, j]
-            cj = problem.c[j]
-            if np.isfinite(lo):
-                b -= col * lo
-                idx = len(cols)
-                cols.append(col)
-                c_std.append(cj)
-                if np.isfinite(hi):
-                    ubounds.append((idx, hi - lo))
-                self.recover.append(("shift", lo, (idx,)))
-            elif np.isfinite(hi):
-                b -= col * hi
-                idx = len(cols)
-                cols.append(-col)
-                c_std.append(-cj)
-                self.recover.append(("mirror", hi, (idx,)))
-            else:
-                ip, im = len(cols), len(cols) + 1
-                cols.append(col)
-                cols.append(-col)
-                c_std.append(cj)
-                c_std.append(-cj)
-                self.recover.append(("split", 0.0, (ip, im)))
-        a_std = np.column_stack(cols) if cols else np.zeros((a.shape[0], 0))
-        senses = list(problem.senses)
-        for idx, bound in ubounds:
-            row = np.zeros(a_std.shape[1])
-            row[idx] = 1.0
-            a_std = np.vstack([a_std, row])
-            b = np.append(b, bound)
-            senses.append(LE)
-        self.n_structural = a_std.shape[1]
-        # slack / surplus columns
-        m = a_std.shape[0]
-        slack_cols = []
-        self.slack_for_row = {}
-        for i, s in enumerate(senses):
-            if s == EQ:
-                continue
-            col = np.zeros(m)
-            col[i] = 1.0 if s == LE else -1.0
-            self.slack_for_row[i] = self.n_structural + len(slack_cols)
-            slack_cols.append(col)
-        if slack_cols:
-            a_std = np.hstack([a_std, np.column_stack(slack_cols)])
-            c_std.extend([0.0] * len(slack_cols))
-        # make b nonnegative
-        neg = b < 0
-        a_std[neg] *= -1.0
-        b[neg] = -b[neg]
-        self.a = a_std
-        self.b = b
-        self.c = np.array(c_std)
-        self.row_flipped = neg
-
-    def restore(self, x_std: np.ndarray, n_orig: int) -> np.ndarray:
-        x = np.zeros(n_orig)
-        for j, (kind, payload, idx) in enumerate(self.recover):
-            if kind == "shift":
-                x[j] = payload + x_std[idx[0]]
-            elif kind == "mirror":
-                x[j] = payload - x_std[idx[0]]
-            else:
-                x[j] = x_std[idx[0]] - x_std[idx[1]]
-        return x
-
-
-def _core(a, b, c, basis, allowed, opt_tol, max_iters):
+def _core(a, b, c, basis, max_iters):
     """Revised simplex iterations; returns (status, basis, x_basic, iters)."""
     m, _ = a.shape
     binv = np.linalg.inv(a[:, basis])
@@ -194,7 +131,7 @@ def _core(a, b, c, basis, allowed, opt_tol, max_iters):
                 return "numerical", basis, xb, iters
         reduced = c - (c[basis] @ binv) @ a
         reduced[basis] = 0.0
-        eligible = allowed & (reduced < -opt_tol)
+        eligible = reduced < -_OPT_TOL
         if not eligible.any():
             return OPTIMAL, basis, xb, iters
         if bland:
@@ -228,62 +165,47 @@ def _core(a, b, c, basis, allowed, opt_tol, max_iters):
     return ITERATION_LIMIT, basis, xb, iters
 
 
-def solve_lp(
-    problem: LpProblem,
-    max_iterations: int = 50_000,
-    feas_tol: float = 1e-6,
-    opt_tol: float = 1e-7,
-) -> LpSolution:
+def solve_lp(problem: LpProblem, max_iterations: int = 50_000) -> LpSolution:
     """Bundled two-phase revised primal simplex.
 
     Returns an optimal basic solution or a definitive infeasible/unbounded
     status; hitting ``max_iterations`` is reported as such, never as a bogus
-    answer.
+    answer.  Takes the problems MO builds: at least one row, and a finite
+    lower bound on every column; anything else raises ``ValueError``.
     """
     m, n = problem.shape
     if m == 0:
-        return _solve_unconstrained(problem)
-    std = _Standardizer(problem)
-    a, b, c = std.a, std.b, std.c
+        raise ValueError("solve_lp needs at least one row")
+    if not np.isfinite(problem.lower).all():
+        raise ValueError("solve_lp needs a finite lower bound on every column")
+    a, b, c, slack = _standard_form(problem)
     m_std, n_real = a.shape
 
-    # Phase 1 basis: usable slack columns, artificials elsewhere.
-    basis = np.full(m_std, -1, dtype=int)
-    art_rows = []
-    for i in range(m_std):
-        j = std.slack_for_row.get(i)
-        if j is not None and a[i, j] > 0.5:
-            basis[i] = j
-        else:
-            art_rows.append(i)
-    n_art = len(art_rows)
-    if n_art:
-        art_block = np.zeros((m_std, n_art))
-        for k, i in enumerate(art_rows):
-            art_block[i, k] = 1.0
-            basis[i] = n_real + k
-        a = np.hstack([a, art_block])
-    c1 = np.zeros(a.shape[1])
-    c1[n_real:] = 1.0
+    # Phase 1 basis: a row's slack where it is still +1 after the sign flip,
+    # an artificial elsewhere.
+    usable = slack >= 0
+    usable[usable] = a[usable, slack[usable]] > 0.5
+    basis = np.where(usable, slack, -1)
+    art_rows = np.flatnonzero(~usable)
     total_iters = 0
-
-    if n_art:
-        allowed = np.ones(a.shape[1], dtype=bool)
-        status, basis, xb, iters = _core(a, b, c1, basis, allowed, opt_tol,
-                                         max_iterations)
+    if len(art_rows):
+        art_block = np.zeros((m_std, len(art_rows)))
+        art_block[art_rows, np.arange(len(art_rows))] = 1.0
+        basis[art_rows] = n_real + np.arange(len(art_rows))
+        a = np.hstack([a, art_block])
+        c1 = np.zeros(a.shape[1])
+        c1[n_real:] = 1.0
+        status, basis, xb, iters = _core(a, b, c1, basis, max_iterations)
         total_iters += iters
         if status in (ITERATION_LIMIT, "numerical", UNBOUNDED):
-            return LpSolution(ITERATION_LIMIT, iterations=total_iters,
-                              message=f"phase 1 stopped: {status}")
-        if float(c1[basis] @ xb) > feas_tol:
-            return LpSolution(INFEASIBLE, iterations=total_iters,
-                              message="phase 1 left positive artificials")
+            return LpSolution(ITERATION_LIMIT, iterations=total_iters)
+        if float(c1[basis] @ xb) > _FEAS_TOL:
+            return LpSolution(INFEASIBLE, iterations=total_iters)
         # Pivot remaining artificials out; drop rows that prove redundant.
         try:
             binv = np.linalg.inv(a[:, basis])
         except np.linalg.LinAlgError:
-            return LpSolution(ITERATION_LIMIT, iterations=total_iters,
-                              message="singular basis after phase 1")
+            return LpSolution(ITERATION_LIMIT, iterations=total_iters)
         drop_rows = []
         for i in range(m_std):
             if basis[i] < n_real:
@@ -305,23 +227,18 @@ def solve_lp(
             a = a[keep]
             b = b[keep]
             basis = basis[keep]
-            m_std = len(keep)
 
-    a = a[:, :n_real]
-    c2 = c[:n_real] if len(c) >= n_real else np.concatenate([c, np.zeros(n_real - len(c))])
-    allowed = np.ones(n_real, dtype=bool)
-    status, basis, xb, iters = _core(a, b, c2, basis, allowed, opt_tol,
+    status, basis, xb, iters = _core(a[:, :n_real], b, c, basis,
                                      max_iterations - total_iters)
     total_iters += iters
     if status in (ITERATION_LIMIT, "numerical"):
-        return LpSolution(ITERATION_LIMIT, iterations=total_iters,
-                          message=f"phase 2 stopped: {status}")
+        return LpSolution(ITERATION_LIMIT, iterations=total_iters)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, iterations=total_iters)
 
     x_std = np.zeros(n_real)
     x_std[basis] = xb
-    x = std.restore(x_std, n)
+    x = problem.lower + x_std[:n]
     return LpSolution(OPTIMAL, x=x, objective=float(problem.c @ x),
                       iterations=total_iters)
 
@@ -356,8 +273,10 @@ def solve_lp_scipy(problem: LpProblem, time_limit: float | None = None) -> LpSol
     status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}.get(
         res.status, ITERATION_LIMIT
     )
+    # linprog reports both of HiGHS's limits as status 1
+    if res.status == 1 and res.message.startswith("Time limit"):
+        status = TIME_LIMIT
     if status == OPTIMAL:
         return LpSolution(OPTIMAL, x=res.x, objective=float(res.fun),
-                          iterations=int(res.nit), message=res.message)
-    return LpSolution(status, iterations=int(getattr(res, "nit", 0) or 0),
-                      message=res.message)
+                          iterations=int(res.nit))
+    return LpSolution(status, iterations=int(getattr(res, "nit", 0) or 0))

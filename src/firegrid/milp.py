@@ -1,9 +1,9 @@
 """Best-first branch and bound over an LpProblem with integrality marks.
 
 Meant as an exact reference for small instances: each node re-solves the LP
-relaxation with tightened bounds, fractional variables are branched
-most-fractional-first, and the incumbent / best open bound give the
-optimality gap whenever a node or time limit stops the search early.
+relaxation with tightened bounds on the caller's one LP solver, fractional
+variables are branched most-fractional-first, and the incumbent / best open
+bound give the optimality gap whenever a limit stops the search early.
 """
 
 from __future__ import annotations
@@ -14,19 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import (
-    INFEASIBLE,
-    ITERATION_LIMIT,
-    OPTIMAL,
-    UNBOUNDED,
-    LpProblem,
-    solve_lp,
-    solve_lp_scipy,
-)
+from .lp import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, TIME_LIMIT, UNBOUNDED, LpProblem,
+                 solve_lp)
+# Unused here: the benchmark's tracer still wraps this name on this module,
+# and tests/test_bench_contract.py checks that it resolves.
+from .lp import solve_lp_scipy  # noqa: F401
 
 NO_INCUMBENT = "no-incumbent"
-TIME_LIMIT = "time-limit"
 NODE_LIMIT = "node-limit"
+_UNSOLVED = (ITERATION_LIMIT, TIME_LIMIT)  # LP statuses that prove nothing
 
 _INT_TOL = 1e-6
 
@@ -70,12 +66,13 @@ def branch_and_bound(
 ) -> MilpSolution:
     """Minimize ``problem`` with the masked variables forced integral.
 
-    ``deadline`` is a ``time.monotonic()`` instant that ends the whole
-    search, retries included; a caller that hands ``lp_solver`` a time limit
-    should derive it from the same instant.  A search cut short, by the
-    deadline, the node limit or a child LP that stays unsolved, reports that
-    stop (``time-limit``, ``node-limit`` or ``iteration-limit``) with the best
-    open bound, or ``no-incumbent`` when it found no integral point.
+    Every node LP goes to ``lp_solver``.  ``deadline`` is a
+    ``time.monotonic()`` instant that ends the whole search; a caller that
+    hands ``lp_solver`` a time limit should derive it from the same instant.
+    A search cut short, by the deadline, the node limit or a child LP that
+    stops unsolved, reports that stop (``time-limit``, ``node-limit`` or
+    ``iteration-limit``) with the best open bound, or ``no-incumbent`` when it
+    found no integral point.
     """
     integer_mask = np.asarray(integer_mask, dtype=bool)
     int_indices = np.flatnonzero(integer_mask)
@@ -84,22 +81,13 @@ def branch_and_bound(
     def time_left():
         return None if deadline is None else max(deadline - time.monotonic(), 0.0)
 
-    def solve_node(node_problem):
-        # A child LP stuck on iterations/numerics is retried on the alternate
-        # backend, in the time left.
-        sol = lp_solver(node_problem)
-        left = time_left()
-        if sol.status == ITERATION_LIMIT and left != 0.0:
-            sol = solve_lp_scipy(node_problem, time_limit=left)
-        return sol
-
-    root = solve_node(problem)
+    root = lp_solver(problem)
     nodes = 1
     if root.status == INFEASIBLE:
         return MilpSolution(INFEASIBLE, nodes=nodes)
     if root.status == UNBOUNDED:
         return MilpSolution(UNBOUNDED, nodes=nodes)
-    if root.status == ITERATION_LIMIT:
+    if root.status in _UNSOLVED:
         return MilpSolution(NO_INCUMBENT, nodes=nodes)
 
     incumbent_x = None
@@ -142,12 +130,13 @@ def branch_and_bound(
                 continue
             child = LpProblem(problem.c, problem.a, problem.senses, problem.b,
                               child_lower, child_upper)
-            sol = solve_node(child)
+            sol = lp_solver(child)
             nodes += 1
-            if sol.status == ITERATION_LIMIT:
+            if sol.status in _UNSOLVED:
                 # unsolved, the child must not prune a feasible subtree: stop
                 # with the parent's bound still open
-                stopped = TIME_LIMIT if time_left() == 0.0 else ITERATION_LIMIT
+                timed_out = sol.status == TIME_LIMIT or time_left() == 0.0
+                stopped = TIME_LIMIT if timed_out else ITERATION_LIMIT
                 heapq.heappush(heap, (bound, -1, lower, upper, relax))
                 break
             if sol.status != OPTIMAL:

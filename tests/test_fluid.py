@@ -310,6 +310,25 @@ def test_time_limit_bounds_the_whole_relax_round_decision(monkeypatch):
     assert state.burning[action[0]]
 
 
+def test_a_highs_time_limit_reads_time_limit(monkeypatch):
+    # HiGHS stopped on its time limit, in the first solve or in the re-solve
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "grid1_k8.json")
+    config = load_scenario(path)
+    model = config.make_policy("mo").fluid_model(config.initial_state(episode_rng(0)))
+    action, info = relax_and_score(model, time_limit=1e-6, bnb_binary_cap=0)
+    assert action is None and info["status"] == "time-limit"
+    calls = []
+
+    def solve(problem, time_limit=None):
+        calls.append(problem)
+        return solve_lp_scipy(problem, time_limit=None if len(calls) == 1 else 1e-6)
+
+    monkeypatch.setattr("firegrid.fluid.solve_lp_scipy", solve)
+    action, info = relax_and_score(model, bnb_binary_cap=0)
+    assert action is None and info["status"] == "rounded-time-limit"
+
+
 def test_time_limit_bounds_every_branch_and_bound_node(monkeypatch):
     model, _ = _solved_small_milp()
     limits = recording_highs(monkeypatch, pause=0.001)

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import statistics
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -66,6 +67,15 @@ def test_grid2_rows_sum_to_minus_one():
         spec = GridSpec(k, k)
         row_sum = sum(r[spec.index(c, 0)] for c in range(k))
         assert row_sum == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_grid2_costs_do_not_depend_on_how_sum_adds(monkeypatch):
+    # the builtin sum of Python 3.12+ is compensated; the costs, and so every
+    # grid2 episode, must come out as a left-to-right sum gives them
+    from firegrid import harness
+
+    monkeypatch.setattr(harness, "sum", math.fsum, raising=False)
+    assert grid2_rewards(5, 0.2)[0] == -0.286763726302377
 
 
 def test_grid2_small_lambda_is_uniform():
@@ -344,6 +354,38 @@ def test_benchmark_jobs_do_not_change_results():
     res_a, _ = run_benchmark(config, ["random", "fw"], reps=4, jobs=1)
     res_b, _ = run_benchmark(config, ["random", "fw"], reps=4, jobs=2)
     assert results_to_csv(res_a) == results_to_csv(res_b)
+
+
+def test_benchmark_starts_no_more_workers_than_seeds(monkeypatch):
+    # the pool is recorded, not started: its map runs in this process
+    import multiprocessing
+
+    from firegrid import harness
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize=1):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(harness, "_worker", None)
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: types.SimpleNamespace(Pool=Pool))
+    config = small_grid1()
+    res, _ = run_benchmark(config, ["random", "fw"], reps=3, jobs=64)
+    assert sizes == [3]
+    assert results_to_csv(res) == results_to_csv(
+        run_benchmark(config, ["random", "fw"], reps=3, jobs=1)[0])
 
 
 def test_benchmark_builds_each_policy_once(monkeypatch):

@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from firegrid.harness import episode_rng, load_scenario
 from firegrid.lp import (
     EQ,
     GE,
@@ -9,9 +12,9 @@ from firegrid.lp import (
     ITERATION_LIMIT,
     LE,
     OPTIMAL,
+    TIME_LIMIT,
     UNBOUNDED,
     LpProblem,
-    LpSolution,
     solve_lp,
     solve_lp_scipy,
 )
@@ -70,10 +73,13 @@ def test_equality_with_upper_bounds():
 
 
 def test_free_variable_split():
-    # min x with x free and x >= -5 via a row; optimum on the row
+    # min x with x free and x >= -5 via a row: every column MO builds has a
+    # finite lower bound, so the bundled simplex refuses it; HiGHS solves it
     prob = lp([1.0], [[1.0]], [GE], [-5.0],
               lower=[-np.inf], upper=[np.inf])
-    sol = solve_lp(prob)
+    with pytest.raises(ValueError, match="finite lower bound"):
+        solve_lp(prob)
+    sol = solve_lp_scipy(prob)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-5.0)
 
@@ -87,9 +93,13 @@ def test_fixed_variable_bounds():
 
 
 def test_no_rows_solves_on_bounds():
+    # every model MO builds has rows: the bundled simplex refuses a rowless
+    # problem, HiGHS puts each column on its cheapest bound
     prob = lp([1.0, -1.0], np.zeros((0, 2)), [], [],
               lower=[0.0, 0.0], upper=[np.inf, 4.0])
-    sol = solve_lp(prob)
+    with pytest.raises(ValueError, match="at least one row"):
+        solve_lp(prob)
+    sol = solve_lp_scipy(prob)
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.x, [0.0, 4.0])
 
@@ -101,6 +111,18 @@ def test_iteration_limit_flagged():
               upper=np.full(8, 5.0))
     sol = solve_lp(prob, max_iterations=1)
     assert sol.status == ITERATION_LIMIT
+    assert sol.x is None
+
+
+def test_highs_time_limit_reads_time_limit():
+    # HiGHS reports its time and iteration limits as one linprog status; a
+    # time limit must not read as an iteration limit
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "grid1_k8.json")
+    config = load_scenario(path)
+    model = config.make_policy("mo").fluid_model(config.initial_state(episode_rng(0)))
+    sol = solve_lp_scipy(model.problem, time_limit=1e-6)
+    assert sol.status == TIME_LIMIT
     assert sol.x is None
 
 

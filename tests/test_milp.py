@@ -105,24 +105,34 @@ def test_integral_root_beats_zero_time_limit():
     assert res.gap == 0.0
 
 
-def test_retry_of_a_stuck_node_gets_only_the_time_left(monkeypatch):
-    # a node LP that stops on its iteration limit is retried on HiGHS, within
-    # the search's time limit, and not at all once that is spent
-    prob = lp([-1.0], [[1.0]], [LE], [1.0], upper=[1.0])
-    limits = []
+def test_a_stuck_node_stops_the_search_without_a_retry(monkeypatch):
+    # min x, 2x >= 3, x integral in [0, 5]: the root is x = 1.5 and its x <= 1
+    # child stops unsolved, on its iteration limit or on HiGHS's time limit.
+    # No other solver takes that node over, nor is it pruned: the search
+    # stops there, with the root's bound still open and no further LP solved
+    prob = lp([1.0], [[2.0]], [GE], [3.0], upper=[5.0])
+    highs = []
 
     def retry(problem, time_limit=None):
-        limits.append(time_limit)
+        highs.append(problem)
         return solve_lp_scipy(problem, time_limit=time_limit)
 
     monkeypatch.setattr("firegrid.milp.solve_lp_scipy", retry)
-    stuck = lambda problem: LpSolution(ITERATION_LIMIT)  # noqa: E731
-    res = branch_and_bound(prob, [True], deadline=time.monotonic() + 5.0,
-                           lp_solver=stuck)
-    assert res.status == OPTIMAL
-    assert len(limits) == 1 and 0.0 < limits[0] <= 5.0
-    res = branch_and_bound(prob, [True], deadline=time.monotonic(), lp_solver=stuck)
-    assert res.status == NO_INCUMBENT and len(limits) == 1
+    for stuck in (ITERATION_LIMIT, TIME_LIMIT):
+        solved = []
+
+        def solver(problem):
+            solved.append(problem.upper[0])
+            if problem.upper[0] <= 1.0:
+                return LpSolution(stuck)
+            return solve_lp(problem)
+
+        res = branch_and_bound(prob, [True], deadline=time.monotonic() + 60.0,
+                               lp_solver=solver)
+        assert res.status == NO_INCUMBENT
+        assert res.bound == pytest.approx(1.5)
+        assert res.nodes == len(solved) == 2 and solved[-1] == 1.0
+    assert highs == []
 
 
 def test_a_child_cut_off_by_the_deadline_leaves_its_subtree_open():
