@@ -481,3 +481,22 @@ def test_golden_first_decisions_on_k20_fire():
     second = policy(state, rng)
     assert [first, second] == [(184, 232, 253, 269), (113, 232, 292, 368)]
     assert policy.fallbacks == 0
+
+
+def test_golden_first_decisions_on_k20_fire_with_random_rollouts():
+    # No shipped scenario rolls out with ``random_policy``; this pins its
+    # draws, and that its targets stay Python ints, on the same fire.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "grid1_k20.json")
+    config = load_scenario(path)
+    config = replace(config, mcts=dict(config.mcts, budget_seconds=None,
+                                       budget_iterations=10, rollout="random"))
+    state = config.initial_state(episode_rng(9))
+    policy = config.make_policy("mcts")
+    rng = random.Random("golden:mcts:random")
+    first = policy(state, rng)
+    state, _ = config.model().step(state, first, rng)
+    second = policy(state, rng)
+    assert [first, second] == [(89, 171, 183, 244), (34, 162, 169, 328)]
+    assert all(type(t) is int for t in first + second)
+    assert policy.fallbacks == 0
