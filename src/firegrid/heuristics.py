@@ -13,42 +13,53 @@ fallback built from that scenario shares them read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall
 
-from .mdp import Action, FireState, RewardModel, SpreadModel, burning_cells, idle_action
+from .mdp import (
+    Action,
+    FireState,
+    RewardModel,
+    SpreadModel,
+    burning_cells,
+    burning_flags,
+    idle_action,
+)
 
 
 @dataclass(frozen=True)
 class WeightMap:
     """Per-cell score w and the derived suppression priority (-w).
 
-    The priority never changes, so its order is precomputed here: ``order``
-    lists the cells by priority descending, ties toward the lower index, and
-    ``tie_start[x]`` is the position in ``order`` where the run of cells
-    sharing x's priority begins.  Ranking any burning set then takes one
-    O(n) pass over ``order`` instead of comparing burning cells pairwise.
+    The priority never changes, so its order is precomputed here, as
+    read-only intp arrays: ``order`` lists the cells by priority descending,
+    ties toward the lower index, and ``tie_start[x]`` is the position in
+    ``order`` where the run of cells sharing x's priority begins.  Ranking
+    any burning set then takes one O(n) pass over ``order`` instead of
+    comparing burning cells pairwise.
     """
 
     w: np.ndarray
     priority: np.ndarray
-    order: tuple = field(init=False, repr=False, compare=False)
-    tie_start: tuple = field(init=False, repr=False, compare=False)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+    tie_start: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = self.priority.tolist()
-        order = sorted(range(len(p)), key=p.__getitem__, reverse=True)  # stable
-        tie_start = [0] * len(p)
-        start = 0
-        for i, x in enumerate(order):
-            if i and p[x] != p[order[i - 1]]:
-                start = i
-            tie_start[x] = start
-        object.__setattr__(self, "order", tuple(order))
-        object.__setattr__(self, "tie_start", tuple(tie_start))
+        p = self.priority
+        order = np.argsort(-p, kind="stable")
+        ranked = p[order]
+        runs = np.zeros(len(p), dtype=np.intp)  # position of each run's first cell
+        new_run = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+        runs[new_run] = new_run
+        np.maximum.accumulate(runs, out=runs)
+        tie_start = np.empty(len(p), dtype=np.intp)
+        tie_start[order] = runs
+        order.setflags(write=False)
+        tie_start.setflags(write=False)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "tie_start", tie_start)
 
 
 def all_pairs_distances(spread: SpreadModel) -> np.ndarray:
@@ -91,14 +102,14 @@ def fw_policy(state: FireState, weights: WeightMap, teams: int) -> Action:
     covered the remaining teams wrap back to the top.  Ties break toward the
     lower cell index, as in ``weights.order``.
     """
-    burning = state.burning
-    cells = [x for x in weights.order if burning[x]]
+    order = weights.order
+    cells = order[burning_flags(state.burning)[order].nonzero()[0][:teams]].tolist()
     if not cells:
         return idle_action(teams)
     return tuple(sorted(cells[i % len(cells)] for i in range(teams)))
 
 
-def _priority_ranks(burning, cells, weights: WeightMap) -> list:
+def _priority_ranks(burning: np.ndarray, cells: np.ndarray, weights: WeightMap) -> np.ndarray:
     """Competition ranks (1 = best) of the burning ``cells``, in their order.
 
     A cell's rank is one plus the number of burning cells of strictly higher
@@ -106,29 +117,23 @@ def _priority_ranks(burning, cells, weights: WeightMap) -> list:
     burning flags along ``weights.order`` gives that number at the start of
     every tie run: O(n) per call.
     """
-    # before[i]: one plus the number of burning cells among order[:i]
-    before = list(accumulate([burning[x] for x in weights.order], initial=1))
-    tie_start = weights.tie_start
-    return [before[tie_start[x]] for x in cells]
+    order = weights.order
+    # ahead[i]: the number of burning cells among order[:i]
+    ahead = np.zeros(len(order) + 1, dtype=np.intp)
+    np.add.accumulate(burning[order], dtype=np.intp, out=ahead[1:])
+    return 1 + ahead[weights.tie_start[cells]]
 
 
-def _weighted_index(weights, rng) -> int:
-    """Index i drawn with probability weights[i] / sum(weights): the first
-    whose running total exceeds a uniform draw on [0, sum), else the last.
+def _draw(totals: np.ndarray, rng) -> int:
+    """An index drawn with probability proportional to its weight, given the
+    running totals of non-negative weights: the first whose running total
+    exceeds a uniform draw on [0, total).
 
-    A plain scan: it stops at the pick, so it beats building every prefix
-    sum in C (``accumulate``) and bisecting them.  The total is the builtin
-    ``sum``, compensated from Python 3.12, so there the last bit of ``u``,
-    and rarely the pick, may differ.  A left-to-right sum in Python takes
-    several times as long on this, MCTS's hot path, so it waits for the
-    array form of ROADMAP item 6."""
-    u = rng.random() * sum(weights)
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
+    With r = ``rng.random()`` < 1, r * total rounds below the total (the
+    last running total), so some index is always found; and a zero weight
+    repeats the total before it, so the index found has a non-zero weight.
+    """
+    return int(totals.searchsorted(rng.random() * totals[-1], side="right"))
 
 
 def fw_sample_policy(state: FireState, weights: WeightMap, teams: int, rng) -> Action:
@@ -139,21 +144,29 @@ def fw_sample_policy(state: FireState, weights: WeightMap, teams: int, rng) -> A
     once the burning set is exhausted the remaining teams draw with
     replacement from the same distribution.  Ranks come from the priority
     order ``WeightMap`` precomputes, at O(n) per call.
+
+    Each draw scales one ``rng.random()`` by the total weight and takes the
+    first cell whose running total exceeds it.  The running totals come
+    from a float64 cumulative sum (``np.add.accumulate``, as ``cumsum``), so
+    they, and the total, add left to right on every Python.  A drawn cell's
+    weight is set to 0.0 rather than removed; since x + 0.0 == x, every
+    later running total is the one the remaining cells alone would give.
     """
-    cells = burning_cells(state)
-    if not cells:
+    burning = burning_flags(state.burning)
+    cells = burning.nonzero()[0]
+    if not cells.size:
         return idle_action(teams)
-    ranks = _priority_ranks(state.burning, cells, weights)
-    base = [1.0 / r for r in ranks]
-    chosen = []
-    pool, pool_weights = list(cells), list(base)
-    for _ in range(min(teams, len(cells))):
-        pick = _weighted_index(pool_weights, rng)
-        del pool_weights[pick]
-        chosen.append(pool.pop(pick))
-    for _ in range(teams - len(cells)):
-        chosen.append(cells[_weighted_index(base, rng)])
-    return tuple(sorted(chosen))
+    base = 1.0 / _priority_ranks(burning, cells, weights)
+    pool = base.copy()
+    picks = []
+    for _ in range(min(teams, cells.size)):
+        pick = _draw(np.add.accumulate(pool), rng)
+        picks.append(pick)
+        pool[pick] = 0.0
+    if teams > cells.size:
+        totals = np.add.accumulate(base)
+        picks.extend(_draw(totals, rng) for _ in range(teams - cells.size))
+    return tuple(sorted(cells[picks].tolist()))
 
 
 def random_policy(state: FireState, teams: int, rng) -> Action:

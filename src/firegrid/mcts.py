@@ -13,6 +13,10 @@ New candidate actions come from a genetic generator: with probability
 ``u_recombine`` two are crossed over, otherwise the rollout policy proposes
 one.  A duplicate of a known action is re-drawn up to ``GEN_RETRIES`` times
 and then returned as-is (the tree keeps a single copy of the statistics).
+
+Tree nodes stay keyed by hashable tuple states.  Rollouts run on arrays: the
+leaf state is converted once, each step goes through ``Wildfire.step_arrays``,
+and the rollout policy sees a ``FireState`` whose fields are those arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import time
 from dataclasses import dataclass
 from math import inf, log, sqrt
 
-from .mdp import Action, FireState, Wildfire, burning_cells, idle_action
+from .mdp import Action, FireState, Wildfire, burning_cells, idle_action, state_arrays
 
 
 # duplicate proposals re-drawn by the action generator before one is kept
@@ -325,16 +329,18 @@ class Planner:
         return candidate
 
     def _rollout(self, state: FireState, depth: int, rng) -> float:
-        model = self.model
+        """Play ``pi0`` for up to ``depth`` steps on arrays; the discounted return."""
+        step = self.model.step_arrays
         pi0 = self.pi0
         gamma = self.config.gamma
+        burning, fuel = state_arrays(state)
         total = 0.0
         weight = 1.0
         for _ in range(depth):
-            if 1 not in state.burning:
+            if not burning.any():
                 break
-            action = pi0(state, rng)
-            state, reward = model.step(state, action, rng)
+            action = pi0(FireState(burning, fuel), rng)
+            burning, fuel, reward = step(burning, fuel, action, rng)
             total += weight * reward
             weight *= gamma
         return total

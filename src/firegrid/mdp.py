@@ -9,14 +9,20 @@ neighbors y, a burning cell is extinguished with probability
 fuel is exhausted).  Fuel drops by one per burning step.  The step reward
 charges R(x) <= 0 for every cell burning in the pre-step state.
 
-``Wildfire`` evaluates the law for all cells at once with numpy, one
-in-edge slot of ``SpreadModel`` at a time.  Exact outcome distributions are
-enumerated only in the tests, from an independent per-cell copy of the law,
-so they check this kernel rather than share it.
+``Wildfire.step_arrays`` is the one kernel of the law: it maps the arrays
+(burning uint8, fuel int64) and an action to the next arrays and the reward,
+for all cells at once with numpy.  Each cell's survival product is formed
+one in-edge slot of ``SpreadModel`` at a time, the teams on a burning cell
+multiply in action order, and the reward adds R(x) over the burning cells
+left to right, starting from 0.0.  ``Wildfire.step`` wraps the kernel for
+tuple states: it converts the state to arrays and the result back to
+tuples.  MCTS rollouts call the kernel directly and stay on arrays.  Exact
+outcome distributions are enumerated only in the tests, from an independent
+per-cell copy of the law, so they check this kernel rather than share it.
 
 All step randomness comes from an explicit ``random.Random`` stream, so a
 fixed seed reproduces a trajectory exactly.  The draw order is part of the
-law: ``step`` draws ``rng.random()`` once for every cell whose probability
+law: the kernel draws ``rng.random()`` once for every cell whose probability
 of burning next lies strictly between 0 and 1, in ascending cell order, and
 the cell burns when the draw is below that probability.  Cells whose
 probability is 0 or 1 draw nothing.
@@ -24,10 +30,7 @@ probability is 0 or 1 draw nothing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,7 +41,11 @@ Action = tuple  # tuple[int, ...]; one non-negative cell index (or IDLE) per tea
 
 
 class FireState(NamedTuple):
-    """Immutable MDP state: per-cell burning flags (0/1) and integer fuel."""
+    """MDP state: per-cell burning flags (0/1) and integer fuel.
+
+    Tuples of ints everywhere but inside an MCTS rollout, whose policy sees
+    the kernel's arrays instead.
+    """
 
     burning: tuple
     fuel: tuple
@@ -177,9 +184,22 @@ def idle_action(teams: int) -> Action:
     return (IDLE,) * teams
 
 
-def burning_cells(state: FireState) -> tuple:
-    burning = state.burning
-    return tuple(itertools.compress(range(len(burning)), burning))
+def burning_flags(burning) -> np.ndarray:
+    """The burning flags of either state form as a uint8 array: an array is
+    returned as it is, a tuple is copied into a read-only one."""
+    if isinstance(burning, np.ndarray):
+        return burning
+    return np.frombuffer(bytes(burning), dtype=np.uint8)
+
+
+def state_arrays(state: FireState) -> tuple:
+    """The (burning uint8, fuel int64) arrays of a tuple state."""
+    return burning_flags(state.burning), np.fromiter(state.fuel, np.int64, len(state.fuel))
+
+
+def burning_cells(state: FireState) -> list:
+    """The burning cells of either state form, ascending, as Python ints."""
+    return np.flatnonzero(burning_flags(state.burning)).tolist()
 
 
 class Wildfire:
@@ -198,38 +218,27 @@ class Wildfire:
         self.spread = spread
         self.rewards = rewards
         self._q = spread.q
-        self._r = rewards.values
+        self._r = np.array(rewards.values)
         # per slot, the source and the factor 1 - P(x, y); padding keeps 1.0
         self._src = spread.slot_source
         self._keep = 1.0 - spread.slot_rate
 
     # -- transition law ------------------------------------------------
 
-    def step_reward(self, state: FireState) -> float:
-        """Reward charged this step: sum of R(x) over the pre-step burning set.
-
-        Added left to right, like a plain loop; ``np.sum`` (pairwise) and the
-        builtin ``sum`` of Python 3.12+ (compensated) may differ in the last bit.
-        """
-        return reduce(add, itertools.compress(self._r, state.burning), 0.0)
-
-    def _law(self, state: FireState, action: Action) -> tuple:
-        """(per-cell probability of burning next as an array, next fuel tuple)."""
-        burning = np.frombuffer(bytes(state.burning), dtype=np.uint8) != 0
-        fuel = np.fromiter(state.fuel, np.int64, len(state.fuel))
-        fueled = fuel > 0
+    def _burn_probs(self, lit: np.ndarray, fuel: np.ndarray, action: Action) -> np.ndarray:
+        """Per-cell probability of burning next, from the pre-step burning
+        mask ``lit`` and fuel array."""
         # survival product of every cell, one in-edge slot at a time
-        survive = np.ones(len(fuel))
-        for factor in np.where(burning[self._src], self._keep, 1.0):
+        survive = np.ones(len(lit))
+        for factor in np.where(lit[self._src], self._keep, 1.0):
             survive *= factor
-        probs = np.where(burning, 1.0, 1.0 - survive)
+        probs = np.where(lit, 1.0, 1.0 - survive)
         q = self._q
         for target in action:
-            if target >= 0 and state.burning[target]:
+            if target >= 0 and lit[target]:
                 probs[target] *= 1.0 - q[target]
-        probs[~fueled] = 0.0
-        next_fuel = tuple((fuel - (burning & fueled)).tolist())
-        return probs, next_fuel
+        probs[fuel <= 0] = 0.0
+        return probs
 
     def _check_action(self, action: Action):
         n = self.spec.n_cells
@@ -237,15 +246,30 @@ class Wildfire:
             if target != IDLE and not 0 <= target < n:
                 raise ValueError(f"action targets cell {target} outside grid")
 
-    def step(self, state: FireState, action: Action, rng) -> tuple:
-        """Sample one synchronous transition; returns (next_state, reward)."""
+    def step_arrays(self, burning: np.ndarray, fuel: np.ndarray, action: Action, rng) -> tuple:
+        """Sample one transition on arrays: (next burning, next fuel, reward).
+
+        ``burning`` is a uint8 array of 0/1 flags and ``fuel`` an int64
+        array; neither is written.  The reward is the sum of R(x) over the
+        pre-step burning cells, added left to right from 0.0.
+        """
         self._check_action(action)
-        probs, next_fuel = self._law(state, action)
+        lit = burning != 0
+        probs = self._burn_probs(lit, fuel, action)
         burns = probs >= 1.0
         stochastic = np.flatnonzero((probs > 0.0) & (probs < 1.0))
         if stochastic.size:
             rand = rng.random
             draws = [rand() for _ in range(stochastic.size)]
             burns[stochastic] = np.array(draws) < probs[stochastic]
-        next_burning = tuple(burns.tobytes())
-        return FireState(next_burning, next_fuel), self.step_reward(state)
+        next_fuel = fuel - (lit & (fuel > 0))
+        charged = self._r[lit]
+        # a float64 cumulative sum adds in sequence, where np.sum adds pairwise;
+        # the leading 0.0 turns a sum of -0.0 into 0.0
+        reward = 0.0 + float(np.add.accumulate(charged)[-1]) if charged.size else 0.0
+        return burns.view(np.uint8), next_fuel, reward
+
+    def step(self, state: FireState, action: Action, rng) -> tuple:
+        """Sample one synchronous transition; returns (next_state, reward)."""
+        burning, fuel, reward = self.step_arrays(*state_arrays(state), action, rng)
+        return FireState(tuple(burning.tobytes()), tuple(fuel.tolist())), reward

@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles (and slowly):
 Dijkstra instead of Floyd-Warshall, vertex enumeration instead of simplex,
 exhaustive expectimax instead of tree search, a per-cell loop and exact
-outcome enumeration instead of the vectorised transition law, a direct
+outcome enumeration instead of the vectorised transition law, pairwise
+ranks and a list scan instead of the array fw_sample draw, a direct
 forward recursion for the fluid dynamics, and the fixed-format MPS reader
 that the package's writer is checked against.  None of it imports the
 implementation paths it verifies beyond plain data containers.
@@ -11,9 +12,11 @@ implementation paths it verifies beyond plain data containers.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 import types
 
 import numpy as np
@@ -167,6 +170,38 @@ def priority_ranks(cells, priority):
     """Competition ranks (1 = best) of ``cells`` by ``priority``, counted
     pairwise: one plus the number of cells of strictly higher priority."""
     return [1 + sum(1 for y in cells if priority[y] > priority[x]) for x in cells]
+
+
+def weighted_index(weights, rng):
+    """Index i drawn with probability weights[i] / sum(weights), as a list
+    scan: the first whose running total exceeds a uniform draw on [0, total),
+    else the last.  The total adds left to right from 0.0."""
+    u = rng.random() * functools.reduce(operator.add, weights, 0.0)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
+def reference_fw_sample(state, priority, teams, rng):
+    """``fw_sample`` on tuples: burning cells drawn without replacement with
+    weight 1 / rank (``priority_ranks``), deleting each pick from the pool,
+    then any surplus teams with replacement from the full weights."""
+    cells = [x for x in range(len(state.burning)) if state.burning[x]]
+    if not cells:
+        return (-1,) * teams
+    base = [1.0 / r for r in priority_ranks(cells, priority)]
+    chosen = []
+    pool, pool_weights = list(cells), list(base)
+    for _ in range(min(teams, len(cells))):
+        pick = weighted_index(pool_weights, rng)
+        del pool_weights[pick]
+        chosen.append(pool.pop(pick))
+    for _ in range(teams - len(cells)):
+        chosen.append(cells[weighted_index(base, rng)])
+    return tuple(sorted(chosen))
 
 
 def ignition_prob(spread, state, x):

@@ -26,7 +26,7 @@ from firegrid.mdp import (
     idle_action,
 )
 
-from oracles import dijkstra, priority_ranks
+from oracles import dijkstra, priority_ranks, reference_fw_sample
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -260,8 +260,10 @@ def ranked_fires(draw):
 def test_priority_ranks_match_pairwise_reference(fire):
     priority, burning = fire
     weights = WeightMap(w=-priority, priority=priority)
-    cells = burning_cells(FireState(burning, (1,) * len(burning)))
-    assert _priority_ranks(burning, cells, weights) == priority_ranks(cells, priority)
+    flags = np.array(burning, dtype=np.uint8)
+    cells = np.flatnonzero(flags)
+    assert _priority_ranks(flags, cells, weights).tolist() == priority_ranks(
+        cells.tolist(), priority)
 
 
 @given(ranked_fires(), st.integers(1, 6))
@@ -301,16 +303,19 @@ def test_priority_ranks_match_reference_on_grid_weights():
                     RewardModel(tuple(-float(1 + x % 6 + x // 6) for x in range(36))))
     rng = random.Random(8)
     for _ in range(50):
-        burning = tuple(rng.randint(0, 1) for _ in range(36))
-        cells = burning_cells(FireState(burning, (1,) * 36))
-        assert _priority_ranks(burning, cells, wm) == priority_ranks(cells, wm.priority)
+        flags = np.array([rng.randint(0, 1) for _ in range(36)], dtype=np.uint8)
+        cells = np.flatnonzero(flags)
+        assert _priority_ranks(flags, cells, wm).tolist() == priority_ranks(
+            cells.tolist(), wm.priority)
 
 
 def test_weight_map_order_is_priority_descending_then_index():
     priority = np.array([1.0, 3.0, 1.0, 2.0, 3.0])
     wm = WeightMap(w=-priority, priority=priority)
-    assert wm.order == (1, 4, 3, 0, 2)
-    assert wm.tie_start == (3, 0, 3, 2, 0)
+    assert wm.order.tolist() == [1, 4, 3, 0, 2]
+    assert wm.tie_start.tolist() == [3, 0, 3, 2, 0]
+    for built in (wm.order, wm.tie_start):
+        assert built.dtype == np.intp and not built.flags.writeable
 
 
 def k20_fire():
@@ -336,6 +341,35 @@ FW_SAMPLE_SURPLUS_GOLDEN = [
     (0, 37, 74, 111, 148, 148, 148, 185, 222),
     (0, 37, 74, 111, 148, 148, 148, 185, 222),
 ]
+
+
+class TopDraws:
+    """A stream whose every draw is the largest float below 1."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+def test_fw_sample_top_draw_takes_the_last_remaining_cell():
+    # r * total rounds below the total, so the draw always lands on the last
+    # cell still in the pool, never on a drawn (zeroed) one, as the scan does
+    priority = np.array([3.0, 1.0, 2.0, 1.0, 0.5])
+    weights = WeightMap(w=-priority, priority=priority)
+    state = FireState((1, 1, 0, 1, 1), (1,) * 5)
+    assert fw_sample_policy(state, weights, 3, TopDraws()) == (1, 3, 4)
+    assert fw_sample_policy(state, weights, 6, TopDraws()) == (0, 1, 3, 4, 4, 4)
+    for teams in range(1, 7):
+        assert fw_sample_policy(state, weights, teams, TopDraws()) == reference_fw_sample(
+            state, priority, teams, TopDraws())
+
+
+def test_reference_fw_sample_reproduces_golden_sequence_on_k20_fire():
+    # the tuple oracle of the rollout property draws the recorded stream too
+    config, state, weights = k20_fire()
+    rng = random.Random("golden:fw_sample")
+    draws = [reference_fw_sample(state, weights.priority, config.teams, rng)
+             for _ in range(12)]
+    assert draws == FW_SAMPLE_GOLDEN
 
 
 def test_fw_sample_golden_sequence_on_k20_fire():

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from firegrid.harness import (
     run_episode,
     scenario_from_dict,
 )
-from firegrid.heuristics import random_policy
+from firegrid.heuristics import WeightMap, fw_sample_policy, random_policy
 from firegrid.mcts import (
     MctsConfig,
     Planner,
@@ -31,9 +32,10 @@ from firegrid.mdp import (
     SpreadModel,
     Wildfire,
     idle_action,
+    state_arrays,
 )
 
-from oracles import expectimax
+from oracles import expectimax, reference_fw_sample, reference_step
 
 
 def small_model(p=0.06, q=0.8, rewards=(-1.0, -2.0, -2.0, -10.0)):
@@ -500,3 +502,64 @@ def test_golden_first_decisions_on_k20_fire_with_random_rollouts():
     assert [first, second] == [(89, 171, 183, 244), (34, 162, 169, 328)]
     assert all(type(t) is int for t in first + second)
     assert policy.fallbacks == 0
+
+
+# -- array rollouts against the tuple references --------------------------------
+
+@st.composite
+def rollout_cases(draw):
+    """A 1-4 x 1-4 grid with full-mantissa P and Q (some exactly 0 or 1),
+    costs that include -0.0, priorities from few levels (so ranks tie), a
+    fire of at least one cell, and a team count below, equal to or above
+    its size."""
+    spec = GridSpec(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                    draw(st.sampled_from(["four", "eight"])))
+    n = spec.n_cells
+    dense = st.integers(1, 2 ** 53 - 1).map(lambda i: i / 2 ** 53)
+    prob = st.one_of(st.just(0.0), st.just(1.0), dense)
+    edges = {(x, y): draw(prob) for x in range(n) for y in spec.neighbors(x)}
+    q = draw(st.lists(prob, min_size=n, max_size=n))
+    cost = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-100.0, 0.0))
+    rewards = draw(st.lists(cost, min_size=n, max_size=n))
+    model = Wildfire(spec, SpreadModel(spec, edges, q), RewardModel(tuple(rewards)))
+    levels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    priority = np.array(levels, dtype=float) * 0.37 - 0.5
+    burning = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any))
+    fuel = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    teams = max(1, sum(burning) + draw(st.sampled_from([-2, -1, 0, 1, 3])))
+    state = FireState(tuple(burning), tuple(fuel))
+    return model, state, WeightMap(w=-priority, priority=priority), teams
+
+
+@given(rollout_cases(), st.integers(0, 2 ** 31), st.sampled_from([1.0, 0.9]))
+@settings(max_examples=60, deadline=None)
+def test_array_rollout_matches_reference_step_and_fw_sample(case, seed, gamma):
+    # every step of a rollout on arrays must reproduce the tuple references
+    # bit for bit: the same action, reward bits, next state and draws
+    model, state, weights, teams = case
+    depth = 6
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    burning, fuel = state_arrays(state)
+    ref_state = state
+    ref_total, weight = 0.0, 1.0
+    for _ in range(depth):
+        if 1 not in ref_state.burning:
+            break
+        action = fw_sample_policy(FireState(burning, fuel), weights, teams, rng)
+        ref_action = reference_fw_sample(ref_state, weights.priority, teams, ref_rng)
+        assert action == ref_action
+        assert all(type(t) is int for t in action)
+        burning, fuel, reward = model.step_arrays(burning, fuel, action, rng)
+        ref_state, ref_reward = reference_step(model, ref_state, action, ref_rng)
+        assert reward.hex() == ref_reward.hex()
+        assert FireState(tuple(burning.tolist()), tuple(fuel.tolist())) == ref_state
+        assert rng.getstate() == ref_rng.getstate()
+        ref_total += weight * ref_reward
+        weight *= gamma
+    # the planner's own rollout plays the same steps and discounts them alike
+    planner = Planner(model, MctsConfig(depth=depth, gamma=gamma, budget_iterations=1,
+                                        budget_seconds=None),
+                      lambda s, r: fw_sample_policy(s, weights, teams, r))
+    rng = random.Random(seed)
+    assert planner._rollout(state, depth, rng).hex() == ref_total.hex()
+    assert rng.getstate() == ref_rng.getstate()

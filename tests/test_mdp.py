@@ -14,6 +14,7 @@ from firegrid.mdp import (
     Wildfire,
     burning_cells,
     idle_action,
+    state_arrays,
 )
 from oracles import (
     enumerate_transitions,
@@ -22,6 +23,12 @@ from oracles import (
     reference_burn_probs,
     reference_step,
 )
+
+
+def burn_probs(model, state, action):
+    """The kernel's per-cell probabilities of burning next, for a tuple state."""
+    burning, fuel = state_arrays(state)
+    return model._burn_probs(burning != 0, fuel, action)
 
 
 def test_grid_indexing_round_trip():
@@ -214,7 +221,7 @@ def law_cases(draw):
 def test_burn_next_probs_match_oracle_law(case):
     spread, state, action = case
     model = Wildfire(spread.spec, spread, RewardModel((0.0,) * spread.spec.n_cells))
-    for x, prob in enumerate(model._law(state, action)[0]):
+    for x, prob in enumerate(burn_probs(model, state, action)):
         if state.burning[x]:
             expected = 1.0 - extinguish_prob(spread, state, action, x)
         else:
@@ -251,7 +258,7 @@ def test_step_matches_reference_step(case, seed):
     model, state, action = case
     rng, ref_rng = random.Random(seed), random.Random(seed)
     for _ in range(3):
-        probs = model._law(state, action)[0]
+        probs = burn_probs(model, state, action)
         assert [p.hex() for p in probs.tolist()] == [
             p.hex() for p in reference_burn_probs(model, state, action)]
         nxt, reward = model.step(state, action, rng)
@@ -274,7 +281,7 @@ def test_burn_next_probs_multiply_in_in_edge_order():
                          RewardModel((0.0,) * 16))
         state = FireState(tuple(rng.randint(0, 1) for _ in range(16)), (2,) * 16)
         action = (rng.randrange(16), rng.randrange(16), IDLE)
-        probs = model._law(state, action)[0].tolist()
+        probs = burn_probs(model, state, action).tolist()
         assert [p.hex() for p in probs] == [
             p.hex() for p in reference_burn_probs(model, state, action)]
 
