@@ -9,8 +9,10 @@ for a fuel-scaled warmup and then shrink all fuel by k**-0.25.
 Benchmarks are paired: replication r of every policy starts from the
 identical initial fire and the identical stream state, both drawn from a
 stream seeded only by (seed + r).  A benchmark generates each seed's fire
-once and plays every policy on it from a copy of the stream state; under
-``--jobs`` the seed is the unit of work.  The transitions are not paired:
+once and plays every policy on it from a copy of the stream state.  The
+heuristics' episodes step in lockstep, as one block of arrays through the
+simulator's kernel; under ``--jobs`` each worker plays one contiguous block
+of seeds.  The transitions are not paired:
 ``random``, ``fw_sample`` and ``mcts`` draw from the stream the transitions
 use, and a step draws once per cell whose next state is uncertain, so once
 two policies' draws or states differ, their transitions read other draws.
@@ -43,6 +45,8 @@ from .mdp import (
     Wildfire,
     burning_cells,
     idle_action,
+    row_state,
+    state_arrays,
 )
 
 RESULTS_SCHEMA = "# firegrid results v1"
@@ -141,15 +145,18 @@ def grid2_rewards(k: int, lam: float, height: int | None = None) -> RewardModel:
 def gen_initial(model: Wildfire, ignition: int, steps: int, rng) -> FireState:
     """Uniform fuel ``steps`` with only cell ``ignition`` burning, then
     ``steps`` uncontrolled transitions on ``model`` (its rewards go unused),
-    then all fuel scaled by width**-0.25 and floored."""
+    then all fuel scaled by width**-0.25 and floored.  The warm-up runs on
+    the kernel's arrays, as a block of one row."""
     spec = model.spec
-    n = spec.n_cells
-    state = FireState(tuple(1 if x == ignition else 0 for x in range(n)), (steps,) * n)
-    idle = idle_action(0)
+    burning = np.zeros((1, spec.n_cells), dtype=np.uint8)
+    burning[0, ignition] = 1
+    fuel = np.full((1, spec.n_cells), steps, dtype=np.int64)
+    idle, rngs = (idle_action(0),), (rng,)
     for _ in range(steps):
-        state, _ = model.step(state, idle, rng)
+        burning, fuel, _ = model.step_arrays(burning, fuel, idle, rngs)
     factor = spec.width ** -0.25
-    return FireState(state.burning, tuple(int(f * factor) for f in state.fuel))
+    return FireState(tuple(burning[0].tobytes()),
+                     tuple(int(f * factor) for f in fuel[0].tolist()))
 
 
 _BUILT = {"init": False, "repr": False, "compare": False}
@@ -431,77 +438,122 @@ def _fire_size(state: FireState) -> tuple:
     return len(cells), sum(state.fuel[x] for x in cells)
 
 
+def _play(config: ScenarioConfig, policy, name: str, episodes,
+          records: list | None = None) -> list:
+    """Play ``policy`` over a block of episodes in lockstep; one
+    ``EpisodeResult`` per episode, in order.
+
+    ``episodes`` holds (seed, initial state, rng) triples, each rng
+    positioned just after generation.  The block stays as the kernel's
+    ``(B, n)`` arrays.  At every decision the policy sees each live row as a
+    tuple ``FireState`` with that row's stream, and then one kernel call
+    steps all live rows.  A row leaves the block when its fire is out, or
+    when it is still burning after the hard step cap, 10x the generation
+    horizon.  A policy with ``reset()`` is reset first and counts its
+    fallbacks per episode, so it plays a block of one.  ``records`` is
+    ``run_episode``'s.
+    """
+    if hasattr(policy, "reset"):
+        if len(episodes) != 1:
+            raise ValueError("a policy with reset() plays one episode at a time")
+        policy.reset()
+    model = config.model()
+    cap = 10 * max(1, config.generation_horizon())
+    rows = [state_arrays(state) for _, state, _ in episodes]
+    burning = np.concatenate([flags for flags, _ in rows])
+    fuel = np.concatenate([level for _, level in rows])
+    rngs = [rng for _, _, rng in episodes]
+    live = list(range(len(episodes)))  # the episode of each row of the block
+    totals = [0.0] * len(episodes)
+    ends = [None] * len(episodes)  # (steps, step cap hit) of each episode
+    steps = 0
+    while True:
+        burning_rows = burning.any(axis=1)
+        if not burning_rows.all():
+            for row in np.flatnonzero(~burning_rows).tolist():
+                ends[live[row]] = (steps, False)
+            keep = np.flatnonzero(burning_rows)
+            burning, fuel = burning[keep], fuel[keep]
+            live = [live[row] for row in keep.tolist()]
+        if not live:
+            break
+        if steps >= cap:
+            for episode in live:
+                ends[episode] = (steps, True)
+            break
+        actions = []
+        for flags, level, episode in zip(burning, fuel, live):
+            state = row_state(flags, level)
+            t0 = None if records is None else time.perf_counter()
+            action = policy(state, rngs[episode])
+            if records is not None:
+                records.append({"epoch": steps, "n_burning": state.burning.count(1),
+                                "action": list(action),
+                                "ms": 1e3 * (time.perf_counter() - t0),
+                                **getattr(policy, "last", {})})
+            actions.append(action)
+        burning, fuel, rewards = model.step_arrays(
+            burning, fuel, actions, [rngs[episode] for episode in live])
+        for episode, reward in zip(live, rewards):
+            totals[episode] += reward
+        steps += 1
+    return [EpisodeResult(
+        policy=name,
+        seed=seed,
+        reward=total,
+        steps=end[0],
+        step_cap_hit=end[1],
+        mo_fallbacks=policy.fallbacks if isinstance(policy, MoPolicy) else 0,
+        mcts_fallbacks=policy.fallbacks if isinstance(policy, MctsPolicy) else 0,
+    ) for (seed, _, _), total, end in zip(episodes, totals, ends)]
+
+
 def run_episode(config: ScenarioConfig, policy, seed: int,
-                policy_name: str = "?", *, start: tuple | None = None,
-                records: list | None = None) -> EpisodeResult:
+                policy_name: str = "?", *, records: list | None = None) -> EpisodeResult:
     """Play one full episode: generate the initial fire, then act until the
     fire is out or the hard step cap (10x the generation horizon) trips.
 
     The rng stream is seeded only by ``seed``; generation consumes a fixed
     prefix, so every policy sees the identical initial fire for a given seed.
-    ``start`` is ``(initial state, rng)``, already generated from ``seed``'s
-    stream, with the rng positioned just after generation.
+    This is the one-episode case of the benchmark's lockstep loop.
 
     ``records``, when given, gets one dict per decision: ``epoch`` (from 0),
     ``n_burning``, ``action`` (target cells), ``ms`` (the policy call's wall
     clock) and then the items of the policy's ``last`` dict, if it has one.
     """
-    model = config.model()
-    if start is None:
-        rng = episode_rng(seed)
-        state = config.initial_state(rng)
-    else:
-        state, rng = start
-    if hasattr(policy, "reset"):
-        policy.reset()
-    cap = 10 * max(1, config.generation_horizon())
-    total = 0.0
-    steps = 0
-    cap_hit = False
-    while 1 in state.burning:
-        if steps >= cap:
-            cap_hit = True
-            break
-        if records is None:
-            action = policy(state, rng)
-        else:
-            t0 = time.perf_counter()
-            action = policy(state, rng)
-            records.append({"epoch": steps, "n_burning": state.burning.count(1),
-                            "action": list(action),
-                            "ms": 1e3 * (time.perf_counter() - t0),
-                            **getattr(policy, "last", {})})
-        state, reward = model.step(state, action, rng)
-        total += reward
-        steps += 1
-    return EpisodeResult(
-        policy=policy_name,
-        seed=seed,
-        reward=total,
-        steps=steps,
-        step_cap_hit=cap_hit,
-        mo_fallbacks=policy.fallbacks if isinstance(policy, MoPolicy) else 0,
-        mcts_fallbacks=policy.fallbacks if isinstance(policy, MctsPolicy) else 0,
-    )
-
-
-def _play_seed(config, policies, names, seed):
-    """Generate ``seed``'s initial fire once and play ``policies[name]`` for
-    every name in ``names`` on it, each from a fresh copy of the stream as it
-    stood after generation.  Returns (_fire_size of the fire, results)."""
     rng = episode_rng(seed)
     state = config.initial_state(rng)
-    after = rng.getstate()
+    return _play(config, policy, policy_name, [(seed, state, rng)], records)[0]
+
+
+def _resumed(saved) -> random.Random:
+    """A fresh stream at the saved ``getstate()`` of another."""
+    rng = random.Random()
+    rng.setstate(saved)
+    return rng
+
+
+def _play_seeds(config, policies, names, seeds):
+    """Generate the initial fire of each of ``seeds`` once and play
+    ``policies[name]`` for every name in ``names`` on them, each episode from
+    a fresh copy of its stream as it stood after generation.  A heuristic
+    plays all the seeds as one block; a policy with ``reset()`` plays them
+    one at a time.  Returns (_fire_size of each fire, results)."""
+    fires = []
+    for seed in seeds:
+        rng = episode_rng(seed)
+        fires.append((seed, config.initial_state(rng), rng.getstate()))
     results = []
     for name in names:
-        rng = random.Random()
-        rng.setstate(after)
-        results.append(run_episode(config, policies[name], seed, name,
-                                   start=(state, rng)))
-    return _fire_size(state), results
+        policy = policies[name]
+        episodes = [(seed, state, _resumed(saved)) for seed, state, saved in fires]
+        blocks = [[episode] for episode in episodes] if hasattr(policy, "reset") else [episodes]
+        for block in blocks:
+            results += _play(config, policy, name, block)
+    return [_fire_size(state) for _, state, _ in fires], results
 
 
-_worker = None  # _play_seed's arguments but the seed, in a benchmark's pool workers
+_worker = None  # _play_seeds' arguments but the seeds, in a benchmark's pool workers
 
 
 def _init_worker(*args):
@@ -509,8 +561,8 @@ def _init_worker(*args):
     _worker = args
 
 
-def _seed_task(seed):
-    return _play_seed(*_worker, seed)
+def _seeds_task(seeds):
+    return _play_seeds(*_worker, seeds)
 
 
 def _check_count(flag: str, value: int):
@@ -558,8 +610,12 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     and starts from the same stream, but a policy that draws from the stream
     (``random``, ``fw_sample``, ``mcts``) shifts the draws of the transitions
     after it.  A name given twice plays twice.  Each policy is built once per
-    call; ``run_episode`` resets it before every episode.  With ``jobs > 1``
-    seeds fan out to a pool of at most ``reps`` processes.
+    call.  A heuristic plays all of a task's seeds in one lockstep block; a
+    planner (``mcts``, ``mo``) is reset and plays them one at a time.  With
+    ``jobs > 1`` the seeds split into ``min(jobs, reps)`` contiguous blocks,
+    one task each for a pool of as many processes.  Every episode draws only
+    from its own stream, so results are the same for any ``jobs``: each
+    equals ``run_episode`` for its (policy, seed).
     Results are merged in (policy, seed) order, so the output depends neither
     on scheduling nor on the order the policies were given.
     """
@@ -573,15 +629,17 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     if workers > 1:
         import multiprocessing as mp
 
+        blocks = [seeds[w * reps // workers:(w + 1) * reps // workers]
+                  for w in range(workers)]
         # fork keeps workers importable from any entry point (pytest, stdin),
         # and hands them the scenario and the built policies unpickled: MCTS
         # rollout closures cannot be pickled
         with mp.get_context("fork").Pool(
                 workers, initializer=_init_worker,
                 initargs=(config, built, names)) as pool:
-            played = pool.map(_seed_task, seeds, chunksize=1)
+            played = pool.map(_seeds_task, blocks, chunksize=1)
     else:
-        played = [_play_seed(config, built, names, seed) for seed in seeds]
+        played = [_play_seeds(config, built, names, seeds)]
     results = sorted((res for _, episodes in played for res in episodes),
                      key=lambda res: (res.policy, res.seed))
 
@@ -603,7 +661,7 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
             q1=float(q1), q3=float(q3), improvement_vs_random=improvement,
         ))
     mean_burn, max_burn, mean_fuel, untouched = _fire_stats(
-        config, [fire for fire, _ in played])
+        config, [fire for fires, _ in played for fire in fires])
     summary = RunSummary(
         policies=summaries,
         mean_burning=mean_burn,

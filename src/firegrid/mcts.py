@@ -14,9 +14,11 @@ New candidate actions come from a genetic generator: with probability
 one.  A duplicate of a known action is re-drawn up to ``GEN_RETRIES`` times
 and then returned as-is (the tree keeps a single copy of the statistics).
 
-Tree nodes stay keyed by hashable tuple states.  Rollouts run on arrays: the
-leaf state is converted once, each step goes through ``Wildfire.step_arrays``,
-and the rollout policy sees a ``FireState`` whose fields are those arrays.
+Tree nodes stay keyed by hashable tuple states, and a child state is sampled
+through ``Wildfire.step``.  Rollouts run on arrays: the leaf state is
+converted once to a block of one row, each step goes through
+``Wildfire.step_arrays`` with B = 1, and the rollout policy sees a
+``FireState`` whose fields are that row's arrays.
 """
 
 from __future__ import annotations
@@ -333,15 +335,16 @@ class Planner:
         step = self.model.step_arrays
         pi0 = self.pi0
         gamma = self.config.gamma
-        burning, fuel = state_arrays(state)
+        rngs = (rng,)
+        burning, fuel = state_arrays(state)  # a block of one row
         total = 0.0
         weight = 1.0
         for _ in range(depth):
             if not burning.any():
                 break
-            action = pi0(FireState(burning, fuel), rng)
-            burning, fuel, reward = step(burning, fuel, action, rng)
-            total += weight * reward
+            action = pi0(FireState(burning[0], fuel[0]), rng)
+            burning, fuel, rewards = step(burning, fuel, (action,), rngs)
+            total += weight * rewards[0]
             weight *= gamma
         return total
 

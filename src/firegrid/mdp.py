@@ -9,23 +9,26 @@ neighbors y, a burning cell is extinguished with probability
 fuel is exhausted).  Fuel drops by one per burning step.  The step reward
 charges R(x) <= 0 for every cell burning in the pre-step state.
 
-``Wildfire.step_arrays`` is the one kernel of the law: it maps the arrays
-(burning uint8, fuel int64) and an action to the next arrays and the reward,
-for all cells at once with numpy.  Each cell's survival product is formed
-one in-edge slot of ``SpreadModel`` at a time, the teams on a burning cell
-multiply in action order, and the reward adds R(x) over the burning cells
-left to right, starting from 0.0.  ``Wildfire.step`` wraps the kernel for
-tuple states: it converts the state to arrays and the result back to
-tuples.  MCTS rollouts call the kernel directly and stay on arrays.  Exact
-outcome distributions are enumerated only in the tests, from an independent
-per-cell copy of the law, so they check this kernel rather than share it.
+``Wildfire.step_arrays`` is the one kernel of the law.  It steps a block of
+B episodes at once, with numpy: the ``(B, n)`` arrays of burning flags
+(uint8) and fuel (int64), one action and one ``random.Random`` stream per
+row, to the next ``(B, n)`` arrays and B rewards.  Each cell's survival
+product is formed one in-edge slot of ``SpreadModel`` at a time, the teams
+on a burning cell multiply in action order, and each row's reward adds R(x)
+over its burning cells left to right, starting from 0.0, so every row comes
+out bit for bit as it would alone.  ``Wildfire.step`` wraps the kernel for
+one tuple state (B = 1).  MCTS rollouts and the initial-fire warm-up call it
+with B = 1 and stay on arrays; the harness plays a benchmark's heuristic
+episodes through it in lockstep.  Exact outcome distributions are
+enumerated only in the tests, from an independent per-cell copy of the law,
+so they check this kernel rather than share it.
 
-All step randomness comes from an explicit ``random.Random`` stream, so a
-fixed seed reproduces a trajectory exactly.  The draw order is part of the
-law: the kernel draws ``rng.random()`` once for every cell whose probability
-of burning next lies strictly between 0 and 1, in ascending cell order, and
-the cell burns when the draw is below that probability.  Cells whose
-probability is 0 or 1 draw nothing.
+All step randomness comes from an explicit ``random.Random`` stream per
+episode, so a fixed seed reproduces a trajectory exactly.  The draw order is
+part of the law: the kernel draws the row's ``rng.random()`` once for every
+cell whose probability of burning next lies strictly between 0 and 1, in
+ascending cell order, and the cell burns when the draw is below that
+probability.  Cells whose probability is 0 or 1 draw nothing.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ Action = tuple  # tuple[int, ...]; one non-negative cell index (or IDLE) per tea
 class FireState(NamedTuple):
     """MDP state: per-cell burning flags (0/1) and integer fuel.
 
-    Tuples of ints everywhere but inside an MCTS rollout, whose policy sees
-    the kernel's arrays instead.
+    Tuples of ints wherever a policy or a tree node sees a state, but inside
+    an MCTS rollout, whose policy sees one row of the kernel's arrays.  The
+    harness and the warm-up keep their episodes as arrays between decisions.
     """
 
     burning: tuple
@@ -193,8 +197,15 @@ def burning_flags(burning) -> np.ndarray:
 
 
 def state_arrays(state: FireState) -> tuple:
-    """The (burning uint8, fuel int64) arrays of a tuple state."""
-    return burning_flags(state.burning), np.fromiter(state.fuel, np.int64, len(state.fuel))
+    """The burning uint8 and fuel int64 arrays of a tuple state, as a block
+    of one row: shape ``(1, n)`` each; the burning array is read-only."""
+    fuel = np.fromiter(state.fuel, np.int64, len(state.fuel))
+    return burning_flags(state.burning)[np.newaxis], fuel[np.newaxis]
+
+
+def row_state(burning: np.ndarray, fuel: np.ndarray) -> FireState:
+    """The tuple state of one row of the kernel's arrays."""
+    return FireState(tuple(burning.tobytes()), tuple(fuel.tolist()))
 
 
 def burning_cells(state: FireState) -> list:
@@ -221,24 +232,43 @@ class Wildfire:
         self._r = np.array(rewards.values)
         # per slot, the source and the factor 1 - P(x, y); padding keeps 1.0
         self._src = spread.slot_source
-        self._keep = 1.0 - spread.slot_rate
+        self._keep = (1.0 - spread.slot_rate)[:, np.newaxis]  # (max degree, 1, n)
 
     # -- transition law ------------------------------------------------
 
-    def _burn_probs(self, lit: np.ndarray, fuel: np.ndarray, action: Action) -> np.ndarray:
-        """Per-cell probability of burning next, from the pre-step burning
-        mask ``lit`` and fuel array."""
-        # survival product of every cell, one in-edge slot at a time
-        survive = np.ones(len(lit))
-        for factor in np.where(lit[self._src], self._keep, 1.0):
-            survive *= factor
+    def _slot_index(self, rows: int) -> np.ndarray:
+        """The flat positions, in a C-ordered ``(rows, n)`` block, of every
+        cell's in-edge slot sources: shape ``(max degree, rows * n)``.  One
+        row, every rollout and tree step, reads the slot table itself."""
+        if rows == 1:
+            return self._src
+        n = self.spec.n_cells
+        offsets = n * np.arange(rows)[:, np.newaxis]
+        return (self._src[:, np.newaxis] + offsets).reshape(len(self._src), rows * n)
+
+    def _law(self, lit: np.ndarray, fueled: np.ndarray, actions) -> tuple:
+        """The law's deterministic part for a block: the per-cell probability
+        of burning next, shape ``(B, n)``, and the B rewards, from the
+        pre-step masks of burning cells (``lit``) and of cells with fuel left
+        (``fueled``) and the B actions."""
+        rows, n = lit.shape
+        sources = lit.reshape(-1)[self._slot_index(rows)].reshape(-1, rows, n)
+        # multiply.reduce is sequential along the slot axis: each cell's
+        # survival product is formed one in-edge slot at a time
+        survive = np.multiply.reduce(np.where(sources, self._keep, 1.0), axis=0)
         probs = np.where(lit, 1.0, 1.0 - survive)
-        q = self._q
-        for target in action:
-            if target >= 0 and lit[target]:
-                probs[target] *= 1.0 - q[target]
-        probs[fuel <= 0] = 0.0
-        return probs
+        q, r = self._q, self._r
+        rewards = []
+        for action, flags, row in zip(actions, lit, probs):
+            for target in action:
+                if target >= 0 and flags[target]:
+                    row[target] *= 1.0 - q[target]
+            charged = r[flags]
+            # a float64 cumulative sum adds in sequence, where np.sum adds
+            # pairwise; the leading 0.0 turns a sum of -0.0 into 0.0
+            rewards.append(0.0 + float(np.add.accumulate(charged)[-1]) if charged.size else 0.0)
+        probs[~fueled] = 0.0
+        return probs, rewards
 
     def _check_action(self, action: Action):
         n = self.spec.n_cells
@@ -246,30 +276,36 @@ class Wildfire:
             if target != IDLE and not 0 <= target < n:
                 raise ValueError(f"action targets cell {target} outside grid")
 
-    def step_arrays(self, burning: np.ndarray, fuel: np.ndarray, action: Action, rng) -> tuple:
-        """Sample one transition on arrays: (next burning, next fuel, reward).
+    def step_arrays(self, burning: np.ndarray, fuel: np.ndarray, actions, rngs) -> tuple:
+        """Sample one transition of a block of B episodes on arrays:
+        (next burning, next fuel, rewards).
 
-        ``burning`` is a uint8 array of 0/1 flags and ``fuel`` an int64
-        array; neither is written.  The reward is the sum of R(x) over the
-        pre-step burning cells, added left to right from 0.0.
+        ``burning`` is a ``(B, n)`` uint8 array of 0/1 flags and ``fuel`` a
+        ``(B, n)`` int64 array; neither is written.  ``actions`` and ``rngs``
+        hold one action and one stream per row, and row b draws only from
+        ``rngs[b]``.  ``rewards`` is a list of B floats: row b's is the sum
+        of R(x) over its pre-step burning cells, added left to right from 0.0.
         """
-        self._check_action(action)
+        for action in actions:
+            self._check_action(action)
         lit = burning != 0
-        probs = self._burn_probs(lit, fuel, action)
+        fueled = fuel > 0
+        probs, rewards = self._law(lit, fueled, actions)
         burns = probs >= 1.0
-        stochastic = np.flatnonzero((probs > 0.0) & (probs < 1.0))
+        # flat positions ascend row by row, and by cell within a row
+        stochastic = np.flatnonzero((probs > 0.0) & ~burns)
         if stochastic.size:
-            rand = rng.random
-            draws = [rand() for _ in range(stochastic.size)]
-            burns[stochastic] = np.array(draws) < probs[stochastic]
-        next_fuel = fuel - (lit & (fuel > 0))
-        charged = self._r[lit]
-        # a float64 cumulative sum adds in sequence, where np.sum adds pairwise;
-        # the leading 0.0 turns a sum of -0.0 into 0.0
-        reward = 0.0 + float(np.add.accumulate(charged)[-1]) if charged.size else 0.0
-        return burns.view(np.uint8), next_fuel, reward
+            if len(rngs) == 1:  # one stream takes every draw: no row lookups
+                rand = rngs[0].random
+                draws = [rand() for _ in range(stochastic.size)]
+            else:
+                randoms = [rng.random for rng in rngs]
+                draws = [randoms[row]() for row in (stochastic // lit.shape[1]).tolist()]
+            burns.reshape(-1)[stochastic] = np.array(draws) < probs.reshape(-1)[stochastic]
+        next_fuel = fuel - (lit & fueled)
+        return burns.view(np.uint8), next_fuel, rewards
 
     def step(self, state: FireState, action: Action, rng) -> tuple:
         """Sample one synchronous transition; returns (next_state, reward)."""
-        burning, fuel, reward = self.step_arrays(*state_arrays(state), action, rng)
-        return FireState(tuple(burning.tobytes()), tuple(fuel.tolist())), reward
+        burning, fuel, rewards = self.step_arrays(*state_arrays(state), (action,), (rng,))
+        return row_state(burning[0], fuel[0]), rewards[0]

@@ -289,6 +289,33 @@ def test_episode_burns_fuel_plus_one_steps():
     assert res.steps == 4
 
 
+def line_fire_doc(**overrides):
+    """A 30 x 1 line, fuel 1 everywhere, the left cell burning, P 1 and Q 0:
+    no cell's next state is uncertain, and the fire front moves one cell a
+    step, so it burns for 31 steps.  An explicit fire's horizon is
+    max(fuel) + 1 = 2, so the step cap is 20."""
+    return explicit_doc(k=30, height=1, P_default=1.0, Q_default=0.0, teams=1,
+                        rewards=[-1.0] * 30, fuel=[1] * 30, burning=[1] + [0] * 29,
+                        **overrides)
+
+
+def test_episode_stops_at_the_step_cap():
+    config = scenario_from_dict(line_fire_doc())
+    assert 10 * config.generation_horizon() == 20
+    for name in ("random", "fw"):
+        res = run_episode(config, config.make_policy(name), 1, name)
+        # one burning cell at step 0, then two (the front and the one behind it)
+        assert (res.steps, res.reward, res.step_cap_hit) == (20, -39.0, True)
+        assert res.flags() == "step-cap"
+
+
+def test_benchmark_block_stops_at_the_step_cap():
+    config = scenario_from_dict(line_fire_doc(reps=3))
+    results, _ = run_benchmark(config, ["random", "fw"])
+    assert results_to_csv(results).splitlines()[2:] == [
+        f"{name},{seed},-39.0,20,step-cap" for name in ("fw", "random") for seed in (5, 6, 7)]
+
+
 def test_episode_deterministic():
     config = scenario_from_dict({"family": "grid1", "k": 4, "P_default": 0.06,
                                  "Q_default": 0.8, "teams": 2, "seed": 0})
@@ -350,10 +377,21 @@ def test_benchmark_paired_seeds_and_order_invariance():
 
 
 def test_benchmark_jobs_do_not_change_results():
-    config = small_grid1()
-    res_a, _ = run_benchmark(config, ["random", "fw"], reps=4, jobs=1)
-    res_b, _ = run_benchmark(config, ["random", "fw"], reps=4, jobs=2)
-    assert results_to_csv(res_a) == results_to_csv(res_b)
+    # five seeds over 1, 2 and 3 workers, so the seed blocks are uneven; the
+    # heuristics play each block in lockstep, MCTS one seed at a time, and
+    # every episode must come out as its own run_episode does
+    config = scenario_from_dict(work_budgets(
+        {"family": "grid1", "k": 4, "P_default": 0.06, "Q_default": 0.8,
+         "teams": 2, "seed": 0, "reps": 5}))
+    names = ["random", "fw", "fw_sample", "mcts"]
+    alone = [run_episode(config, config.make_policy(name), seed, name)
+             for name in sorted(names) for seed in range(5)]
+    summaries = set()
+    for jobs in (1, 2, 3):
+        results, summary = run_benchmark(config, names, jobs=jobs)
+        assert results_to_csv(results) == results_to_csv(alone)
+        summaries.add(summary_to_csv(summary))
+    assert len(summaries) == 1
 
 
 def test_benchmark_starts_no_more_workers_than_seeds(monkeypatch):

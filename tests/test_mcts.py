@@ -539,20 +539,20 @@ def test_array_rollout_matches_reference_step_and_fw_sample(case, seed, gamma):
     model, state, weights, teams = case
     depth = 6
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    burning, fuel = state_arrays(state)
+    burning, fuel = state_arrays(state)  # a block of one row, as in a rollout
     ref_state = state
     ref_total, weight = 0.0, 1.0
     for _ in range(depth):
         if 1 not in ref_state.burning:
             break
-        action = fw_sample_policy(FireState(burning, fuel), weights, teams, rng)
+        action = fw_sample_policy(FireState(burning[0], fuel[0]), weights, teams, rng)
         ref_action = reference_fw_sample(ref_state, weights.priority, teams, ref_rng)
         assert action == ref_action
         assert all(type(t) is int for t in action)
-        burning, fuel, reward = model.step_arrays(burning, fuel, action, rng)
+        burning, fuel, (reward,) = model.step_arrays(burning, fuel, (action,), (rng,))
         ref_state, ref_reward = reference_step(model, ref_state, action, ref_rng)
         assert reward.hex() == ref_reward.hex()
-        assert FireState(tuple(burning.tolist()), tuple(fuel.tolist())) == ref_state
+        assert FireState(tuple(burning[0].tolist()), tuple(fuel[0].tolist())) == ref_state
         assert rng.getstate() == ref_rng.getstate()
         ref_total += weight * ref_reward
         weight *= gamma

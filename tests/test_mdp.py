@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from firegrid.mdp import (
     Wildfire,
     burning_cells,
     idle_action,
+    row_state,
     state_arrays,
 )
 from oracles import (
@@ -28,7 +30,7 @@ from oracles import (
 def burn_probs(model, state, action):
     """The kernel's per-cell probabilities of burning next, for a tuple state."""
     burning, fuel = state_arrays(state)
-    return model._burn_probs(burning != 0, fuel, action)
+    return model._law(burning != 0, fuel > 0, (action,))[0][0]
 
 
 def test_grid_indexing_round_trip():
@@ -268,6 +270,57 @@ def test_step_matches_reference_step(case, seed):
         assert reward.hex() == ref_reward.hex()
         assert rng.getstate() == ref_rng.getstate()
         state = nxt
+
+
+@st.composite
+def block_cases(draw):
+    """A model as in ``step_cases`` and a block of 1-5 rows on it, each a
+    state and an action: fires of any size, zero-fuel cells, teams stacked
+    on one cell or idle, and one row (a dead fire, or a fire burning
+    everywhere with no team on it) where no cell's next state is uncertain."""
+    model, _, _ = draw(step_cases())
+    n = model.spec.n_cells
+    flags, levels = st.integers(0, 1), st.integers(0, 3)
+    row = st.tuples(st.lists(flags, min_size=n, max_size=n),
+                    st.lists(levels, min_size=n, max_size=n),
+                    st.lists(st.sampled_from([IDLE, *range(n)]), max_size=4))
+    rows = [(FireState(tuple(b), tuple(f)), tuple(a))
+            for b, f, a in draw(st.lists(row, min_size=1, max_size=5))]
+    fuel = tuple(draw(st.lists(levels, min_size=n, max_size=n)))
+    certain = draw(st.sampled_from([(FireState((0,) * n, fuel), ()),
+                                    (FireState((1,) * n, fuel), (IDLE, IDLE))]))
+    rows.insert(draw(st.integers(0, len(rows))), certain)
+    stacked = draw(st.integers(0, n - 1))
+    rows.insert(draw(st.integers(0, len(rows))),
+                (FireState((1,) * n, (1,) * n), (stacked, stacked, stacked)))
+    return model, rows
+
+
+@given(block_cases(), st.integers(0, 2 ** 31))
+@settings(max_examples=100, deadline=None)
+def test_block_step_matches_reference_step_row_by_row(case, seed):
+    # every row of one kernel call must be the per-cell loop on that row
+    # alone: the same next state, reward bits and draws from its own stream
+    model, rows = case
+    rngs = [random.Random(seed + i) for i in range(len(rows))]
+    ref_rngs = [random.Random(seed + i) for i in range(len(rows))]
+    states = [state for state, _ in rows]
+    actions = [action for _, action in rows]
+    burning = np.concatenate([state_arrays(state)[0] for state in states])
+    fuel = np.concatenate([state_arrays(state)[1] for state in states])
+    for _ in range(3):
+        inputs, before = (burning, fuel), (burning.copy(), fuel.copy())
+        burning, fuel, rewards = model.step_arrays(burning, fuel, actions, rngs)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))  # not written
+        assert burning.shape == fuel.shape == (len(rows), model.spec.n_cells)
+        assert (burning.dtype, fuel.dtype) == (np.uint8, np.int64)
+        assert len(rewards) == len(rows)
+        for i, action in enumerate(actions):
+            ref_next, ref_reward = reference_step(model, states[i], action, ref_rngs[i])
+            assert row_state(burning[i], fuel[i]) == ref_next
+            assert type(rewards[i]) is float and rewards[i].hex() == ref_reward.hex()
+            assert rngs[i].getstate() == ref_rngs[i].getstate()
+            states[i] = ref_next
 
 
 def test_burn_next_probs_multiply_in_in_edge_order():
