@@ -167,9 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary-out", default="summary.csv",
                    help="per-policy summary CSV")
     p.add_argument("--jobs", type=count, default=1,
-                   help="worker processes: the seeds split into min(jobs, reps) "
-                        "contiguous blocks, one per process; the output is the "
-                        "same for any value")
+                   help="worker processes, at most one per seed; the output "
+                        "is the same for any value")
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("stats", help="initial-fire statistics")

@@ -11,8 +11,8 @@ identical initial fire and the identical stream state, both drawn from a
 stream seeded only by (seed + r).  A benchmark generates each seed's fire
 once and plays every policy on it from a copy of the stream state.  The
 heuristics' episodes step in lockstep, as one block of arrays through the
-simulator's kernel; under ``--jobs`` each worker plays one contiguous block
-of seeds.  The transitions are not paired:
+simulator's kernel; under ``--jobs`` over one block of seeds per worker,
+while the planners play one seed per pool task.  Transitions are not paired:
 ``random``, ``fw_sample`` and ``mcts`` draw from the stream the transitions
 use, and a step draws once per cell whose next state is uncertain, so once
 two policies' draws or states differ, their transitions read other draws.
@@ -553,7 +553,7 @@ def _play_seeds(config, policies, names, seeds):
     return [_fire_size(state) for _, state, _ in fires], results
 
 
-_worker = None  # _play_seeds' arguments but the seeds, in a benchmark's pool workers
+_worker = None  # (config, policies) of _play_seeds, in a benchmark's pool workers
 
 
 def _init_worker(*args):
@@ -561,8 +561,9 @@ def _init_worker(*args):
     _worker = args
 
 
-def _seeds_task(seeds):
-    return _play_seeds(*_worker, seeds)
+def _seeds_task(task):
+    names, seeds = task
+    return _play_seeds(*_worker, names, seeds)
 
 
 def _check_count(flag: str, value: int):
@@ -612,10 +613,11 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     after it.  A name given twice plays twice.  Each policy is built once per
     call.  A heuristic plays all of a task's seeds in one lockstep block; a
     planner (``mcts``, ``mo``) is reset and plays them one at a time.  With
-    ``jobs > 1`` the seeds split into ``min(jobs, reps)`` contiguous blocks,
-    one task each for a pool of as many processes.  Every episode draws only
-    from its own stream, so results are the same for any ``jobs``: each
-    equals ``run_episode`` for its (policy, seed).
+    ``jobs > 1`` a pool of ``min(jobs, reps)`` processes plays the heuristics
+    over as many contiguous seed blocks, which also give the fire statistics,
+    and the planners one seed per task, so no slow seed holds up others.
+    Every episode draws only from its own stream, so results are the same for
+    any ``jobs``: each equals ``run_episode`` for its (policy, seed).
     Results are merged in (policy, seed) order, so the output depends neither
     on scheduling nor on the order the policies were given.
     """
@@ -629,17 +631,21 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     if workers > 1:
         import multiprocessing as mp
 
-        blocks = [seeds[w * reps // workers:(w + 1) * reps // workers]
+        planners = [name for name in names if hasattr(built[name], "reset")]
+        blocks = [([name for name in names if name not in planners],
+                   seeds[w * reps // workers:(w + 1) * reps // workers])
                   for w in range(workers)]
+        tasks = [(planners, [seed]) for seed in seeds] if planners else []
         # fork keeps workers importable from any entry point (pytest, stdin),
         # and hands them the scenario and the built policies unpickled: MCTS
         # rollout closures cannot be pickled
         with mp.get_context("fork").Pool(
-                workers, initializer=_init_worker,
-                initargs=(config, built, names)) as pool:
-            played = pool.map(_seeds_task, blocks, chunksize=1)
+                workers, initializer=_init_worker, initargs=(config, built)) as pool:
+            played = pool.map(_seeds_task, tasks + blocks, chunksize=1)
+        fires = [fire for sizes, _ in played[len(tasks):] for fire in sizes]
     else:
         played = [_play_seeds(config, built, names, seeds)]
+        fires = played[0][0]
     results = sorted((res for _, episodes in played for res in episodes),
                      key=lambda res: (res.policy, res.seed))
 
@@ -660,8 +666,7 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
             policy=name, mean=float(rewards.mean()), median=float(med),
             q1=float(q1), q3=float(q3), improvement_vs_random=improvement,
         ))
-    mean_burn, max_burn, mean_fuel, untouched = _fire_stats(
-        config, [fire for fires, _ in played for fire in fires])
+    mean_burn, max_burn, mean_fuel, untouched = _fire_stats(config, fires)
     summary = RunSummary(
         policies=summaries,
         mean_burning=mean_burn,

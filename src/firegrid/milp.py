@@ -2,8 +2,10 @@
 
 Meant as an exact reference for small instances: each node re-solves the LP
 relaxation with tightened bounds on the caller's one LP solver, fractional
-variables are branched most-fractional-first, and the incumbent / best open
-bound give the optimality gap whenever a limit stops the search early.
+variables are branched most-fractional-first, and open nodes are expanded in
+order of their relaxation's bound.  A child never bounds below its parent, so
+the first integral node popped is optimal and ends the search.  A search
+stopped before that has no integral point and reports the bound it reached.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .lp import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, TIME_LIMIT, UNBOUNDED, Lp
 from .lp import solve_lp_scipy  # noqa: F401
 
 NO_INCUMBENT = "no-incumbent"
-NODE_LIMIT = "node-limit"
 _UNSOLVED = (ITERATION_LIMIT, TIME_LIMIT)  # LP statuses that prove nothing
 
 _INT_TOL = 1e-6
@@ -33,7 +34,6 @@ class MilpSolution:
     x: np.ndarray | None = None
     objective: float | None = None
     bound: float | None = None
-    gap: float | None = None
     nodes: int = 0
 
 
@@ -51,12 +51,6 @@ def _fractional(x, int_indices):
     return best
 
 
-def _gap(incumbent, bound):
-    if incumbent is None or bound is None:
-        return None
-    return abs(incumbent - bound) / max(1.0, abs(incumbent))
-
-
 def branch_and_bound(
     problem: LpProblem,
     integer_mask,
@@ -69,17 +63,14 @@ def branch_and_bound(
     Every node LP goes to ``lp_solver``.  ``deadline`` is a
     ``time.monotonic()`` instant that ends the whole search; a caller that
     hands ``lp_solver`` a time limit should derive it from the same instant.
-    A search cut short, by the deadline, the node limit or a child LP that
-    stops unsolved, reports that stop (``time-limit``, ``node-limit`` or
-    ``iteration-limit``) with the best open bound, or ``no-incumbent`` when it
-    found no integral point.
+    The first integral node popped is returned as ``optimal``, with its
+    rounded objective as the bound.  The deadline or ``node_limit``, checked
+    before a node branches, and a child LP that stops unsolved each end the
+    search as ``no-incumbent``, with the bound of the node being expanded.
     """
     integer_mask = np.asarray(integer_mask, dtype=bool)
     int_indices = np.flatnonzero(integer_mask)
     int_list = int_indices.tolist()
-
-    def time_left():
-        return None if deadline is None else max(deadline - time.monotonic(), 0.0)
 
     root = lp_solver(problem)
     nodes = 1
@@ -90,36 +81,20 @@ def branch_and_bound(
     if root.status in _UNSOLVED:
         return MilpSolution(NO_INCUMBENT, nodes=nodes)
 
-    incumbent_x = None
-    incumbent_obj = None
     counter = 0
     # heap entries: (bound, tiebreak, lower, upper, relaxation)
     heap = [(root.objective, counter, problem.lower.copy(), problem.upper.copy(), root)]
-    stopped = None
-
-    def out_of_budget():
-        if time_left() == 0.0:
-            return TIME_LIMIT
-        if node_limit is not None and nodes >= node_limit:
-            return NODE_LIMIT
-        return None
-
     while heap:
         bound, _, lower, upper, relax = heapq.heappop(heap)
-        if incumbent_obj is not None and bound >= incumbent_obj - 1e-9:
-            continue
         j = _fractional(relax.x, int_list)
         if j is None:
             x = relax.x.copy()
             x[int_indices] = np.round(x[int_indices])
             obj = float(problem.c @ x)
-            if incumbent_obj is None or obj < incumbent_obj - 1e-12:
-                incumbent_obj, incumbent_x = obj, x
-            continue
-        stopped = out_of_budget()
-        if stopped:
-            heapq.heappush(heap, (bound, -1, lower, upper, relax))
-            break
+            return MilpSolution(OPTIMAL, x=x, objective=obj, bound=obj, nodes=nodes)
+        if ((deadline is not None and time.monotonic() >= deadline)
+                or (node_limit is not None and nodes >= node_limit)):
+            return MilpSolution(NO_INCUMBENT, bound=bound, nodes=nodes)
         value = relax.x[j]
         for lo_j, hi_j in ((lower[j], np.floor(value)), (np.ceil(value), upper[j])):
             child_lower = lower.copy()
@@ -134,29 +109,10 @@ def branch_and_bound(
             nodes += 1
             if sol.status in _UNSOLVED:
                 # unsolved, the child must not prune a feasible subtree: stop
-                # with the parent's bound still open
-                timed_out = sol.status == TIME_LIMIT or time_left() == 0.0
-                stopped = TIME_LIMIT if timed_out else ITERATION_LIMIT
-                heapq.heappush(heap, (bound, -1, lower, upper, relax))
-                break
-            if sol.status != OPTIMAL:
-                continue
-            if incumbent_obj is not None and sol.objective >= incumbent_obj - 1e-9:
-                continue
-            counter += 1
-            heapq.heappush(heap, (sol.objective, counter, child_lower, child_upper, sol))
-        if stopped:
-            break
-
-    open_bound = min((entry[0] for entry in heap), default=None)
-    if incumbent_obj is not None:
-        bound = incumbent_obj if open_bound is None else min(open_bound, incumbent_obj)
-        status = stopped if stopped else OPTIMAL
-        return MilpSolution(status, x=incumbent_x, objective=incumbent_obj,
-                            bound=bound, gap=_gap(incumbent_obj, bound), nodes=nodes)
-    if stopped or open_bound is not None:
-        return MilpSolution(NO_INCUMBENT,
-                            bound=open_bound if open_bound is not None else root.objective,
-                            nodes=nodes)
+                # with this node's bound still open
+                return MilpSolution(NO_INCUMBENT, bound=bound, nodes=nodes)
+            if sol.status == OPTIMAL:
+                counter += 1
+                heapq.heappush(heap, (sol.objective, counter, child_lower, child_upper, sol))
     # every branch pruned infeasible without an integral point
     return MilpSolution(INFEASIBLE, nodes=nodes)

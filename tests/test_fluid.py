@@ -338,6 +338,17 @@ def test_time_limit_bounds_every_branch_and_bound_node(monkeypatch):
     assert all(later < earlier for earlier, later in zip(limits, limits[1:]))
 
 
+def test_integer_columns_cost_nothing_on_tiny_explicit():
+    # branch and bound returns the first integral node it pops; that node is
+    # optimal only while rounding the integer columns cannot move c @ x
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "tiny_explicit.json")
+    config = load_scenario(path)
+    model = config.make_policy("mo").fluid_model(config.initial_state(episode_rng(0)))
+    assert model.integer_mask.any()
+    assert not model.problem.c[model.integer_mask].any()
+
+
 # -- the receding-horizon controller ------------------------------------------
 
 def fw_fallback(spread, rewards, teams):

@@ -394,13 +394,14 @@ def test_benchmark_jobs_do_not_change_results():
     assert len(summaries) == 1
 
 
-def test_benchmark_starts_no_more_workers_than_seeds(monkeypatch):
-    # the pool is recorded, not started: its map runs in this process
+def recording_pool(monkeypatch):
+    """Replace the benchmark's pool by one whose map runs in this process;
+    returns the lists of pool sizes and of the tasks it was handed."""
     import multiprocessing
 
     from firegrid import harness
 
-    sizes = []
+    sizes, tasks = [], []
 
     class Pool:
         def __init__(self, processes, initializer, initargs):
@@ -414,16 +415,39 @@ def test_benchmark_starts_no_more_workers_than_seeds(monkeypatch):
             return False
 
         def map(self, func, items, chunksize=1):
+            tasks.extend(items)
             return [func(item) for item in items]
 
     monkeypatch.setattr(harness, "_worker", None)
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: types.SimpleNamespace(Pool=Pool))
+    return sizes, tasks
+
+
+def test_benchmark_starts_no_more_workers_than_seeds(monkeypatch):
+    # the pool is recorded, not started: its map runs in this process
+    sizes, _ = recording_pool(monkeypatch)
     config = small_grid1()
     res, _ = run_benchmark(config, ["random", "fw"], reps=3, jobs=64)
     assert sizes == [3]
     assert results_to_csv(res) == results_to_csv(
         run_benchmark(config, ["random", "fw"], reps=3, jobs=1)[0])
+
+
+def test_benchmark_pool_plays_each_planner_seed_as_its_own_task(monkeypatch):
+    # no slow planner seed holds up another; the heuristics keep one
+    # contiguous block of seeds per worker, and only the blocks' fires count
+    _, tasks = recording_pool(monkeypatch)
+    config = scenario_from_dict(work_budgets(
+        {"family": "grid1", "k": 4, "P_default": 0.06, "Q_default": 0.8,
+         "teams": 2, "seed": 0, "reps": 5}))
+    names = ["fw", "mcts", "random"]
+    results, summary = run_benchmark(config, names, jobs=2)
+    assert tasks == ([(["mcts"], [seed]) for seed in range(5)]
+                     + [(["fw", "random"], [0, 1]), (["fw", "random"], [2, 3, 4])])
+    alone, alone_summary = run_benchmark(config, names, jobs=1)
+    assert results_to_csv(results) == results_to_csv(alone)
+    assert summary_to_csv(summary) == summary_to_csv(alone_summary)
 
 
 def test_benchmark_builds_each_policy_once(monkeypatch):

@@ -41,7 +41,7 @@ def test_integral_relaxation_returns_immediately():
               upper=[1.0, 1.0])
     res = branch_and_bound(prob, [True, True])
     assert res.status == OPTIMAL
-    assert res.gap == 0.0
+    assert res.bound == res.objective
     assert res.nodes == 1
     assert res.objective == pytest.approx(-2.0)
 
@@ -59,6 +59,9 @@ def test_knapsack_matches_exhaustive():
 
 
 def test_random_milps_match_exhaustive():
+    # also at every node limit short of the full search: best-first search
+    # proves the first integral node it pops optimal, so a cut search either
+    # got that far or holds no integral point
     rng = np.random.default_rng(11)
     for _ in range(8):
         n = int(rng.integers(3, 6))
@@ -75,6 +78,12 @@ def test_random_milps_match_exhaustive():
         else:
             assert res.status == OPTIMAL
             assert res.objective == pytest.approx(expected, abs=1e-6)
+        for limit in range(1, res.nodes + 1):
+            cut = branch_and_bound(prob, mask, node_limit=limit)
+            if cut.status == OPTIMAL:
+                assert cut.objective == pytest.approx(expected, abs=1e-6)
+            else:
+                assert cut.status == NO_INCUMBENT
 
 
 def test_bound_never_exceeds_incumbent():
@@ -87,12 +96,18 @@ def test_bound_never_exceeds_incumbent():
         assert res.bound <= res.objective + 1e-9
 
 
-def test_zero_time_limit_reports_no_incumbent_with_root_bound():
+def fractional_root_knapsack():
+    """A 0/1 knapsack whose root relaxation is fractional, and that root."""
     weights = np.array([3.0, 5.0, 4.0])
     prob = lp(-np.array([4.0, 6.0, 5.0]), weights.reshape(1, -1), [LE], [6.0],
               upper=np.ones(3))
     root = solve_lp(prob)
-    assert np.abs(root.x - np.round(root.x)).max() > 1e-6  # fractional root
+    assert np.abs(root.x - np.round(root.x)).max() > 1e-6
+    return prob, root
+
+
+def test_zero_time_limit_reports_no_incumbent_with_root_bound():
+    prob, root = fractional_root_knapsack()
     res = branch_and_bound(prob, np.ones(3, dtype=bool), deadline=time.monotonic())
     assert res.status == NO_INCUMBENT
     assert res.bound == pytest.approx(root.objective)
@@ -102,7 +117,15 @@ def test_integral_root_beats_zero_time_limit():
     prob = lp([-1.0], [[1.0]], [LE], [1.0], upper=[1.0])
     res = branch_and_bound(prob, [True], deadline=time.monotonic())
     assert res.status == OPTIMAL
-    assert res.gap == 0.0
+    assert res.bound == res.objective
+
+
+def test_node_limit_one_stops_at_a_fractional_root():
+    prob, root = fractional_root_knapsack()
+    res = branch_and_bound(prob, np.ones(3, dtype=bool), node_limit=1)
+    assert res.status == NO_INCUMBENT
+    assert res.bound == pytest.approx(root.objective)
+    assert res.nodes == 1
 
 
 def test_a_stuck_node_stops_the_search_without_a_retry(monkeypatch):
@@ -149,7 +172,7 @@ def test_a_child_cut_off_by_the_deadline_leaves_its_subtree_open():
         return solve_lp(problem)
 
     res = branch_and_bound(prob, [True], deadline=deadline, lp_solver=solver)
-    assert res.status in (TIME_LIMIT, NO_INCUMBENT)
+    assert res.status == NO_INCUMBENT
     assert res.bound == pytest.approx(1.5)
 
 
