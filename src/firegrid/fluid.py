@@ -93,7 +93,7 @@ def calibrate(
         raise ValueError("delta must be positive")
     n = spread.spec.n_cells
     ibar = np.zeros((horizon + 1, n))
-    ibar[0] = np.asarray(state.burning, dtype=float)
+    ibar[0] = state.burning
     for t in range(1, horizon + 1):
         prev = ibar[t - 1]
         ibar[t] = np.minimum(prev + _in_edge_sums(spread, prev), IBAR_CAP)
@@ -104,7 +104,7 @@ def calibrate(
             stacklevel=2,
         )
     cumulative = np.cumsum(ibar, axis=0)
-    fuel = np.minimum(np.asarray(state.fuel, dtype=np.int64), horizon)
+    fuel = np.minimum(state.fuel, horizon)
     f0 = delta + cumulative[fuel, np.arange(n)]
     return Calibration(horizon=horizon, delta=delta, spread=spread, ibar=ibar, f0=f0)
 
@@ -278,7 +278,7 @@ def build_model(
     # I(0) is the burning map; Z is binary and y integer
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
-    lower[cols["I"][0]] = upper[cols["I"][0]] = np.asarray(state.burning, dtype=float)
+    lower[cols["I"][0]] = upper[cols["I"][0]] = state.burning
     upper[cols["Z"]] = 1.0
     upper[cols["y"]] = float(teams)
     mask = np.zeros(n_vars, dtype=bool)
@@ -375,16 +375,17 @@ def _action_from_scores(state: FireState, v: np.ndarray, teams: int) -> Action:
     extinguish on their own this step.  One team per positive-score cell in
     descending score order; surplus teams stack on the top cell.
     """
-    burning = [x for x in range(len(state.burning)) if state.burning[x]]
-    if not burning:
+    burning = np.flatnonzero(state.burning)
+    if not burning.size:
         return idle_action(teams)
-    eligible = [x for x in burning if state.fuel[x] > 0]
-    if not eligible:
+    eligible = burning[state.fuel[burning] > 0]
+    if not eligible.size:
         eligible = burning
-    eligible.sort(key=lambda x: (-v[x], x))
-    positive = [x for x in eligible if v[x] > 1e-9]
-    ranked = positive if positive else eligible[:1]
-    targets = list(ranked[:teams])
+    # a stable sort of the ascending cells: equal scores keep the lower cell first
+    eligible = eligible[np.argsort(-v[eligible], kind="stable")]
+    positive = eligible[v[eligible] > 1e-9]
+    ranked = (positive if positive.size else eligible[:1]).tolist()
+    targets = ranked[:teams]
     while len(targets) < teams:
         targets.append(ranked[0])
     return tuple(sorted(targets))
@@ -471,7 +472,7 @@ class MoPolicy:
         return build_model(calibration, state, self.rewards, self.teams)
 
     def __call__(self, state: FireState, rng=None) -> Action:
-        if 1 not in state.burning:
+        if not state.burning.any():
             return idle_action(self.teams)
         cfg = self.config
         action, info = relax_and_score(

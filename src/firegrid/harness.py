@@ -43,10 +43,7 @@ from .mdp import (
     RewardModel,
     SpreadModel,
     Wildfire,
-    burning_cells,
     idle_action,
-    row_state,
-    state_arrays,
 )
 
 RESULTS_SCHEMA = "# firegrid results v1"
@@ -148,15 +145,14 @@ def gen_initial(model: Wildfire, ignition: int, steps: int, rng) -> FireState:
     then all fuel scaled by width**-0.25 and floored.  The warm-up runs on
     the kernel's arrays, as a block of one row."""
     spec = model.spec
-    burning = np.zeros((1, spec.n_cells), dtype=np.uint8)
-    burning[0, ignition] = 1
+    burning = np.zeros((1, spec.n_cells), dtype=bool)
+    burning[0, ignition] = True
     fuel = np.full((1, spec.n_cells), steps, dtype=np.int64)
     idle, rngs = (idle_action(0),), (rng,)
     for _ in range(steps):
         burning, fuel, _ = model.step_arrays(burning, fuel, idle, rngs)
     factor = spec.width ** -0.25
-    return FireState(tuple(burning[0].tobytes()),
-                     tuple(int(f * factor) for f in fuel[0].tolist()))
+    return FireState(burning[0], (fuel[0] * factor).astype(np.int64))
 
 
 _BUILT = {"init": False, "repr": False, "compare": False}
@@ -307,7 +303,7 @@ class ScenarioConfig:
         """The explicit fire, or a grid family's fire drawn from ``rng``:
         grid1 ignites the bottom-left cell, grid2 the center one."""
         if self.family == "explicit":
-            return FireState(tuple(self.burning), tuple(self.fuel))
+            return FireState(self.burning, self.fuel)
         spec = self._model.spec
         if self.family == "grid1":
             ignition = spec.index(0, 0)
@@ -433,9 +429,9 @@ def episode_rng(seed: int) -> random.Random:
 
 
 def _fire_size(state: FireState) -> tuple:
-    """(number of burning cells, fuel summed over them)."""
-    cells = burning_cells(state)
-    return len(cells), sum(state.fuel[x] for x in cells)
+    """(number of burning cells, fuel summed over them), as Python ints."""
+    fuel = state.fuel[state.burning]
+    return fuel.size, int(fuel.sum())
 
 
 def _play(config: ScenarioConfig, policy, name: str, episodes,
@@ -446,10 +442,10 @@ def _play(config: ScenarioConfig, policy, name: str, episodes,
     ``episodes`` holds (seed, initial state, rng) triples, each rng
     positioned just after generation.  The block stays as the kernel's
     ``(B, n)`` arrays.  At every decision the policy sees each live row as a
-    tuple ``FireState`` with that row's stream, and then one kernel call
-    steps all live rows.  A row leaves the block when its fire is out, or
-    when it is still burning after the hard step cap, 10x the generation
-    horizon.  A policy with ``reset()`` is reset first and counts its
+    ``FireState`` of row views, with that row's stream, and then one kernel
+    call steps all live rows into a new block.  A row leaves the block when
+    its fire is out, or when it is still burning after the hard step cap,
+    10x the generation horizon.  A policy with ``reset()`` is reset first and counts its
     fallbacks per episode, so it plays a block of one.  ``records`` is
     ``run_episode``'s.
     """
@@ -459,9 +455,8 @@ def _play(config: ScenarioConfig, policy, name: str, episodes,
         policy.reset()
     model = config.model()
     cap = 10 * max(1, config.generation_horizon())
-    rows = [state_arrays(state) for _, state, _ in episodes]
-    burning = np.concatenate([flags for flags, _ in rows])
-    fuel = np.concatenate([level for _, level in rows])
+    burning = np.stack([state.burning for _, state, _ in episodes])
+    fuel = np.stack([state.fuel for _, state, _ in episodes])
     rngs = [rng for _, _, rng in episodes]
     live = list(range(len(episodes)))  # the episode of each row of the block
     totals = [0.0] * len(episodes)
@@ -483,11 +478,11 @@ def _play(config: ScenarioConfig, policy, name: str, episodes,
             break
         actions = []
         for flags, level, episode in zip(burning, fuel, live):
-            state = row_state(flags, level)
+            state = FireState(flags, level)
             t0 = None if records is None else time.perf_counter()
             action = policy(state, rngs[episode])
             if records is not None:
-                records.append({"epoch": steps, "n_burning": state.burning.count(1),
+                records.append({"epoch": steps, "n_burning": int(np.count_nonzero(flags)),
                                 "action": list(action),
                                 "ms": 1e3 * (time.perf_counter() - t0),
                                 **getattr(policy, "last", {})})

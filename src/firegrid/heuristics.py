@@ -24,7 +24,6 @@ from .mdp import (
     RewardModel,
     SpreadModel,
     burning_cells,
-    burning_flags,
     idle_action,
 )
 
@@ -103,7 +102,7 @@ def fw_policy(state: FireState, weights: WeightMap, teams: int) -> Action:
     lower cell index, as in ``weights.order``.
     """
     order = weights.order
-    cells = order[burning_flags(state.burning)[order].nonzero()[0][:teams]].tolist()
+    cells = order[state.burning[order].nonzero()[0][:teams]].tolist()
     if not cells:
         return idle_action(teams)
     return tuple(sorted(cells[i % len(cells)] for i in range(teams)))
@@ -152,7 +151,7 @@ def fw_sample_policy(state: FireState, weights: WeightMap, teams: int, rng) -> A
     weight is set to 0.0 rather than removed; since x + 0.0 == x, every
     later running total is the one the remaining cells alone would give.
     """
-    burning = burning_flags(state.burning)
+    burning = state.burning
     cells = burning.nonzero()[0]
     if not cells.size:
         return idle_action(teams)

@@ -14,11 +14,11 @@ New candidate actions come from a genetic generator: with probability
 one.  A duplicate of a known action is re-drawn up to ``GEN_RETRIES`` times
 and then returned as-is (the tree keeps a single copy of the statistics).
 
-Tree nodes stay keyed by hashable tuple states, and a child state is sampled
-through ``Wildfire.step``.  Rollouts run on arrays: the leaf state is
-converted once to a block of one row, each step goes through
-``Wildfire.step_arrays`` with B = 1, and the rollout policy sees a
-``FireState`` whose fields are that row's arrays.
+Tree nodes are keyed by ``FireState``, which hashes and compares its
+arrays' bytes, and a child state is sampled through ``Wildfire.step``.  A
+rollout steps the leaf's arrays as a block of one row through
+``Wildfire.step_arrays``, and the rollout policy sees that row as a
+``FireState``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from math import inf, log, sqrt
 
-from .mdp import Action, FireState, Wildfire, burning_cells, idle_action, state_arrays
+from .mdp import Action, FireState, Wildfire, burning_cells, idle_action
 
 
 # duplicate proposals re-drawn by the action generator before one is kept
@@ -195,7 +195,7 @@ class Planner:
         """Run simulations from ``root`` until the budget runs out, then return
         the action with the best Q.  A zero/insufficient budget falls back to
         the rollout policy and flags it."""
-        if 1 not in root.burning:
+        if not root.burning.any():
             raise ValueError("plan() requires a non-terminal root state")
         cfg = self.config
         self._prune_to(root)
@@ -251,7 +251,7 @@ class Planner:
             node = _Node()
             nodes[state] = node
             return self._rollout(state, depth, rng)
-        if 1 not in state.burning:
+        if not state.burning.any():
             return 0.0  # terminal: zero reward forever after
         node.n += 1
         edges = node.edges
@@ -336,7 +336,7 @@ class Planner:
         pi0 = self.pi0
         gamma = self.config.gamma
         rngs = (rng,)
-        burning, fuel = state_arrays(state)  # a block of one row
+        burning, fuel = state.burning[None], state.fuel[None]  # a block of one row
         total = 0.0
         weight = 1.0
         for _ in range(depth):
@@ -364,7 +364,7 @@ class MctsPolicy:
         self.last = {}
 
     def __call__(self, state: FireState, rng) -> Action:
-        if 1 not in state.burning:
+        if not state.burning.any():
             return idle_action(self.teams)
         result = self.planner.plan(state, rng)
         if result.fallback:

@@ -1,6 +1,6 @@
 """Stochastic wildfire-suppression MDP on a grid.
 
-State is a pair of per-cell vectors (burning flags, integer fuel).  One
+State is a pair of per-cell arrays (burning flags, integer fuel).  One
 decision epoch assigns each suppression team to a target cell; every cell
 then transitions simultaneously using the pre-step state: an unburning cell
 with fuel ignites with probability 1 - prod(1 - P(x,y)) over burning
@@ -11,17 +11,16 @@ charges R(x) <= 0 for every cell burning in the pre-step state.
 
 ``Wildfire.step_arrays`` is the one kernel of the law.  It steps a block of
 B episodes at once, with numpy: the ``(B, n)`` arrays of burning flags
-(uint8) and fuel (int64), one action and one ``random.Random`` stream per
+(bool) and fuel (int64), one action and one ``random.Random`` stream per
 row, to the next ``(B, n)`` arrays and B rewards.  Each cell's survival
 product is formed one in-edge slot of ``SpreadModel`` at a time, the teams
 on a burning cell multiply in action order, and each row's reward adds R(x)
 over its burning cells left to right, starting from 0.0, so every row comes
-out bit for bit as it would alone.  ``Wildfire.step`` wraps the kernel for
-one tuple state (B = 1).  MCTS rollouts and the initial-fire warm-up call it
-with B = 1 and stay on arrays; the harness plays a benchmark's heuristic
-episodes through it in lockstep.  Exact outcome distributions are
-enumerated only in the tests, from an independent per-cell copy of the law,
-so they check this kernel rather than share it.
+out bit for bit as it would alone.  A state is one row of a block:
+``Wildfire.step``, MCTS rollouts and the initial-fire warm-up step blocks of
+one row, and the harness plays a benchmark's heuristic episodes in
+lockstep.  Exact outcome distributions are enumerated only in the tests,
+from an independent per-cell copy of the law, so they check this kernel.
 
 All step randomness comes from an explicit ``random.Random`` stream per
 episode, so a fixed seed reproduces a trajectory exactly.  The draw order is
@@ -43,16 +42,39 @@ IDLE = -1  # sentinel target for a team with nothing to suppress
 Action = tuple  # tuple[int, ...]; one non-negative cell index (or IDLE) per team
 
 
-class FireState(NamedTuple):
-    """MDP state: per-cell burning flags (0/1) and integer fuel.
+class FireState(NamedTuple("_FireFields", [("burning", np.ndarray), ("fuel", np.ndarray)])):
+    """MDP state: per-cell burning flags (bool) and fuel (int64), read-only.
 
-    Tuples of ints wherever a policy or a tree node sees a state, but inside
-    an MCTS rollout, whose policy sees one row of the kernel's arrays.  The
-    harness and the warm-up keep their episodes as arrays between decisions.
+    Any sequences are converted to those dtypes; an array that has its dtype
+    is marked read-only and kept, not copied, so a row of the kernel's block
+    is a state for free, and no code writes a block once its rows are states.
+    Equality and the hash go by the fields' bytes, so states serve as tree
+    keys.  ``state[0]``, unpacking and ``_replace`` work as on any NamedTuple.
     """
 
-    burning: tuple
-    fuel: tuple
+    __slots__ = ()
+
+    def __new__(cls, burning, fuel):
+        burning = np.asarray(burning, dtype=bool)
+        fuel = np.asarray(fuel, dtype=np.int64)
+        burning.flags.writeable = False
+        fuel.flags.writeable = False
+        return super().__new__(cls, burning, fuel)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __eq__(self, other):
+        return (isinstance(other, FireState)
+                and self.burning.tobytes() == other.burning.tobytes()
+                and self.fuel.tobytes() == other.fuel.tobytes())
+
+    def __ne__(self, other):  # tuple's own __ne__ would win over __eq__
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.burning.tobytes(), self.fuel.tobytes()))
 
 
 _OFFSETS = {
@@ -188,29 +210,9 @@ def idle_action(teams: int) -> Action:
     return (IDLE,) * teams
 
 
-def burning_flags(burning) -> np.ndarray:
-    """The burning flags of either state form as a uint8 array: an array is
-    returned as it is, a tuple is copied into a read-only one."""
-    if isinstance(burning, np.ndarray):
-        return burning
-    return np.frombuffer(bytes(burning), dtype=np.uint8)
-
-
-def state_arrays(state: FireState) -> tuple:
-    """The burning uint8 and fuel int64 arrays of a tuple state, as a block
-    of one row: shape ``(1, n)`` each; the burning array is read-only."""
-    fuel = np.fromiter(state.fuel, np.int64, len(state.fuel))
-    return burning_flags(state.burning)[np.newaxis], fuel[np.newaxis]
-
-
-def row_state(burning: np.ndarray, fuel: np.ndarray) -> FireState:
-    """The tuple state of one row of the kernel's arrays."""
-    return FireState(tuple(burning.tobytes()), tuple(fuel.tolist()))
-
-
 def burning_cells(state: FireState) -> list:
-    """The burning cells of either state form, ascending, as Python ints."""
-    return np.flatnonzero(burning_flags(state.burning)).tolist()
+    """The burning cells of a state, ascending, as Python ints."""
+    return np.flatnonzero(state.burning).tolist()
 
 
 class Wildfire:
@@ -282,17 +284,16 @@ class Wildfire:
         """Sample one transition of a block of B episodes on arrays:
         (next burning, next fuel, rewards).
 
-        ``burning`` is a ``(B, n)`` uint8 array of 0/1 flags and ``fuel`` a
-        ``(B, n)`` int64 array; neither is written.  ``actions`` and ``rngs``
-        hold one action and one stream per row, and row b draws only from
-        ``rngs[b]``.  ``rewards`` is a list of B floats: row b's is the sum
+        ``burning`` is a ``(B, n)`` bool array and ``fuel`` a ``(B, n)`` int64
+        array; neither is written, and new ones come back.  ``actions`` and
+        ``rngs`` hold one action and one stream per row, and row b draws only
+        from ``rngs[b]``.  ``rewards`` is a list of B floats: row b's is the sum
         of R(x) over its pre-step burning cells, added left to right from 0.0.
         """
         for action in actions:
             self._check_action(action)
-        lit = burning != 0
         fueled = fuel > 0
-        probs, rewards = self._law(lit, fueled, actions)
+        probs, rewards = self._law(burning, fueled, actions)
         burns = probs >= 1.0
         stochastic = (probs > 0.0) & ~burns
         # row b takes its draws from its own stream, one per stochastic cell;
@@ -304,10 +305,11 @@ class Wildfire:
         if draws:
             cells = np.flatnonzero(stochastic)
             burns.reshape(-1)[cells] = np.array(draws) < probs.reshape(-1)[cells]
-        next_fuel = fuel - (lit & fueled)
-        return burns.view(np.uint8), next_fuel, rewards
+        next_fuel = fuel - (burning & fueled)
+        return burns, next_fuel, rewards
 
     def step(self, state: FireState, action: Action, rng) -> tuple:
         """Sample one synchronous transition; returns (next_state, reward)."""
-        burning, fuel, rewards = self.step_arrays(*state_arrays(state), (action,), (rng,))
-        return row_state(burning[0], fuel[0]), rewards[0]
+        burning, fuel, rewards = self.step_arrays(
+            state.burning[np.newaxis], state.fuel[np.newaxis], (action,), (rng,))
+        return FireState(burning[0], fuel[0]), rewards[0]

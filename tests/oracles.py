@@ -186,7 +186,7 @@ def weighted_index(weights, rng):
 
 
 def reference_fw_sample(state, priority, teams, rng):
-    """``fw_sample`` on tuples: burning cells drawn without replacement with
+    """``fw_sample`` as a list loop: burning cells drawn without replacement with
     weight 1 / rank (``priority_ranks``), deleting each pick from the pool,
     then any surplus teams with replacement from the full weights."""
     cells = [x for x in range(len(state.burning)) if state.burning[x]]
@@ -202,6 +202,23 @@ def reference_fw_sample(state, priority, teams, rng):
     for _ in range(teams - len(cells)):
         chosen.append(cells[weighted_index(base, rng)])
     return tuple(sorted(chosen))
+
+
+def reference_action_from_scores(state, v, teams):
+    """MO's action from its time-zero scores ``v``, as a per-cell loop: the
+    burning cells with fuel left (all burning cells if none has), by score
+    descending and then by index; one team per cell scoring above 1e-9,
+    and surplus teams stacked on the first cell."""
+    burning = [x for x in range(len(state.burning)) if state.burning[x]]
+    if not burning:
+        return (-1,) * teams
+    eligible = [x for x in burning if state.fuel[x] > 0] or burning
+    eligible.sort(key=lambda x: (-v[x], x))
+    ranked = [x for x in eligible if v[x] > 1e-9] or eligible[:1]
+    targets = ranked[:teams]
+    while len(targets) < teams:
+        targets.append(ranked[0])
+    return tuple(sorted(targets))
 
 
 def ignition_prob(spread, state, x):

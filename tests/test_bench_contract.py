@@ -119,6 +119,33 @@ def test_episode_result_counts_mo_fallbacks():
     assert result.mo_fallbacks == 0
 
 
+def test_states_support_what_the_benchmark_checks_do_with_them():
+    # perfbench/worker.py replays episodes through run_episode and steps its
+    # own through Wildfire.step; its checks index, unpack and compare states,
+    # and loop while 1 is in the burning flags
+    config = small_grid()
+    model, policy, seen = config.model(), config.make_policy("fw"), []
+
+    def recording(state, rng):
+        seen.append(state)
+        return policy(state, rng)
+
+    harness.run_episode(config, recording, 0, "fw")
+    first = config.initial_state(harness.episode_rng(0))
+    stepped, _ = model.step(first, policy(first, None), random.Random(0))
+    dead, _ = model.step(first._replace(fuel=[0] * len(first.fuel)),
+                         (-1,) * config.teams, random.Random(0))
+    for state in (seen[0], seen[-1], stepped, dead):
+        burning, fuel = state
+        assert state[0] is burning and state[1] is fuel
+        assert len(burning) == len(fuel) == config.spec().n_cells
+    assert all(1 in state.burning for state in (seen[0], seen[-1], stepped))
+    assert 1 not in dead.burning
+    assert seen[0] == first and not seen[0] != first
+    for state in (seen[-1], stepped, dead):
+        assert state != first and not state == first
+
+
 def test_every_benchmark_workload_loads_its_scenario(monkeypatch):
     # the constructor loads the scenario file and applies the workload's
     # overrides; no round is played

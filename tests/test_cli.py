@@ -100,6 +100,7 @@ def test_simulate_trace_writes_one_record_per_decision(tmp_path, capsys,
     for r in records:
         assert list(r) == RECORD_KEYS + PLANNER_KEYS[policy]
         assert r["n_burning"] > 0 and r["ms"] >= 0.0
+        assert type(r["n_burning"]) is int
         assert len(r["action"]) == (2 if scenario == "tiny_explicit" else 4)
         if policy == "mcts":
             assert r["iterations"] == 10 and r["fallback"] is False

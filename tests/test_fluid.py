@@ -25,7 +25,13 @@ from firegrid.mdp import IDLE, FireState, GridSpec, RewardModel, SpreadModel, id
 from firegrid.milp import branch_and_bound
 from firegrid.mpsio import write_mps
 
-from oracles import fluid_recursion, parse_mps, reference_build_model, reference_calibrate
+from oracles import (
+    fluid_recursion,
+    parse_mps,
+    reference_action_from_scores,
+    reference_build_model,
+    reference_calibrate,
+)
 
 
 def uniform(k, h=None, p=0.06, q=0.8):
@@ -440,12 +446,14 @@ def test_mo_policy_falls_back_when_the_solve_reports_nothing(monkeypatch):
 
 @st.composite
 def scored_fires(draw):
-    """A state on 1-16 cells, 0-3 teams and any finite score per cell."""
+    """A state on 1-16 cells, 0-3 teams and any finite score per cell, with
+    scores that tie (0.0 and -0.0 among them) or sit at the 1e-9 cut."""
     n = draw(st.integers(1, 16))
     cells = lambda values: st.lists(values, min_size=n, max_size=n)  # noqa: E731
     state = FireState(tuple(draw(cells(st.integers(0, 1)))),
                       tuple(draw(cells(st.integers(0, 3)))))
-    scores = np.array(draw(cells(st.floats(-2.0, 2.0))))
+    score = st.one_of(st.sampled_from([0.0, -0.0, 1e-9, 0.5]), st.floats(-2.0, 2.0))
+    scores = np.array(draw(cells(score)))
     return state, scores, draw(st.integers(0, 3))
 
 
@@ -454,6 +462,8 @@ def scored_fires(draw):
 def test_action_from_scores_targets_only_burning_cells(case):
     state, scores, teams = case
     action = _action_from_scores(state, scores, teams)
+    assert action == reference_action_from_scores(state, scores, teams)
+    assert all(type(t) is int for t in action)
     assert len(action) == teams
     if 1 in state.burning:
         assert all(state.burning[x] for x in action)

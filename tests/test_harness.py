@@ -20,6 +20,7 @@ from firegrid.harness import (
     ScenarioError,
     branching_factor,
     episode_rng,
+    _fire_size,
     gen_initial,
     grid1_rewards,
     grid2_rewards,
@@ -520,6 +521,21 @@ def test_benchmark_fire_stats_match_regenerated_fires():
     stats = (summary.mean_burning, summary.max_burning,
              summary.mean_fuel_burning, summary.fuel_non_burnt)
     assert stats == initial_fire_stats(config, reps=6)
+
+
+def test_fire_size_and_records_hold_python_ints():
+    # numpy scalars would change the repr of what the CSVs and traces write
+    config = load_scenario(SCENARIOS / "grid1_k20.json")
+    state = config.initial_state(episode_rng(9))
+    size = _fire_size(state)
+    assert [type(v) for v in size] == [int, int]
+    assert size == (sum(state.burning), sum(state.fuel[state.burning]))
+    assert size[0] > 255
+    records = []
+    run_episode(config, config.make_policy("fw"), 9, "fw", records=records)
+    assert records[0]["n_burning"] == size[0]
+    assert all(type(r["n_burning"]) is int for r in records)
+    assert all(type(t) is int for r in records for t in r["action"])
 
 
 def test_quartiles_match_statistics_library():

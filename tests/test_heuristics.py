@@ -260,7 +260,7 @@ def ranked_fires(draw):
 def test_priority_ranks_match_pairwise_reference(fire):
     priority, burning = fire
     weights = WeightMap(w=-priority, priority=priority)
-    flags = np.array(burning, dtype=np.uint8)
+    flags = np.array(burning, dtype=bool)
     cells = np.flatnonzero(flags)
     assert _priority_ranks(flags, cells, weights).tolist() == priority_ranks(
         cells.tolist(), priority)
@@ -303,7 +303,7 @@ def test_priority_ranks_match_reference_on_grid_weights():
                     RewardModel(tuple(-float(1 + x % 6 + x // 6) for x in range(36))))
     rng = random.Random(8)
     for _ in range(50):
-        flags = np.array([rng.randint(0, 1) for _ in range(36)], dtype=np.uint8)
+        flags = np.array([rng.randint(0, 1) for _ in range(36)], dtype=bool)
         cells = np.flatnonzero(flags)
         assert _priority_ranks(flags, cells, wm).tolist() == priority_ranks(
             cells.tolist(), wm.priority)

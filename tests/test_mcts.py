@@ -32,7 +32,6 @@ from firegrid.mdp import (
     SpreadModel,
     Wildfire,
     idle_action,
-    state_arrays,
 )
 
 from oracles import expectimax, reference_fw_sample, reference_step
@@ -504,7 +503,7 @@ def test_golden_first_decisions_on_k20_fire_with_random_rollouts():
     assert policy.fallbacks == 0
 
 
-# -- array rollouts against the tuple references --------------------------------
+# -- array rollouts against the loop references ---------------------------------
 
 @st.composite
 def rollout_cases(draw):
@@ -534,12 +533,12 @@ def rollout_cases(draw):
 @given(rollout_cases(), st.integers(0, 2 ** 31), st.sampled_from([1.0, 0.9]))
 @settings(max_examples=60, deadline=None)
 def test_array_rollout_matches_reference_step_and_fw_sample(case, seed, gamma):
-    # every step of a rollout on arrays must reproduce the tuple references
+    # every step of a rollout on arrays must reproduce the loop references
     # bit for bit: the same action, reward bits, next state and draws
     model, state, weights, teams = case
     depth = 6
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    burning, fuel = state_arrays(state)  # a block of one row, as in a rollout
+    burning, fuel = state.burning[None], state.fuel[None]  # a block of one row, as in a rollout
     ref_state = state
     ref_total, weight = 0.0, 1.0
     for _ in range(depth):
@@ -552,7 +551,7 @@ def test_array_rollout_matches_reference_step_and_fw_sample(case, seed, gamma):
         burning, fuel, (reward,) = model.step_arrays(burning, fuel, (action,), (rng,))
         ref_state, ref_reward = reference_step(model, ref_state, action, ref_rng)
         assert reward.hex() == ref_reward.hex()
-        assert FireState(tuple(burning[0].tolist()), tuple(fuel[0].tolist())) == ref_state
+        assert FireState(burning[0], fuel[0]) == ref_state
         assert rng.getstate() == ref_rng.getstate()
         ref_total += weight * ref_reward
         weight *= gamma

@@ -15,8 +15,6 @@ from firegrid.mdp import (
     Wildfire,
     burning_cells,
     idle_action,
-    row_state,
-    state_arrays,
 )
 from oracles import (
     enumerate_transitions,
@@ -28,9 +26,65 @@ from oracles import (
 
 
 def burn_probs(model, state, action):
-    """The kernel's per-cell probabilities of burning next, for a tuple state."""
-    burning, fuel = state_arrays(state)
-    return model._law(burning != 0, fuel > 0, (action,))[0][0]
+    """The kernel's per-cell probabilities of burning next, for one state."""
+    return model._law(state.burning[None], state.fuel[None] > 0, (action,))[0][0]
+
+
+# -- the one state form -------------------------------------------------------
+
+def test_fire_state_normalises_every_sequence_to_read_only_arrays(grid2x2, rng):
+    # a kernel row view is taken as it is; the other forms are converted
+    view, _ = grid2x2.step(FireState((1, 0, 1, 0), (2, 1, 0, 3)), (0, 0), rng)
+    flags = np.array([1, 0, 1, 0], dtype=np.uint8)
+    for state in (FireState((1, 0, 1, 0), (2, 1, 0, 3)),
+                  FireState([1, 0, 1, 0], [2, 1, 0, 3]),
+                  FireState(flags, flags.astype(np.int16) * 2),
+                  FireState(*view)):
+        assert (state.burning.dtype, state.fuel.dtype) == (bool, np.int64)
+        for field in state:
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 0
+    assert flags.flags.writeable  # a converted input is copied, not frozen
+    row = FireState(*view)
+    assert row.burning is view.burning and row.fuel is view.fuel
+
+
+def test_fire_states_compare_and_hash_by_value(grid2x2, rng):
+    from_tuples = FireState((1, 0, 0, 0), (0, 0, 0, 0))
+    from_lists = FireState([True, False, False, False], [0, 0, 0, 0])
+    from_arrays = FireState(np.array([1, 0, 0, 0], dtype=np.uint8), np.zeros(4, np.int32))
+    dead, _ = grid2x2.step(FireState((0, 0, 0, 0), (0, 0, 0, 0)), (), rng)
+    for same in (from_lists, from_arrays):
+        assert same == from_tuples and not same != from_tuples
+        assert hash(same) == hash(from_tuples)
+    assert len({from_tuples, from_lists, from_arrays}) == 1
+    others = (FireState((0, 1, 0, 0), (0, 0, 0, 0)), FireState((1, 0, 0, 0), (0, 0, 0, 1)))
+    for other in others:
+        assert other != from_tuples and not other == from_tuples
+    assert dead == FireState((0,) * 4, (0,) * 4) != from_tuples
+    assert {from_tuples: 1, dead: 2}[FireState([0] * 4, [0] * 4)] == 2
+    assert from_tuples != ((1, 0, 0, 0), (0, 0, 0, 0))  # only states compare equal
+
+
+def test_fire_state_stays_a_named_tuple():
+    state = FireState((1, 0), (3, 4))
+    burning, fuel = state
+    assert state[0] is burning is state.burning and state[1] is fuel is state.fuel
+    assert 1 in state.burning and 1 not in FireState((0, 0), (3, 4)).burning
+    replaced = state._replace(burning=(0, 1))
+    assert type(replaced) is FireState
+    assert replaced.burning.dtype == bool and not replaced.burning.flags.writeable
+    assert replaced == FireState((0, 1), (3, 4))
+    assert FireState._make([(0, 1), (3, 4)]) == replaced
+
+
+def test_builtin_sum_counts_a_fire_of_more_than_255_cells():
+    # bool flags: a uint8 array would wrap here (300 ones sum to 44)
+    state = FireState((1,) * 300 + (0,) * 100, (2,) * 400)
+    assert sum(state.burning) == 300
+    assert burning_cells(state) == list(range(300))
+    assert all(type(x) is int for x in burning_cells(state))
 
 
 def test_grid_indexing_round_trip():
@@ -172,7 +226,7 @@ def test_enumerate_two_teams_all_burning_q08():
     state = FireState((1, 1, 1, 1), (2, 2, 2, 2))
     outs = enumerate_transitions(model, state, (0, 0))
     assert len(outs) == 2
-    by_burning = {s.burning: p for s, p, _ in outs}
+    by_burning = {tuple(s.burning.tolist()): p for s, p, _ in outs}
     assert by_burning[(1, 1, 1, 1)] == pytest.approx(0.2 ** 2)
     assert by_burning[(0, 1, 1, 1)] == pytest.approx(1 - 0.2 ** 2)
 
@@ -266,7 +320,7 @@ def test_step_matches_reference_step(case, seed):
         nxt, reward = model.step(state, action, rng)
         ref_nxt, ref_reward = reference_step(model, state, action, ref_rng)
         assert nxt == ref_nxt
-        assert all(type(v) is int for v in nxt.burning + nxt.fuel)
+        assert (nxt.burning.dtype, nxt.fuel.dtype) == (bool, np.int64)
         assert reward.hex() == ref_reward.hex()
         assert rng.getstate() == ref_rng.getstate()
         state = nxt
@@ -306,18 +360,18 @@ def test_block_step_matches_reference_step_row_by_row(case, seed):
     ref_rngs = [random.Random(seed + i) for i in range(len(rows))]
     states = [state for state, _ in rows]
     actions = [action for _, action in rows]
-    burning = np.concatenate([state_arrays(state)[0] for state in states])
-    fuel = np.concatenate([state_arrays(state)[1] for state in states])
+    burning = np.stack([state.burning for state in states])
+    fuel = np.stack([state.fuel for state in states])
     for _ in range(3):
         inputs, before = (burning, fuel), (burning.copy(), fuel.copy())
         burning, fuel, rewards = model.step_arrays(burning, fuel, actions, rngs)
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))  # not written
         assert burning.shape == fuel.shape == (len(rows), model.spec.n_cells)
-        assert (burning.dtype, fuel.dtype) == (np.uint8, np.int64)
+        assert (burning.dtype, fuel.dtype) == (bool, np.int64)
         assert len(rewards) == len(rows)
         for i, action in enumerate(actions):
             ref_next, ref_reward = reference_step(model, states[i], action, ref_rngs[i])
-            assert row_state(burning[i], fuel[i]) == ref_next
+            assert FireState(burning[i], fuel[i]) == ref_next
             assert type(rewards[i]) is float and rewards[i].hex() == ref_reward.hex()
             assert rngs[i].getstate() == ref_rngs[i].getstate()
             states[i] = ref_next
