@@ -3,9 +3,11 @@
 Subcommands: ``simulate`` (one seeded episode), ``benchmark`` (paired-seed
 policy comparison), ``stats`` (initial-fire statistics), ``export-lp`` (the
 fluid model MO solves at its first decision, as fixed MPS, at the horizon and
-delta of the scenario's ``mo`` block), ``weights`` (the scenario's
-distance-weighted heuristic map as CSV).  All randomness flows from the
-scenario seed (overridable with ``--seed``); replication r uses seed + r.
+delta of the scenario's ``mo`` block: the MILP that exact mode solves, Z
+integral and y continuous; relax-round solves its LP relaxation and rounds
+Z), ``weights`` (the scenario's distance-weighted heuristic map as CSV).
+All randomness flows from the scenario seed (overridable with ``--seed``);
+replication r uses seed + r.
 
 ``simulate --trace PATH`` writes one JSON object per decision, one per line.
 Every policy's lines carry ``epoch`` (0, 1, ...), ``n_burning`` (burning
@@ -178,8 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("export-lp",
-                       help="write the fluid model MO solves first as fixed MPS, "
-                            "at the scenario's mo.horizon and mo.delta")
+                       help="write the MILP MO's exact mode solves first (Z "
+                            "integral, y continuous) as fixed MPS, at the "
+                            "scenario's mo.horizon and mo.delta; relax-round "
+                            "solves its LP relaxation and rounds Z")
     common(p)
     p.add_argument("--out", required=True, help="output MPS path")
     p.set_defaults(func=_cmd_export_lp)

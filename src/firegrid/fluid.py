@@ -7,8 +7,10 @@ budget, and indicator variables switch cells off once their fuel crosses a
 small threshold.  Assignments y(t, x), the number of the identical teams on
 cell x in period t, enter the recursion as big-M relief terms.  The
 controller re-solves the model from the current state at every decision
-epoch (with y relaxed to [0, teams]), scores each cell by its time-zero
-assignment y(0, x), and sends the real teams to the top-scoring burning cells.
+epoch, scores each cell by its time-zero assignment y(0, x), and sends the
+real teams to the top-scoring burning cells.  Only the indicators Z are
+integral (``FluidModel.integer_mask``); y is continuous in [0, teams] in
+both of ``relax_and_score``'s modes.
 
 Objective sign: the model minimizes sum_t sum_x (-R(x)) * I_t(x), the
 intensity weighted by the positive importance of each cell.  Feeding the raw
@@ -116,6 +118,9 @@ class FluidModel:
     ``columns`` maps each variable block, "I" (intensity), "F" (fuel), "Z"
     (indicators) and "y" (assignments), to its read-only (T+1, n) array of
     column indices: ``x[columns["F"]]`` is a solution's fuel trajectory.
+    ``integer_mask`` marks the columns the MILP keeps integral, exactly the
+    indicator block Z; y is continuous in [0, teams].  Exact mode branches
+    on it, ``z_indices`` lists it and ``export-lp`` writes it.
     """
 
     problem: LpProblem
@@ -127,7 +132,7 @@ class FluidModel:
 
     def z_indices(self) -> np.ndarray:
         """The indicator columns Z(t, x), t-major."""
-        return self.columns["Z"].ravel()
+        return np.flatnonzero(self.integer_mask)
 
 
 @dataclass(frozen=True)
@@ -275,14 +280,14 @@ def build_model(
     n_vars = pattern.shape[1]
     c = np.zeros(n_vars)
     c[cols["I"]] = -np.asarray(rewards.values)
-    # I(0) is the burning map; Z is binary and y integer
+    # I(0) is the burning map
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
     lower[cols["I"][0]] = upper[cols["I"][0]] = state.burning
     upper[cols["Z"]] = 1.0
     upper[cols["y"]] = float(teams)
     mask = np.zeros(n_vars, dtype=bool)
-    mask[cols["Z"]] = mask[cols["y"]] = True
+    mask[cols["Z"]] = True
     return FluidModel(
         problem=LpProblem(c, a, pattern.senses, table[pattern.rhs], lower, upper),
         integer_mask=mask, columns=dict(cols), teams=teams, calibration=calibration,
@@ -300,8 +305,9 @@ def relax_and_score(
 
     Returns ``(action, info)``; ``action`` is None when the relaxation (or
     the rounded re-solve) is infeasible, leaving the fallback decision to the
-    caller.  Indicator variables stay binary when few enough to branch on
-    within the budget; otherwise they are relaxed, rounded by thresholding
+    caller.  The columns of ``model.integer_mask`` (Z) stay binary when
+    there are at most ``bnb_binary_cap`` of them, and branch and bound solves
+    that MILP; otherwise they are relaxed, rounded by thresholding
     the solved fuel at delta, fixed, and the LP re-solved once with ties
     broken; ``info["objective"]`` is the unperturbed cost.  ``backend`` is
     ``"highs"`` (every LP goes to HiGHS) or ``"bundled"`` (the dense simplex).
@@ -325,12 +331,10 @@ def relax_and_score(
         raise ValueError(f"unknown backend {backend!r}: use \"highs\" or \"bundled\"")
     info = {"status": None, "objective": None, "mode": None}
 
-    if cols["Z"].size <= bnb_binary_cap:
+    if np.count_nonzero(model.integer_mask) <= bnb_binary_cap:
         info["mode"] = "branch-and-bound"
-        z_mask = np.zeros(len(problem.c), dtype=bool)
-        z_mask[cols["Z"]] = True
         res = branch_and_bound(
-            problem, z_mask, deadline=deadline, node_limit=node_limit,
+            problem, model.integer_mask, deadline=deadline, node_limit=node_limit,
             lp_solver=lp_solver,
         )
         info["status"] = res.status

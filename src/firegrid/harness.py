@@ -52,6 +52,10 @@ STATS_SCHEMA = "# firegrid initial-fire-stats v1"
 
 POLICY_NAMES = ("random", "fw", "fw_sample", "mcts", "mo")
 MAX_WARMUP_STEPS = 10_000  # a grid scenario's generation_horizon() at most
+# A scenario's cells at most: ``ScenarioConfig.weights`` is built from a dense
+# n x n float64 distance matrix, 800 MB at 10 000 cells, by an O(n^3)
+# Floyd-Warshall.
+MAX_CELLS = 10_000
 
 
 class ScenarioError(ValueError):
@@ -170,7 +174,8 @@ class ScenarioConfig:
         row summing to -1) or "explicit" (fire and costs listed); "grid1".
     ``k``: integer >= 1, >= 2 for grid1 and grid2 without ``rewards``; 8.
         Grid width, and its height unless ``height`` is set.
-    ``height``: integer >= 1 or null; null.
+    ``height``: integer >= 1 or null; null.  The grid may have at most
+        ``MAX_CELLS`` (10 000) cells, k times the height.
     ``neighborhood``: "four" or "eight"; "four".
     ``P_default``: number in [0, 1], > 0 for grid1 and grid2; 0.06.  The
         chance that one burning neighbor ignites a cell in one step.  A grid
@@ -230,6 +235,11 @@ class ScenarioConfig:
             raise ScenarioError("field 'k': must be >= 1")
         if self.height is not None and self.height < 1:
             raise ScenarioError("field 'height': must be >= 1")
+        height = self.k if self.height is None else self.height
+        n = self.k * height
+        if n > MAX_CELLS:
+            raise ScenarioError(f"field '{'k' if self.height is None else 'height'}': "
+                                f"{n} cells, more than {MAX_CELLS}")
         if self.neighborhood not in ("four", "eight"):
             raise ScenarioError(
                 f"field 'neighborhood': unknown neighborhood {self.neighborhood!r}")
@@ -249,9 +259,7 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"field 'P_default': so small that a fire warms up for "
                 f"{self.generation_horizon()} steps, more than {MAX_WARMUP_STEPS}")
-        spec = GridSpec(self.k, self.k if self.height is None else self.height,
-                        self.neighborhood)
-        n = spec.n_cells
+        spec = GridSpec(self.k, height, self.neighborhood)
         if self.family == "explicit":
             for name, arr in (("fuel", self.fuel), ("burning", self.burning)):
                 if arr is None:

@@ -4,10 +4,18 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from firegrid.cli import main
-from firegrid.harness import POLICY_NAMES, ScenarioError, load_scenario, scenario_from_dict
+from firegrid.fluid import relax_and_score
+from firegrid.harness import (
+    POLICY_NAMES,
+    ScenarioError,
+    episode_rng,
+    load_scenario,
+    scenario_from_dict,
+)
 from firegrid.lp import OPTIMAL, solve_lp
 from firegrid.mpsio import write_mps
 
@@ -303,6 +311,48 @@ def test_export_lp_writes_the_model_mo_solves(tmp_path):
     for flag in ("--horizon", "--delta"):
         with pytest.raises(SystemExit):
             main(["export-lp", "--scenario", scenario, "--out", str(out), flag, "3"])
+
+
+def milp_optimum(problem, integer_mask) -> float:
+    """The optimum of an MPS file's problem by ``scipy.optimize.milp``, with
+    its INTORG columns integral, to a relative gap far below the tests' 1e-6."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    senses = np.asarray(problem.senses)
+    lo = np.where(senses == "<=", -np.inf, problem.b)
+    hi = np.where(senses == ">=", np.inf, problem.b)
+    res = milp(problem.c, constraints=LinearConstraint(problem.a, lo, hi),
+               bounds=Bounds(problem.lower, problem.upper),
+               integrality=integer_mask.astype(int), options={"mip_rel_gap": 1e-9})
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("name, mode", [("tiny_explicit", "branch-and-bound"),
+                                        ("grid1_k8", "relax-round")])
+def test_export_lp_file_is_the_milp_exact_mode_solves(tmp_path, name, mode):
+    # solved as written, the file's MILP reaches exact mode's objective and
+    # bounds relax-round's from below
+    with open(os.path.join(SCENARIOS, f"{name}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["mo"]["time_limit"] = None
+    scenario = write_scenario(tmp_path, doc)
+    out = tmp_path / "model.mps"
+    assert main(["export-lp", "--scenario", scenario, "--seed", "0",
+                 "--out", str(out)]) == 0
+    problem, integer_mask, _ = parse_mps(out.read_text())
+    config = scenario_from_dict(doc)
+    policy = config.make_policy("mo")
+    model = policy.fluid_model(config.initial_state(episode_rng(0)))
+    # checked before the solve: a file with integral y does not solve in minutes
+    assert np.array_equal(np.flatnonzero(integer_mask), model.z_indices())
+    _, info = relax_and_score(model, backend=policy.config.backend)
+    assert info["mode"] == mode
+    optimum, objective = milp_optimum(problem, integer_mask), info["objective"]
+    if mode == "branch-and-bound":
+        assert optimum == pytest.approx(objective, rel=1e-6)
+    else:
+        assert optimum <= objective + 1e-6 * max(1.0, abs(objective))
 
 
 def test_weights_csv(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_variable_counts_scale_exactly():
                             RewardModel((-1.0,) * 4), teams)
         n = 4 * (3 + 1)
         assert model.problem.shape[1] == n * 4
-        assert int(model.integer_mask.sum()) == n * 2
+        assert int(model.integer_mask.sum()) == n
         np.testing.assert_array_equal(model.problem.upper[3 * n:], teams)
 
 
@@ -355,6 +355,25 @@ def test_integer_columns_cost_nothing_on_tiny_explicit():
     assert not model.problem.c[model.integer_mask].any()
 
 
+def test_exact_mode_branches_on_the_models_integer_mask(monkeypatch):
+    # the mask build_model states is the one branch and bound is handed, and
+    # its count is what bnb_binary_cap is compared with
+    model, _ = _solved_small_milp()
+    handed = []
+
+    def recording(problem, integer_mask, **kwargs):
+        handed.append(integer_mask)
+        return branch_and_bound(problem, integer_mask, **kwargs)
+
+    monkeypatch.setattr("firegrid.fluid.branch_and_bound", recording)
+    n_z = model.columns["Z"].size
+    action, info = relax_and_score(model, bnb_binary_cap=n_z)
+    assert info["mode"] == "branch-and-bound" and action is not None
+    assert len(handed) == 1 and handed[0] is model.integer_mask
+    _, info = relax_and_score(model, bnb_binary_cap=n_z - 1)
+    assert info["mode"] == "relax-round" and len(handed) == 1
+
+
 # -- the receding-horizon controller ------------------------------------------
 
 def fw_fallback(spread, rewards, teams):
@@ -542,7 +561,8 @@ def summed_teams(ref, n, horizon, teams):
     ``ref`` is the oracle built for max(teams, 1) teams: y(t, x) takes the
     team-0 column of A(t, x, i), and the period's assign rows are summed into
     one.  The aggregated matrix does not depend on the team count, so a zero
-    team model projects from a one team oracle.
+    team model projects from a one team oracle.  The oracle's binary A
+    columns project onto a continuous y: only Z stays integral.
     """
     size = (horizon + 1) * n
     per_team = max(teams, 1)
@@ -559,7 +579,7 @@ def summed_teams(ref, n, horizon, teams):
         b=np.concatenate((ref.b[:kept], np.full(horizon + 1, float(teams)))),
         lower=ref.lower[cols],
         upper=np.concatenate((ref.upper[:3 * size], np.full(size, float(teams)))),
-        integer_mask=ref.integer_mask[cols],
+        integer_mask=np.concatenate((ref.integer_mask[:3 * size], np.zeros(size, bool))),
         row_labels=ref.row_labels[:kept] + [("assign", t) for t in periods])
 
 
@@ -583,6 +603,9 @@ def test_build_model_matches_the_row_by_row_oracle(case):
         assert same_bits(getattr(model.problem, name), getattr(ref, name)), name
     assert model.problem.senses == ref.senses
     assert np.array_equal(model.integer_mask, ref.integer_mask)
+    z = model.columns["Z"].ravel()
+    assert np.array_equal(model.z_indices(), z)
+    assert np.array_equal(np.flatnonzero(model.integer_mask), z)
 
 
 @st.composite

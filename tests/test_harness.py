@@ -3,6 +3,7 @@ import math
 import os
 import random
 import statistics
+import time
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from firegrid import fluid, heuristics
 from firegrid.harness import (
+    MAX_CELLS,
     MAX_WARMUP_STEPS,
     POLICY_NAMES,
     ScenarioConfig,
@@ -637,6 +639,20 @@ def test_tiny_p_default_rejected_before_warm_up():
     longest = scenario_from_dict({"family": "grid2", "k": 8, "lambda": 0.2,
                                   "P_default": 8 / (4 * MAX_WARMUP_STEPS)})
     assert longest.generation_horizon() == MAX_WARMUP_STEPS
+
+
+def test_grids_over_max_cells_rejected_before_they_are_built():
+    # the rejection comes before the costs, the spread model or the weights
+    for doc, name, cells in (({"k": 8, "height": 10**7}, "height", 8 * 10**7),
+                             ({"k": 101}, "k", 101 * 101),
+                             ({"k": 20_000, "P_default": 1.0}, "k", 20_000**2)):
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError,
+                           match=rf"^field '{name}': {cells} cells, more than 10000$"):
+            scenario_from_dict(dict(doc, family="grid1"))
+        assert time.perf_counter() - start < 1.0
+    largest = scenario_from_dict({"family": "grid1", "k": 100})
+    assert largest.spec().n_cells == MAX_CELLS
 
 
 def test_subnormal_p_default_rejected_before_the_fw_weights_overflow():

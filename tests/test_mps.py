@@ -108,7 +108,7 @@ def test_fluid_model_export_counts():
     text = write_mps(model.problem, model.integer_mask)
     parsed, mask, _ = parse_mps(text)
     assert parsed.shape == (10, 8)
-    assert int(mask.sum()) == 4  # two indicator + two assignment binaries
+    assert int(mask.sum()) == 2  # two indicator binaries
     np.testing.assert_allclose(parsed.a.toarray(), model.problem.a.toarray())
 
 
