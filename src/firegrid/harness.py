@@ -9,10 +9,11 @@ for a fuel-scaled warmup and then shrink all fuel by k**-0.25.
 Benchmarks are paired: replication r of every policy starts from the
 identical initial fire and the identical stream state, both drawn from a
 stream seeded only by (seed + r).  A benchmark generates each seed's fire
-once and plays every policy on it from a copy of the stream state.  The
-heuristics' episodes step in lockstep, as one block of arrays through the
-simulator's kernel; under ``--jobs`` over one block of seeds per worker,
-while the planners play one seed per pool task.  Transitions are not paired:
+once and plays every policy on it from a copy of the stream state.  A
+benchmark's seeds are split into tasks, the same for any ``--jobs``: one seed
+per task when a planner plays, else one block of seeds per worker.  Each task
+plays every policy, its episodes in lockstep as one block of arrays through
+the simulator's kernel.  Transitions are not paired:
 ``random``, ``fw_sample`` and ``mcts`` draw from the stream the transitions
 use, and a step draws once per cell whose next state is uncertain, so once
 two policies' draws or states differ, their transitions read other draws.
@@ -538,35 +539,30 @@ def _resumed(saved) -> random.Random:
 
 def _play_seeds(config, policies, names, seeds):
     """Generate the initial fire of each of ``seeds`` once and play
-    ``policies[name]`` for every name in ``names`` on them, each episode from
-    a fresh copy of its stream as it stood after generation.  A heuristic
-    plays all the seeds as one block; a policy with ``reset()`` plays them
-    one at a time.  Returns (_fire_size of each fire, results)."""
+    ``policies[name]`` for every name in ``names`` on them as one lockstep
+    block, each episode from a fresh copy of its stream as it stood after
+    generation.  Returns (_fire_size of each fire, results)."""
     fires = []
     for seed in seeds:
         rng = episode_rng(seed)
         fires.append((seed, config.initial_state(rng), rng.getstate()))
     results = []
     for name in names:
-        policy = policies[name]
-        episodes = [(seed, state, _resumed(saved)) for seed, state, saved in fires]
-        blocks = [[episode] for episode in episodes] if hasattr(policy, "reset") else [episodes]
-        for block in blocks:
-            results += _play(config, policy, name, block)
+        results += _play(config, policies[name], name,
+                         [(seed, state, _resumed(saved)) for seed, state, saved in fires])
     return [_fire_size(state) for _, state, _ in fires], results
 
 
-_worker = None  # (config, policies) of _play_seeds, in a benchmark's pool workers
+_worker = None  # in a benchmark's pool workers, its _play_seeds with all but the seeds bound
 
 
-def _init_worker(*args):
+def _init_worker(play):
     global _worker
-    _worker = args
+    _worker = play
 
 
-def _seeds_task(task):
-    names, seeds = task
-    return _play_seeds(*_worker, names, seeds)
+def _seeds_task(seeds):
+    return _worker(seeds)
 
 
 def _check_count(flag: str, value: int):
@@ -575,7 +571,8 @@ def _check_count(flag: str, value: int):
 
 
 def initial_fire_stats(config: ScenarioConfig, reps: int | None = None):
-    """Table-style statistics over the generated initial fires.
+    """Table-style statistics over the generated initial fires, which come
+    from the benchmark's own generation path, ``_play_seeds`` with no policy.
 
     Returns (mean burning, max burning, mean fuel over burning cells, fuel
     level of never-burnt cells).  The last figure is the scaled initial fuel
@@ -585,8 +582,7 @@ def initial_fire_stats(config: ScenarioConfig, reps: int | None = None):
     """
     reps = config.reps if reps is None else reps
     _check_count("reps", reps)
-    fires = [_fire_size(config.initial_state(episode_rng(config.seed + r)))
-             for r in range(reps)]
+    fires, _ = _play_seeds(config, {}, [], [config.seed + r for r in range(reps)])
     return _fire_stats(config, fires)
 
 
@@ -614,13 +610,15 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     and starts from the same stream, but a policy that draws from the stream
     (``random``, ``fw_sample``, ``mcts``) shifts the draws of the transitions
     after it.  A name given twice plays twice.  Each policy is built once per
-    call.  A heuristic plays all of a task's seeds in one lockstep block; a
-    planner (``mcts``, ``mo``) is reset and plays them one at a time.  With
-    ``jobs > 1`` a pool of ``min(jobs, reps)`` processes plays the heuristics
-    over as many contiguous seed blocks, which also give the fire statistics,
-    and the planners one seed per task, so no slow seed holds up others.
-    Every episode draws only from its own stream, so results are the same for
-    any ``jobs``: each equals ``run_episode`` for its (policy, seed).
+    call.  The seeds are split into tasks, whatever ``jobs`` is: when a
+    planner (``mcts``, ``mo``, a policy with ``reset()``) is among the
+    policies, each seed is its own task, so no slow seed holds up others;
+    otherwise there are ``min(jobs, reps)`` contiguous seed blocks.  A task
+    generates its fires once and plays every policy on them in one lockstep
+    block.  The tasks run in this process, or with ``jobs > 1`` in a pool of
+    ``min(jobs, reps)`` processes.  Every episode draws only from its own
+    stream, so results are the same for any ``jobs``: each equals
+    ``run_episode`` for its (policy, seed).
     Results are merged in (policy, seed) order, so the output depends neither
     on scheduling nor on the order the policies were given.
     """
@@ -631,24 +629,23 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     built = {name: config.make_policy(name) for name in names}
     seeds = [config.seed + r for r in range(reps)]
     workers = min(jobs, reps)  # a worker beyond one per seed would sit idle
+    if any(hasattr(policy, "reset") for policy in built.values()):
+        tasks = [[seed] for seed in seeds]
+    else:
+        tasks = [seeds[w * reps // workers:(w + 1) * reps // workers] for w in range(workers)]
+    play = functools.partial(_play_seeds, config, built, names)
     if workers > 1:
         import multiprocessing as mp
 
-        planners = [name for name in names if hasattr(built[name], "reset")]
-        blocks = [([name for name in names if name not in planners],
-                   seeds[w * reps // workers:(w + 1) * reps // workers])
-                  for w in range(workers)]
-        tasks = [(planners, [seed]) for seed in seeds] if planners else []
         # fork keeps workers importable from any entry point (pytest, stdin),
         # and hands them the scenario and the built policies unpickled: MCTS
         # rollout closures cannot be pickled
         with mp.get_context("fork").Pool(
-                workers, initializer=_init_worker, initargs=(config, built)) as pool:
-            played = pool.map(_seeds_task, tasks + blocks, chunksize=1)
-        fires = [fire for sizes, _ in played[len(tasks):] for fire in sizes]
+                workers, initializer=_init_worker, initargs=(play,)) as pool:
+            played = pool.map(_seeds_task, tasks, chunksize=1)
     else:
-        played = [_play_seeds(config, built, names, seeds)]
-        fires = played[0][0]
+        played = list(map(play, tasks))
+    fires = [fire for sizes, _ in played for fire in sizes]
     results = sorted((res for _, episodes in played for res in episodes),
                      key=lambda res: (res.policy, res.seed))
 

@@ -242,50 +242,58 @@ class Planner:
             self._nodes = {s: nodes[s] for s in keep}
 
     def _simulate(self, state: FireState, depth: int, rng) -> float:
-        if depth == 0:
-            return 0.0
+        """One simulation of at most ``depth`` steps from ``state``: descend
+        the tree to its first new node, roll out from there, then back the
+        discounted return up the path, deepest step first.  A loop, not a
+        recursion, so a tree as deep as ``depth`` needs no deep stack."""
         cfg = self.config
         nodes = self._nodes
-        node = nodes.get(state)
-        if node is None:
-            node = _Node()
-            nodes[state] = node
-            return self._rollout(state, depth, rng)
-        if not state.burning.any():
-            return 0.0  # terminal: zero reward forever after
-        node.n += 1
-        edges = node.edges
-        if len(edges) < cfg.widen_k_action * node.n ** cfg.widen_alpha_action:
-            action = self._generate(node, state, rng)
-            if action not in edges:
-                edges[action] = _Edge()
-        # UCB selection; untried actions take priority in insertion order
-        best_action = best_edge = None
-        best_score = None
-        log_n = log(node.n) if node.n > 1.0 else 0.0
-        c = cfg.exploration_c
-        for action, edge in edges.items():
-            if edge.n <= 0.0:
-                best_action, best_edge = action, edge
+        path = []  # (edge, reward) of each tree step, from the top
+        q = 0.0
+        while depth > 0:
+            node = nodes.get(state)
+            if node is None:
+                nodes[state] = _Node()
+                q = self._rollout(state, depth, rng)
                 break
-            score = edge.q + c * sqrt(log_n / edge.n)
-            if best_score is None or score > best_score:
-                best_action, best_edge, best_score = action, edge, score
-        edge = best_edge
-        children = edge.children
-        if len(children) < cfg.widen_k_state * edge.n ** cfg.widen_alpha_state or not children:
-            child, reward = self.model.step(state, best_action, rng)
-            record = children.get(child)
-            if record is None:
-                children[child] = [0.0, reward]
+            if not state.burning.any():
+                break  # terminal: zero reward forever after
+            node.n += 1
+            edges = node.edges
+            if len(edges) < cfg.widen_k_action * node.n ** cfg.widen_alpha_action:
+                action = self._generate(node, state, rng)
+                if action not in edges:
+                    edges[action] = _Edge()
+            # UCB selection; untried actions take priority in insertion order
+            best_action = best_edge = None
+            best_score = None
+            log_n = log(node.n) if node.n > 1.0 else 0.0
+            c = cfg.exploration_c
+            for action, edge in edges.items():
+                if edge.n <= 0.0:
+                    best_action, best_edge = action, edge
+                    break
+                score = edge.q + c * sqrt(log_n / edge.n)
+                if best_score is None or score > best_score:
+                    best_action, best_edge, best_score = action, edge, score
+            edge = best_edge
+            children = edge.children
+            if len(children) < cfg.widen_k_state * edge.n ** cfg.widen_alpha_state or not children:
+                state, reward = self.model.step(state, best_action, rng)
+                record = children.get(state)
+                if record is None:
+                    children[state] = [0.0, reward]
+                else:
+                    record[0] += 1
+                    edge.child_visits += 1
             else:
-                record[0] += 1
-                edge.child_visits += 1
-        else:
-            child, reward = self._sample_child(edge, rng)
-        q = reward + cfg.gamma * self._simulate(child, depth - 1, rng)
-        edge.n += 1
-        edge.q += (q - edge.q) / edge.n
+                state, reward = self._sample_child(edge, rng)
+            path.append((edge, reward))
+            depth -= 1
+        for edge, reward in reversed(path):
+            q = reward + cfg.gamma * q
+            edge.n += 1
+            edge.q += (q - edge.q) / edge.n
         return q
 
     def _sample_child(self, edge: _Edge, rng):

@@ -438,19 +438,21 @@ def test_benchmark_starts_no_more_workers_than_seeds(monkeypatch):
 
 
 def test_benchmark_pool_plays_each_planner_seed_as_its_own_task(monkeypatch):
-    # no slow planner seed holds up another; the heuristics keep one
-    # contiguous block of seeds per worker, and only the blocks' fires count
+    # no slow planner seed holds up another, and every task plays every
+    # policy; without a planner there is one contiguous block of seeds per
+    # worker
     _, tasks = recording_pool(monkeypatch)
     config = scenario_from_dict(work_budgets(
         {"family": "grid1", "k": 4, "P_default": 0.06, "Q_default": 0.8,
          "teams": 2, "seed": 0, "reps": 5}))
-    names = ["fw", "mcts", "random"]
-    results, summary = run_benchmark(config, names, jobs=2)
-    assert tasks == ([(["mcts"], [seed]) for seed in range(5)]
-                     + [(["fw", "random"], [0, 1]), (["fw", "random"], [2, 3, 4])])
-    alone, alone_summary = run_benchmark(config, names, jobs=1)
-    assert results_to_csv(results) == results_to_csv(alone)
-    assert summary_to_csv(summary) == summary_to_csv(alone_summary)
+    for names, expected in ((["fw", "mcts", "random"], [[0], [1], [2], [3], [4]]),
+                            (["fw", "random"], [[0, 1], [2, 3, 4]])):
+        tasks.clear()
+        results, summary = run_benchmark(config, names, jobs=2)
+        assert tasks == expected
+        alone, alone_summary = run_benchmark(config, names, jobs=1)
+        assert results_to_csv(results) == results_to_csv(alone)
+        assert summary_to_csv(summary) == summary_to_csv(alone_summary)
 
 
 def test_benchmark_builds_each_policy_once(monkeypatch):
@@ -469,11 +471,15 @@ def test_benchmark_builds_each_policy_once(monkeypatch):
         assert sorted(built) == ["fw", "random"]
 
 
-@pytest.mark.parametrize("policies", [["fw"], ["random", "fw", "fw_sample"]])
+@pytest.mark.parametrize("policies", [["fw"], ["random", "fw", "fw_sample"],
+                                      ["fw", "mcts", "mo"]])
 def test_benchmark_generates_each_fire_once(monkeypatch, policies):
-    # one fire per seed whatever the policies, and no spread model or
-    # simulator built: the scenario built its own when it loaded
-    config = small_grid1()
+    # one fire per seed whatever the policies and jobs, and no spread model
+    # or simulator built: the scenario built its own when it loaded.  The
+    # recorded pool runs its tasks in this process, where the calls count
+    config = replace(small_grid1(), mcts={"budget_seconds": None, "budget_iterations": 20},
+                     mo={"time_limit": None})
+    recording_pool(monkeypatch)
     calls = []
     for owner, attr in ((ScenarioConfig, "initial_state"),
                         (SpreadModel, "__init__"), (Wildfire, "__init__")):
@@ -484,8 +490,10 @@ def test_benchmark_generates_each_fire_once(monkeypatch, policies):
             return _original(self, *args)
 
         monkeypatch.setattr(owner, attr, counting)
-    run_benchmark(config, policies, reps=5, jobs=1)
-    assert calls == ["ScenarioConfig.initial_state"] * 5
+    for jobs in (1, 2):
+        calls.clear()
+        run_benchmark(config, policies, reps=5, jobs=jobs)
+        assert calls == ["ScenarioConfig.initial_state"] * 5
 
 
 def test_benchmark_rejects_counts_below_one():

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -293,6 +294,28 @@ def test_q_is_mean_of_backed_up_returns():
     mean = sum(returns[1:]) / len(returns[1:])
     assert edge.q == pytest.approx(mean, rel=1e-12)
     assert result.action == (0,)
+
+
+def test_a_tree_level_costs_no_stack_frame():
+    # one burning cell, no team and no suppression: each iteration extends
+    # one chain of nodes a level deeper, so a search that recursed once per
+    # level would need about 100 frames on top of this one's
+    spec = GridSpec(1, 1)
+    model = Wildfire(spec, SpreadModel.uniform(spec, 0.06, 0.0), RewardModel((-1.0,)))
+    config = MctsConfig(depth=100, budget_iterations=100, budget_seconds=None,
+                        u_mutate=0.0, u_recombine=0.0)
+    planner = Planner(model, config, lambda state, rng: ())
+    frames, frame = 0, sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 60)
+    try:
+        result = planner.plan(FireState((1,), (500,)), random.Random(0))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(planner._nodes) == 100
+    assert (result.action, result.fallback, result.root_value) == ((), False, -100.0)
 
 
 # -- widening ----------------------------------------------------------------
