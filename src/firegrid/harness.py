@@ -12,8 +12,10 @@ stream seeded only by (seed + r).  A benchmark generates each seed's fire
 once and plays every policy on it from a copy of the stream state.  A
 benchmark's seeds are split into tasks, the same for any ``--jobs``: one seed
 per task when a planner plays, else one block of seeds per worker.  Each task
-plays every policy, its episodes in lockstep as one block of arrays through
-the simulator's kernel.  Transitions are not paired:
+warms up its fires together and then plays every policy, its episodes in
+lockstep, each as one block of arrays through the simulator's kernel; a row
+of a block draws only from its own stream, so a fire and an episode come out
+as they would alone.  Transitions are not paired:
 ``random``, ``fw_sample`` and ``mcts`` draw from the stream the transitions
 use, and a step draws once per cell whose next state is uncertain, so once
 two policies' draws or states differ, their transitions read other draws.
@@ -144,20 +146,22 @@ def grid2_rewards(k: int, lam: float, height: int | None = None) -> RewardModel:
     return RewardModel(tuple(row * height))
 
 
-def gen_initial(model: Wildfire, ignition: int, steps: int, rng) -> FireState:
-    """Uniform fuel ``steps`` with only cell ``ignition`` burning, then
-    ``steps`` uncontrolled transitions on ``model`` (its rewards go unused),
-    then all fuel scaled by width**-0.25 and floored.  The warm-up runs on
-    the kernel's arrays, as a block of one row."""
+def gen_initial(model: Wildfire, ignition: int, steps: int, rngs) -> list[FireState]:
+    """One fire per stream of ``rngs``: uniform fuel ``steps`` with only cell
+    ``ignition`` burning, then ``steps`` uncontrolled transitions on
+    ``model`` (its rewards go unused), then all fuel scaled by width**-0.25
+    and floored.  The fires warm up together as one ``(B, n)`` block of the
+    kernel, row b drawing only from ``rngs[b]``, so each comes out as it
+    would alone; the states are row views of the final block."""
     spec = model.spec
-    burning = np.zeros((1, spec.n_cells), dtype=bool)
-    burning[0, ignition] = True
-    fuel = np.full((1, spec.n_cells), steps, dtype=np.int64)
-    idle, rngs = (idle_action(0),), (rng,)
+    burning = np.zeros((len(rngs), spec.n_cells), dtype=bool)
+    burning[:, ignition] = True
+    fuel = np.full((len(rngs), spec.n_cells), steps, dtype=np.int64)
+    idle = (idle_action(0),) * len(rngs)
     for _ in range(steps):
         burning, fuel, _ = model.step_arrays(burning, fuel, idle, rngs)
-    factor = spec.width ** -0.25
-    return FireState(burning[0], (fuel[0] * factor).astype(np.int64))
+    fuel = (fuel * spec.width ** -0.25).astype(np.int64)
+    return [FireState(flags, level) for flags, level in zip(burning, fuel)]
 
 
 _BUILT = {"init": False, "repr": False, "compare": False}
@@ -309,17 +313,22 @@ class ScenarioConfig:
         return self._model
 
     def initial_state(self, rng) -> FireState:
-        """The explicit fire, or a grid family's fire drawn from ``rng``:
-        grid1 ignites the bottom-left cell, grid2 the center one."""
+        """``initial_states`` of the one stream ``rng``."""
+        return self.initial_states([rng])[0]
+
+    def initial_states(self, rngs) -> list[FireState]:
+        """One initial fire per stream of ``rngs``: the explicit fire each
+        time, or a grid family's fire, generated by ``gen_initial`` as one
+        block: grid1 ignites the bottom-left cell, grid2 the center one."""
         if self.family == "explicit":
-            return FireState(self.burning, self.fuel)
+            return [FireState(self.burning, self.fuel)] * len(rngs)
         spec = self._model.spec
         if self.family == "grid1":
             ignition = spec.index(0, 0)
         else:
             ignition = spec.index(math.ceil(self.k / 2) - 1,
                                   math.ceil(spec.height / 2) - 1)
-        return gen_initial(self._model, ignition, self.generation_horizon(), rng)
+        return gen_initial(self._model, ignition, self.generation_horizon(), rngs)
 
     def generation_horizon(self) -> int:
         """Warm-up steps of ``gen_initial``, also its uniform fuel: floor(k /
@@ -538,14 +547,13 @@ def _resumed(saved) -> random.Random:
 
 
 def _play_seeds(config, policies, names, seeds):
-    """Generate the initial fire of each of ``seeds`` once and play
-    ``policies[name]`` for every name in ``names`` on them as one lockstep
-    block, each episode from a fresh copy of its stream as it stood after
-    generation.  Returns (_fire_size of each fire, results)."""
-    fires = []
-    for seed in seeds:
-        rng = episode_rng(seed)
-        fires.append((seed, config.initial_state(rng), rng.getstate()))
+    """Generate the initial fires of ``seeds`` once, as one warm-up block,
+    and play ``policies[name]`` for every name in ``names`` on them as one
+    lockstep block, each episode from a fresh copy of its stream as it stood
+    after generation.  Returns (_fire_size of each fire, results)."""
+    rngs = [episode_rng(seed) for seed in seeds]
+    states = config.initial_states(rngs)
+    fires = [(seed, state, rng.getstate()) for seed, state, rng in zip(seeds, states, rngs)]
     results = []
     for name in names:
         results += _play(config, policies[name], name,
@@ -614,8 +622,8 @@ def run_benchmark(config: ScenarioConfig, policies, reps: int | None = None,
     planner (``mcts``, ``mo``, a policy with ``reset()``) is among the
     policies, each seed is its own task, so no slow seed holds up others;
     otherwise there are ``min(jobs, reps)`` contiguous seed blocks.  A task
-    generates its fires once and plays every policy on them in one lockstep
-    block.  The tasks run in this process, or with ``jobs > 1`` in a pool of
+    warms up its fires once, as one block, and plays every policy on them in
+    one lockstep block.  The tasks run in this process, or with ``jobs > 1`` in a pool of
     ``min(jobs, reps)`` processes.  Every episode draws only from its own
     stream, so results are the same for any ``jobs``: each equals
     ``run_episode`` for its (policy, seed).

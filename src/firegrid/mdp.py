@@ -17,10 +17,11 @@ product is formed one in-edge slot of ``SpreadModel`` at a time, the teams
 on a burning cell multiply in action order, and each row's reward adds R(x)
 over its burning cells left to right, starting from 0.0, so every row comes
 out bit for bit as it would alone.  A state is one row of a block:
-``Wildfire.step``, MCTS rollouts and the initial-fire warm-up step blocks of
-one row, and the harness plays a benchmark's heuristic episodes in
-lockstep.  Exact outcome distributions are enumerated only in the tests,
-from an independent per-cell copy of the law, so they check this kernel.
+``Wildfire.step`` and MCTS rollouts step blocks of one row, and the harness
+warms up each benchmark task's initial fires as one block and plays a
+benchmark's heuristic episodes in lockstep.  Exact outcome distributions are
+enumerated only in the tests, from an independent per-cell copy of the law,
+so they check this kernel.
 
 All step randomness comes from an explicit ``random.Random`` stream per
 episode, so a fixed seed reproduces a trajectory exactly.  The draw order is

@@ -284,6 +284,20 @@ def test_stats_output(tmp_path):
     assert "fuel_non_burnt_cells" in text
 
 
+# Golden ``stats --out -`` outputs, recorded while each seed's fire warmed up
+# alone: grid1_k20's 16 seeds are one block of a paired_k20 round, and
+# grid2_k9 ignites the center cell.  A warm-up block must not change a byte.
+STATS_GOLDEN_CASES = {"grid1_k20": 16, "grid2_k9": 8}
+
+
+@pytest.mark.parametrize("case", sorted(STATS_GOLDEN_CASES))
+def test_stats_matches_golden_bytes(capsysbinary, case):
+    scenario = os.path.join(SCENARIOS, f"{case}.json")
+    assert main(["stats", "--scenario", scenario,
+                 "--reps", str(STATS_GOLDEN_CASES[case]), "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / f"stats_{case}.csv").read_bytes()
+
+
 def test_export_lp_non_burning_solves_to_zero(tmp_path):
     doc = explicit_doc(burning=[0, 0, 0, 0], mo={"horizon": 3})
     scenario = write_scenario(tmp_path, doc)

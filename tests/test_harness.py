@@ -23,6 +23,7 @@ from firegrid.harness import (
     branching_factor,
     episode_rng,
     _fire_size,
+    _fire_stats,
     gen_initial,
     grid1_rewards,
     grid2_rewards,
@@ -35,7 +36,9 @@ from firegrid.harness import (
     stats_to_csv,
     summary_to_csv,
 )
-from firegrid.mdp import IDLE, GridSpec, RewardModel, SpreadModel, Wildfire
+from firegrid.mdp import IDLE, FireState, GridSpec, RewardModel, SpreadModel, Wildfire
+
+from oracles import reference_step
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -341,6 +344,31 @@ def test_initial_state_depends_only_on_seed():
     {"family": "grid1", "k": 6, "teams": 2, "seed": 0},
     {"family": "grid2", "k": 7, "teams": 2, "seed": 0, "lambda": 0.2},
 ])
+@pytest.mark.parametrize("seeds", [[3], [0, 1, 2], [8, 4, 5, 6, 7]])
+def test_block_warm_up_matches_each_fire_warmed_up_alone(doc, seeds):
+    # every row of the warm-up block is the per-cell loop on that seed alone,
+    # floored the same way, and leaves its stream where the lone one stops
+    config = scenario_from_dict(doc)
+    model, spec, steps = config.model(), config.spec(), config.generation_horizon()
+    ignition = spec.index(0, 0) if doc["family"] == "grid1" else spec.index(3, 3)
+    factor = spec.width ** -0.25
+    rngs = [episode_rng(seed) for seed in seeds]
+    block = gen_initial(model, ignition, steps, rngs)
+    assert len(block) == len(seeds)
+    for seed, state, rng in zip(seeds, block, rngs):
+        alone = episode_rng(seed)
+        fire = FireState([x == ignition for x in range(spec.n_cells)], [steps] * spec.n_cells)
+        for _ in range(steps):
+            fire, _ = reference_step(model, fire, (), alone)
+        assert state == FireState(fire.burning, [int(f * factor) for f in fire.fuel.tolist()])
+        assert rng.getstate() == alone.getstate()
+    assert config.initial_states([episode_rng(seed) for seed in seeds]) == block
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "grid1", "k": 6, "teams": 2, "seed": 0},
+    {"family": "grid2", "k": 7, "teams": 2, "seed": 0, "lambda": 0.2},
+])
 def test_initial_state_on_scenario_model_matches_own(doc):
     # the warm-up ignores rewards, so the scenario's simulator gives the fire
     # a zero-reward one would, and leaves the stream in the same place
@@ -352,7 +380,7 @@ def test_initial_state_on_scenario_model_matches_own(doc):
     for seed in range(4):
         own, shared = episode_rng(seed), episode_rng(seed)
         assert config.initial_state(shared) == gen_initial(
-            zero, ignition, config.generation_horizon(), own)
+            zero, ignition, config.generation_horizon(), [own])[0]
         assert shared.getstate() == own.getstate()
 
 
@@ -474,13 +502,21 @@ def test_benchmark_builds_each_policy_once(monkeypatch):
 @pytest.mark.parametrize("policies", [["fw"], ["random", "fw", "fw_sample"],
                                       ["fw", "mcts", "mo"]])
 def test_benchmark_generates_each_fire_once(monkeypatch, policies):
-    # one fire per seed whatever the policies and jobs, and no spread model
-    # or simulator built: the scenario built its own when it loaded.  The
-    # recorded pool runs its tasks in this process, where the calls count
+    # one fire per seed whatever the policies and jobs, one warm-up block per
+    # task, and no spread model or simulator built: the scenario built its
+    # own when it loaded.  The recorded pool runs its tasks in this process,
+    # where the calls count
     config = replace(small_grid1(), mcts={"budget_seconds": None, "budget_iterations": 20},
                      mo={"time_limit": None})
     recording_pool(monkeypatch)
-    calls = []
+    calls, blocks = [], []
+    initial_states = ScenarioConfig.initial_states
+
+    def recording(self, rngs):
+        blocks.append([rng.getstate() for rng in rngs])
+        return initial_states(self, rngs)
+
+    monkeypatch.setattr(ScenarioConfig, "initial_states", recording)
     for owner, attr in ((ScenarioConfig, "initial_state"),
                         (SpreadModel, "__init__"), (Wildfire, "__init__")):
         original = getattr(owner, attr)
@@ -490,10 +526,15 @@ def test_benchmark_generates_each_fire_once(monkeypatch, policies):
             return _original(self, *args)
 
         monkeypatch.setattr(owner, attr, counting)
+    fresh = {episode_rng(seed).getstate(): seed for seed in range(5)}
     for jobs in (1, 2):
         calls.clear()
+        blocks.clear()
         run_benchmark(config, policies, reps=5, jobs=jobs)
-        assert calls == ["ScenarioConfig.initial_state"] * 5
+        assert calls == []
+        assert sorted(fresh[state] for block in blocks for state in block) == list(range(5))
+        rows = [1] * 5 if "mcts" in policies else {1: [5], 2: [2, 3]}[jobs]
+        assert [len(block) for block in blocks] == rows
 
 
 def test_benchmark_rejects_counts_below_one():
@@ -526,11 +567,14 @@ def test_benchmark_reused_planners_match_fresh_ones():
 
 
 def test_benchmark_fire_stats_match_regenerated_fires():
+    # the benchmark's warm-up block against each seed's fire generated alone
     config = small_grid1()
     _, summary = run_benchmark(config, ["random"], reps=6)
     stats = (summary.mean_burning, summary.max_burning,
              summary.mean_fuel_burning, summary.fuel_non_burnt)
     assert stats == initial_fire_stats(config, reps=6)
+    fires = [_fire_size(config.initial_state(episode_rng(seed))) for seed in range(6)]
+    assert stats == _fire_stats(config, fires)
 
 
 def test_fire_size_and_records_hold_python_ints():
