@@ -311,6 +311,9 @@ def relax_and_score(
     the solved fuel at delta, fixed, and the LP re-solved once with ties
     broken; ``info["objective"]`` is the unperturbed cost.  ``backend`` is
     ``"highs"`` (every LP goes to HiGHS) or ``"bundled"`` (the dense simplex).
+    Every LP of one call shares the model's rows (``LpProblem.with_columns``),
+    so HiGHS's copy of them is built once per call; each LP, the re-solve
+    included, still starts cold.
 
     ``time_limit`` is wall-clock seconds for the whole call, read as one
     deadline: each HiGHS LP gets what is left of it, branch and bound stops
@@ -360,7 +363,7 @@ def relax_and_score(
         # order, keeps the model free of the heuristics.
         c, y0 = problem.c.copy(), cols["y"][0]
         c[y0] -= TIE_BREAK * np.abs(c).max() * (1.0 + np.arange(len(y0)) / len(y0))
-        fixed = LpProblem(c, problem.a, problem.senses, problem.b, lower, upper)
+        fixed = problem.with_columns(c, lower, upper)
         refit = lp_solver(fixed)
         if refit.status != OPTIMAL:
             info["status"] = f"rounded-{refit.status}"
@@ -410,8 +413,9 @@ class MoConfig:
         policy plays its fallback.  Null: no limit.
     ``delta``: finite number > 0; 0.1.  The fuel level at which a cell's
         indicator switches it off, also added to each fuel budget f0.
-    ``backend``: "highs" or "bundled"; "highs".  Solve every LP with HiGHS,
-        through ``scipy.optimize``, or with the dense simplex in ``lp.py``.
+    ``backend``: "highs" or "bundled"; "highs".  Solve every LP with the
+        HiGHS bundled with scipy, through its binding
+        (``lp.solve_lp_scipy``), or with the dense simplex in ``lp.py``.
     ``bnb_binary_cap``: integer >= 0; 64.  Branch and bound keeps the
         indicators binary when there are at most this many; above it,
         relax-round.
@@ -460,9 +464,9 @@ class MoPolicy:
         self.config = config
         self.fallback = fallback
         if config.backend == "highs":
-            # HiGHS comes with scipy.optimize, whose import takes about 0.2 s:
-            # pay it here, not inside the first decision.
-            import scipy.optimize  # noqa: F401
+            # The HiGHS binding loads scipy.optimize with it, an import of
+            # about 0.2 s: pay it here, not inside the first decision.
+            import scipy.optimize._highspy._core  # noqa: F401
         self.reset()
 
     def reset(self):

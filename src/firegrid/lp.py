@@ -9,14 +9,20 @@ variables out of the basis (redundant rows are dropped).  Pricing is
 Dantzig's rule with a permanent switch to Bland's rule after a long run of
 degenerate pivots, which guarantees termination.
 
-``solve_lp_scipy`` exposes the same contract through scipy's HiGHS backend,
-for any ``LpProblem``; MO uses it unless a scenario asks for the bundled
-solver.
+``solve_lp_scipy`` exposes the same contract through the HiGHS bundled with
+scipy, for any ``LpProblem``; MO uses it unless a scenario asks for the
+bundled solver.  It calls scipy's private binding
+``scipy.optimize._highspy._core`` directly, with the model and options
+``linprog`` would pass and ``linprog``'s input and result checks, because
+``linprog``'s wrapper spends a sizeable share of a decision in Python on
+results MO never reads.  A problem's rows are loaded into HiGHS's form once
+and shared with the problems ``LpProblem.with_columns`` derives from it.
+This module imports nothing under ``scipy.optimize`` until HiGHS is called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +52,10 @@ class LpProblem:
     b: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    # the row form ``solve_lp_scipy`` builds on first use, in a slot shared
+    # with every problem derived by ``with_columns``
+    _rows: list = field(default_factory=lambda: [None], init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -67,6 +77,14 @@ class LpProblem:
     @property
     def shape(self) -> tuple:
         return self.a.shape
+
+    def with_columns(self, c, lower, upper) -> LpProblem:
+        """The same rows with new costs and column bounds.  The result
+        shares this problem's row form, so HiGHS's copy of the rows is built
+        once between them; neither problem's rows may change afterwards."""
+        derived = LpProblem(c, self.a, self.senses, self.b, lower, upper)
+        derived._rows = self._rows
+        return derived
 
 
 @dataclass
@@ -243,40 +261,121 @@ def solve_lp(problem: LpProblem, max_iterations: int = 50_000) -> LpSolution:
                       iterations=total_iters)
 
 
-def solve_lp_scipy(problem: LpProblem, time_limit: float | None = None) -> LpSolution:
-    """Same contract as ``solve_lp`` but delegating to scipy's HiGHS."""
-    from scipy.optimize import linprog
+class _RowForm:
+    """An LP's rows as HiGHS reads them, loaded into one ``HighsLp``.
 
-    senses = np.array(problem.senses)
-    a = problem.a.tocsr()
-    le = np.flatnonzero(senses == LE)
-    ge = np.flatnonzero(senses == GE)
-    eq = np.flatnonzero(senses == EQ)
-    a_ub = b_ub = a_eq = b_eq = None
-    if le.size or ge.size:
-        # the LE rows, then the GE rows negated
-        a_ub = a[np.concatenate((le, ge))]
-        negated = a_ub.data[a_ub.indptr[le.size]:]
-        np.negative(negated, out=negated)
-        b_ub = np.concatenate((problem.b[le], -problem.b[ge]))
-    if eq.size:
-        a_eq = a[eq]
-        b_eq = problem.b[eq]
-    options = {"presolve": True}
+    The row layout is ``linprog``'s: the LE rows, then the GE rows negated,
+    then the EQ rows, as a CSC matrix with row bounds (-inf, b) on the first
+    ``n_ub`` rows and (b, b) on the rest.  It depends only on a problem's
+    ``a``, ``senses`` and ``b``, so every problem ``with_columns`` derives
+    shares it; ``solve_lp_scipy`` writes the column arrays before each solve.
+    """
+
+    def __init__(self, problem: LpProblem):
+        from scipy.optimize._highspy import _core
+
+        senses = np.array(problem.senses)
+        le = np.flatnonzero(senses == LE)
+        ge = np.flatnonzero(senses == GE)
+        eq = np.flatnonzero(senses == EQ)
+        self.n_ub = n_ub = le.size + ge.size
+        a = problem.a[np.concatenate((le, ge, eq))]
+        ge_data = a.data[a.indptr[le.size]:a.indptr[n_ub]]
+        np.negative(ge_data, out=ge_data)
+        self.rhs = np.concatenate((problem.b[le], -problem.b[ge], problem.b[eq]))
+        _check_finite("a", a.data)
+        _check_finite("b", self.rhs)
+        a = a.tocsc()
+        m, n = a.shape
+        self.lp = lp = _core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = m
+        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+        # the binding copies a list into these vectors faster than an array
+        lp.a_matrix_.start_ = a.indptr.tolist()
+        lp.a_matrix_.index_ = a.indices.tolist()
+        lp.a_matrix_.value_ = a.data.tolist()
+        lp.row_lower_ = np.concatenate((np.full(n_ub, -np.inf), self.rhs[n_ub:])).tolist()
+        lp.row_upper_ = self.rhs.tolist()
+
+
+def _check_finite(name: str, values: np.ndarray):
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must not contain values inf or nan")
+
+
+# linprog's acceptance tolerance on an optimal point: 10 * sqrt(its tol 1e-9)
+_CHECK_TOL = 10 * np.sqrt(1e-9)
+
+
+def _passes_check(form: _RowForm, x, objective, row_value, lower, upper) -> bool:
+    """``linprog``'s check of a point HiGHS calls optimal: nothing is NaN,
+    and every column bound, LE/GE row and EQ row holds to ``_CHECK_TOL``.
+    ``row_value`` is A x in ``form``'s row order."""
+    residual = form.rhs - row_value
+    if np.isnan(x).any() or np.isnan(objective) or np.isnan(residual).any():
+        return False
+    tol = _CHECK_TOL
+    return bool(np.all((x >= lower - tol) & (x <= upper + tol))
+                and not (residual[:form.n_ub] < -tol).any()
+                and not (np.abs(residual[form.n_ub:]) > tol).any())
+
+
+def solve_lp_scipy(problem: LpProblem, time_limit: float | None = None) -> LpSolution:
+    """Same contract as ``solve_lp`` but solved by the HiGHS bundled with
+    scipy, through its binding ``scipy.optimize._highspy._core``.
+
+    HiGHS gets exactly the model and options ``linprog(method="highs",
+    options={"presolve": True})`` hands it: the rows of ``_RowForm``, a NaN
+    column bound read as no bound, presolve on, the dual simplex, no output,
+    and ``time_limit`` only when one is given.  ``linprog`` itself is
+    bypassed because its wrapper spends milliseconds a call in Python on
+    results this function never reads (per-column bound duals).  What it
+    checks is kept: a non-finite value in ``c``, ``a`` or ``b`` raises
+    ``ValueError``, and an optimum that fails ``_passes_check`` reads
+    ``iteration-limit``.  Each call solves cold in a fresh ``Highs``.
+    """
+    from scipy.optimize._highspy import _core
+
+    _check_finite("c", problem.c)
+    if problem._rows[0] is None:
+        problem._rows[0] = _RowForm(problem)
+    form = problem._rows[0]
+    # linprog reads a NaN bound as no bound
+    lower = np.where(np.isnan(problem.lower), -np.inf, problem.lower)
+    upper = np.where(np.isnan(problem.upper), np.inf, problem.upper)
+    form.lp.col_cost_ = problem.c
+    form.lp.col_lower_ = lower.tolist()
+    form.lp.col_upper_ = upper.tolist()
+
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.highs_debug_level = int(_core.HighsDebugLevel.kHighsDebugLevelNone)
+    options.output_flag = options.log_to_console = False
     if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    res = linprog(
-        problem.c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=np.column_stack((problem.lower, problem.upper)),
-        method="highs", options=options,
-    )
-    status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}.get(
-        res.status, ITERATION_LIMIT
-    )
-    # linprog reports both of HiGHS's limits as status 1
-    if res.status == 1 and res.message.startswith("Time limit"):
-        status = TIME_LIMIT
-    if status == OPTIMAL:
-        return LpSolution(OPTIMAL, x=res.x, objective=float(res.fun),
-                          iterations=int(res.nit))
-    return LpSolution(status, iterations=int(getattr(res, "nit", 0) or 0))
+        options.time_limit = float(time_limit)
+    highs = _core._Highs()
+    status = _core.HighsModelStatus
+    if highs.passOptions(options) == _core.HighsStatus.kError:
+        return LpSolution(ITERATION_LIMIT)
+    if highs.passModel(form.lp) == _core.HighsStatus.kError:
+        return LpSolution(INFEASIBLE)
+    run_failed = highs.run() == _core.HighsStatus.kError
+    model_status = highs.getModelStatus()
+    iterations = 0
+    if not run_failed:  # linprog reads no solution or count from a failed run
+        info = highs.getInfo()
+        iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
+        if model_status == status.kOptimal:
+            solution = highs.getSolution()
+            x = np.array(solution.col_value)
+            objective = info.objective_function_value
+            if _passes_check(form, x, objective, np.array(solution.row_value),
+                             lower, upper):
+                return LpSolution(OPTIMAL, x=x, objective=float(objective),
+                                  iterations=iterations)
+            return LpSolution(ITERATION_LIMIT, iterations=iterations)
+    mapped = {status.kTimeLimit: TIME_LIMIT, status.kInfeasible: INFEASIBLE,
+              status.kModelError: INFEASIBLE, status.kUnbounded: UNBOUNDED}
+    return LpSolution(mapped.get(model_status, ITERATION_LIMIT), iterations=iterations)

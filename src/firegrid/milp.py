@@ -103,8 +103,7 @@ def branch_and_bound(
             child_upper[j] = hi_j
             if child_lower[j] > child_upper[j]:
                 continue
-            child = LpProblem(problem.c, problem.a, problem.senses, problem.b,
-                              child_lower, child_upper)
+            child = problem.with_columns(problem.c, child_lower, child_upper)
             sol = lp_solver(child)
             nodes += 1
             if sol.status in _UNSOLVED:

@@ -18,6 +18,7 @@ from firegrid.fluid import (
     calibrate,
     relax_and_score,
 )
+from firegrid import lp as lp_module
 from firegrid.harness import episode_rng, load_scenario, scenario_from_dict
 from firegrid.heuristics import all_pairs_distances, fw_policy, fw_weights
 from firegrid.lp import EQ, GE, LE, OPTIMAL, LpProblem, solve_lp, solve_lp_scipy
@@ -374,6 +375,35 @@ def test_exact_mode_branches_on_the_models_integer_mask(monkeypatch):
     assert info["mode"] == "relax-round" and len(handed) == 1
 
 
+def test_each_decision_loads_its_rows_into_highs_once(monkeypatch):
+    # relax-round's re-solve and every branch-and-bound node share the rows
+    # of the decision's model; the bundled simplex never loads them
+    builds = []
+
+    class Counted(lp_module._RowForm):
+        def __init__(self, problem):
+            builds.append(problem)
+            super().__init__(problem)
+
+    monkeypatch.setattr("firegrid.lp._RowForm", Counted)
+    solves = recording_highs(monkeypatch)
+    spec, spread = uniform(2)
+    state = FireState((1, 1, 0, 0), (8,) * 4)
+    for cap, mode in ((0, "relax-round"), (64, "branch-and-bound")):
+        model = build_model(calibrate(spread, state, 3), state,
+                            RewardModel((-1.0, -2.0, -2.0, -4.0)), 1)
+        builds.clear()
+        solves.clear()
+        action, info = relax_and_score(model, bnb_binary_cap=cap)
+        assert info["mode"] == mode and action is not None
+        assert len(solves) > 1
+        assert len(builds) == 1 and builds[0] is model.problem
+    builds.clear()
+    relax_and_score(build_model(calibrate(spread, state, 3), state,
+                                RewardModel((-1.0, -2.0, -2.0, -4.0)), 1), backend="bundled")
+    assert builds == []
+
+
 # -- the receding-horizon controller ------------------------------------------
 
 def fw_fallback(spread, rewards, teams):
@@ -720,6 +750,28 @@ def test_scipy_optimize_is_imported_with_the_mo_policy_not_the_package():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
     assert out == ["False", "False", "True"]
+
+
+def test_the_bundled_backend_imports_nothing_under_scipy_optimize():
+    # scipy.optimize alone adds about 16 MB to a process's peak memory
+    import subprocess
+    import sys
+
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    code = (
+        "import sys\n"
+        "from firegrid.harness import episode_rng, load_scenario\n"
+        "config = load_scenario(sys.argv[1])\n"
+        "policy = config.make_policy('mo')\n"
+        "policy(config.initial_state(episode_rng(0)))\n"
+        "print(policy.config.backend, policy.last['mode'], policy.last['fallback'])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(root, "scenarios", "tiny_explicit.json")],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["bundled", "branch-and-bound", "False", "False"]
 
 
 # -- pinned actions ------------------------------------------------------------

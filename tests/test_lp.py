@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from firegrid import lp as lp_module
 from firegrid.harness import episode_rng, load_scenario
 from firegrid.lp import (
     EQ,
@@ -15,6 +16,7 @@ from firegrid.lp import (
     TIME_LIMIT,
     UNBOUNDED,
     LpProblem,
+    LpSolution,
     solve_lp,
     solve_lp_scipy,
 )
@@ -195,3 +197,132 @@ def test_reported_solutions_are_feasible():
         sol = solve_lp(prob)
         if sol.status == OPTIMAL:
             assert check_feasible(prob, sol.x) <= 1e-6
+
+
+# -- the HiGHS binding against linprog -----------------------------------------
+
+def linprog_reference(problem: LpProblem) -> LpSolution:
+    """The problem solved by ``scipy.optimize.linprog``, as ``solve_lp_scipy``
+    solved it before it called the HiGHS binding: the LE rows, then the GE
+    rows negated as upper bounds, then the EQ rows, with presolve on."""
+    from scipy.optimize import linprog
+
+    senses = np.array(problem.senses)
+    rows = {s: np.flatnonzero(senses == s) for s in (LE, GE, EQ)}
+    a_ub = b_ub = a_eq = b_eq = None
+    if rows[LE].size or rows[GE].size:
+        a_ub = sp.vstack((problem.a[rows[LE]], -problem.a[rows[GE]]), format="csr")
+        b_ub = np.concatenate((problem.b[rows[LE]], -problem.b[rows[GE]]))
+    if rows[EQ].size:
+        a_eq, b_eq = problem.a[rows[EQ]], problem.b[rows[EQ]]
+    res = linprog(problem.c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=np.column_stack((problem.lower, problem.upper)),
+                  method="highs", options={"presolve": True})
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, ITERATION_LIMIT)
+    if status == OPTIMAL:
+        return LpSolution(OPTIMAL, x=res.x, objective=float(res.fun), iterations=int(res.nit))
+    return LpSolution(status, iterations=int(getattr(res, "nit", 0) or 0))
+
+
+def assert_same_solve(problem: LpProblem):
+    """``solve_lp_scipy`` and ``linprog`` agree to the last bit: status,
+    iteration count, x and objective."""
+    mine, ref = solve_lp_scipy(problem), linprog_reference(problem)
+    assert (mine.status, mine.iterations) == (ref.status, ref.iterations)
+    if ref.x is None:
+        assert mine.x is None and mine.objective is None
+    else:
+        assert mine.x.tobytes() == ref.x.tobytes()
+        assert np.float64(mine.objective).tobytes() == np.float64(ref.objective).tobytes()
+    return mine.status
+
+
+def test_highs_binding_matches_linprog_on_random_lps():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(60):
+        prob = _random_lp(rng)
+        seen.add(assert_same_solve(prob))
+        # unboxed, some of them are unbounded; with EQ rows, others infeasible
+        seen.add(assert_same_solve(prob.with_columns(prob.c, prob.lower,
+                                                     np.full(len(prob.c), np.inf))))
+        senses = tuple(EQ if i % 3 == 0 else s for i, s in enumerate(prob.senses))
+        seen.add(assert_same_solve(LpProblem(prob.c, prob.a, senses, prob.b,
+                                             prob.lower, prob.upper)))
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_highs_binding_matches_linprog_on_relax_round_lps(monkeypatch):
+    # each decision's relaxed LP and its rounded re-solve, as MO hands them over
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "grid1_k8.json")
+    config = load_scenario(path)
+    policy = config.make_policy("mo")
+    solved = []
+
+    def record(problem, time_limit=None):
+        solved.append(problem)
+        return solve_lp_scipy(problem, time_limit=time_limit)
+
+    monkeypatch.setattr("firegrid.fluid.solve_lp_scipy", record)
+    for seed in range(3):
+        policy(config.initial_state(episode_rng(seed)))
+    assert len(solved) == 6
+    for problem in solved:
+        assert assert_same_solve(problem) == OPTIMAL
+
+
+def test_with_columns_solves_as_the_problem_built_from_scratch():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "grid1_k8.json")
+    config = load_scenario(path)
+    model = config.make_policy("mo").fluid_model(config.initial_state(episode_rng(4)))
+    problem = model.problem
+    relaxed = solve_lp_scipy(problem)  # loads the rows that derived problems share
+    assert relaxed.status == OPTIMAL
+    # new costs, and the indicators fixed at their relaxed values rounded
+    c = problem.c - np.random.default_rng(0).uniform(0.0, 1e-3, size=len(problem.c))
+    z = model.columns["Z"]
+    lower, upper = problem.lower.copy(), problem.upper.copy()
+    lower[z] = upper[z] = np.round(relaxed.x[z])
+    derived = problem.with_columns(c, lower, upper)
+    assert derived._rows is problem._rows
+    scratch = LpProblem(c, problem.a, problem.senses, problem.b, lower, upper)
+    mine, ref = solve_lp_scipy(derived), solve_lp_scipy(scratch)
+    assert (mine.status, mine.iterations) == (OPTIMAL, ref.iterations)
+    assert mine.x.tobytes() == ref.x.tobytes()
+    assert_same_solve(derived)
+
+
+@pytest.mark.parametrize("where", ["c", "a", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_highs_binding_rejects_non_finite_input(where, bad):
+    prob = lp([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [GE, EQ], [1.0, 0.0])
+    values = prob.a.data if where == "a" else getattr(prob, where)
+    values[1] = bad
+    with pytest.raises(ValueError, match=f"^{where} must not contain"):
+        solve_lp_scipy(prob)
+
+
+def test_an_optimum_violating_a_row_reads_iteration_limit(monkeypatch):
+    # x = (1, 1) meets every bound and both rows of x0 + x1 >= 1, x0 - x1 = 0
+    prob = lp([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [GE, EQ], [1.0, 0.0])
+    form = lp_module._RowForm(prob)
+    x, bounds = np.ones(2), (prob.lower, prob.upper)
+    tol = lp_module._CHECK_TOL
+    # row values in the form's order: the GE row negated, then the EQ row
+    assert lp_module._passes_check(form, x, 3.0, np.array([-2.0, 0.0]), *bounds)
+    assert lp_module._passes_check(form, x, 3.0, np.array([-1.0 - 0.5 * tol, 0.5 * tol]),
+                                   *bounds)
+    assert not lp_module._passes_check(form, x, 3.0, np.array([-1.0 + 2 * tol, 0.0]),
+                                       *bounds)
+    assert not lp_module._passes_check(form, x, 3.0, np.array([-2.0, 2 * tol]), *bounds)
+    assert not lp_module._passes_check(form, x, 3.0, np.array([-2.0, np.nan]), *bounds)
+    assert not lp_module._passes_check(form, x, np.nan, np.array([-2.0, 0.0]), *bounds)
+    assert not lp_module._passes_check(form, np.array([1.0, -2 * tol]), 3.0,
+                                       np.array([-2.0, 0.0]), *bounds)
+    # and solve_lp_scipy reports an optimum that fails the check as unsolved
+    assert solve_lp_scipy(prob).status == OPTIMAL
+    monkeypatch.setattr(lp_module, "_passes_check", lambda *args: False)
+    sol = solve_lp_scipy(prob)
+    assert sol.status == ITERATION_LIMIT and sol.x is None
