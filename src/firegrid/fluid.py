@@ -39,7 +39,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # Unused here: the benchmark's tracer still wraps these three names on this
 # module, and tests/test_bench_contract.py checks that they resolve.
@@ -260,6 +259,8 @@ def build_model(
     and right-hand sides from it, leaving out every coefficient that comes
     out zero, and sets costs, bounds and integrality per column block.
     """
+    import scipy.sparse as sp
+
     n = len(state.burning)
     spread = calibration.spread
     if len(calibration.f0) != n or spread.spec.n_cells != n:

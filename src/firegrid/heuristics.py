@@ -8,6 +8,11 @@ sitting close (in that metric) to large-magnitude burn costs get the highest
 suppression priority.  ``ScenarioConfig.weights`` builds the distances and
 the weight map once per scenario; every fw policy, MCTS rollout and MO
 fallback built from that scenario shares them read-only.
+
+The distances come from a Floyd-Warshall loop in numpy, k outermost, which
+forms every entry by the same additions and comparisons as
+``scipy.sparse.csgraph.floyd_warshall`` and so matches it to the last bit;
+this module, and every policy but MO, imports nothing from scipy.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import floyd_warshall
 
 from .mdp import (
     Action,
@@ -66,15 +69,22 @@ def all_pairs_distances(spread: SpreadModel) -> np.ndarray:
     length P(x, y), exact, via Floyd-Warshall; +inf marks unreachable pairs.
 
     The edges are the spread model's in-edge slots: slot j of cell x is the
-    edge x -> ``slot_source[j, x]``, and padding (rate 0.0) is no edge.
+    edge x -> ``slot_source[j, x]``, and padding (rate 0.0) is no edge.  The
+    recurrence D = min(D, D[:, k] + D[k]) runs in numpy with k outermost,
+    so each entry sees the same (+, min) operations on the same operands as
+    ``scipy.sparse.csgraph.floyd_warshall``'s loop and comes out
+    bit-identical to it.  Updating D in place is safe: with D(k, k) = 0,
+    step k leaves row k and column k unchanged.  O(n^3), once per scenario.
     """
     n = spread.spec.n_cells
     rate = spread.slot_rate
     edge = rate > 0.0
     cells = np.broadcast_to(np.arange(n), rate.shape)
-    graph = csr_matrix((rate[edge], (cells[edge], spread.slot_source[edge])), shape=(n, n))
-    dist = floyd_warshall(graph, directed=True)
+    dist = np.full((n, n), np.inf)
+    dist[cells[edge], spread.slot_source[edge]] = rate[edge]
     np.fill_diagonal(dist, 0.0)
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
     return dist
 
 

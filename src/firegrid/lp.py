@@ -17,15 +17,19 @@ bundled solver.  It calls scipy's private binding
 ``linprog``'s wrapper spends a sizeable share of a decision in Python on
 results MO never reads.  A problem's rows are loaded into HiGHS's form once
 and shared with the problems ``LpProblem.with_columns`` derives from it.
-This module imports nothing under ``scipy.optimize`` until HiGHS is called.
+This module imports nothing from scipy until an ``LpProblem`` is built;
+nothing under ``scipy.optimize`` until HiGHS is called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -58,6 +62,8 @@ class LpProblem:
                         compare=False)
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         self.c = np.asarray(self.c, dtype=float)
         self.a = sp.csr_matrix(self.a)
         self.b = np.asarray(self.b, dtype=float)

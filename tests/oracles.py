@@ -1,13 +1,15 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written from first principles (and slowly):
-Dijkstra instead of Floyd-Warshall, vertex enumeration instead of simplex,
-exhaustive expectimax instead of tree search, a per-cell loop and exact
-outcome enumeration instead of the vectorised transition law, pairwise
-ranks and a list scan instead of the array fw_sample draw, a direct
-forward recursion for the fluid dynamics, and the fixed-format MPS reader
-that the package's writer is checked against.  None of it imports the
-implementation paths it verifies beyond plain data containers.
+Dijkstra instead of Floyd-Warshall (and scipy's compiled Floyd-Warshall,
+which the package's numpy loop must match bit for bit), vertex enumeration
+instead of simplex, exhaustive expectimax instead of tree search, a
+per-cell loop and exact outcome enumeration instead of the vectorised
+transition law, pairwise ranks and a list scan instead of the array
+fw_sample draw, a direct forward recursion for the fluid dynamics, and the
+fixed-format MPS reader that the package's writer is checked against.
+None of it imports the implementation paths it verifies beyond plain data
+containers.
 """
 
 from __future__ import annotations
@@ -40,6 +42,24 @@ def dijkstra(n_cells, edges, source):
             if nd < dist[y]:
                 dist[y] = nd
                 heapq.heappush(heap, (nd, y))
+    return dist
+
+
+def reference_distances(spread):
+    """All-pairs shortest paths over the spread model's in-edge slots by
+    ``scipy.sparse.csgraph.floyd_warshall``: slot j of cell x is the edge
+    x -> ``slot_source[j, x]`` of length ``slot_rate[j, x]``, padding (rate
+    0.0) is no edge, and the diagonal is zero."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import floyd_warshall
+
+    n = spread.spec.n_cells
+    rate = spread.slot_rate
+    edge = rate > 0.0
+    cells = np.broadcast_to(np.arange(n), rate.shape)
+    graph = csr_matrix((rate[edge], (cells[edge], spread.slot_source[edge])), shape=(n, n))
+    dist = floyd_warshall(graph, directed=True)
+    np.fill_diagonal(dist, 0.0)
     return dist
 
 

@@ -752,6 +752,33 @@ def test_scipy_optimize_is_imported_with_the_mo_policy_not_the_package():
     assert out == ["False", "False", "True"]
 
 
+def test_no_policy_but_mo_imports_scipy():
+    # scipy.sparse alone about doubles a process's peak memory over numpy's
+    import subprocess
+    import sys
+
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "import firegrid.cli\n"
+        "from firegrid.harness import episode_rng, load_scenario, run_benchmark, stats_to_csv\n"
+        "config = replace(load_scenario(sys.argv[1]),\n"
+        "                 mcts={'budget_seconds': None, 'budget_iterations': 20})\n"
+        "run_benchmark(config, ['random', 'fw', 'fw_sample', 'mcts'], reps=2)\n"
+        "stats_to_csv(config, reps=2)\n"
+        "print(sum(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
+        "policy = config.make_policy('mo')\n"
+        "policy(config.initial_state(episode_rng(0)))\n"
+        "print(policy.last['fallback'], 'scipy.sparse' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(root, "scenarios", "grid1_k8.json")],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["0", "False", "True"]
+
+
 def test_the_bundled_backend_imports_nothing_under_scipy_optimize():
     # scipy.optimize alone adds about 16 MB to a process's peak memory
     import subprocess

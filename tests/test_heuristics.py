@@ -26,7 +26,7 @@ from firegrid.mdp import (
     idle_action,
 )
 
-from oracles import dijkstra, priority_ranks, reference_fw_sample
+from oracles import dijkstra, priority_ranks, reference_distances, reference_fw_sample
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -67,6 +67,42 @@ def test_distances_match_dijkstra_on_random_grids():
         for source in range(0, spec.n_cells, 7):
             ref = dijkstra(spec.n_cells, edges, source)
             np.testing.assert_allclose(d[source], ref, rtol=0, atol=1e-12)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def spread_graphs(draw):
+    """A grid of 1x1 to 9x9 cells whose edges take their rates from a small
+    drawn palette, some of them zero, with some cells cut off entirely."""
+    spec = GridSpec(draw(st.integers(1, 9)), draw(st.integers(1, 9)),
+                    draw(st.sampled_from(["four", "eight"])))
+    # no edge, certain spread, the smallest subnormal, or any rate
+    rates = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0))
+    palette = draw(st.lists(rates, min_size=1, max_size=6))
+    isolated_share = draw(st.sampled_from([0.0, 0.0, 0.2, 0.6]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    isolated = {x for x in range(spec.n_cells) if rng.random() < isolated_share}
+    edges = {}
+    for x in range(spec.n_cells):
+        for y in spec.neighbors(x):
+            edges[(x, y)] = 0.0 if {x, y} & isolated else rng.choice(palette)
+    return SpreadModel(spec, edges, [0.8] * spec.n_cells)
+
+
+@given(spread_graphs())
+@settings(max_examples=300, deadline=None)
+def test_distances_are_bit_identical_to_scipy_floyd_warshall(spread):
+    assert_same_bits(all_pairs_distances(spread), reference_distances(spread))
+
+
+@pytest.mark.parametrize("name", ["tiny_explicit", "grid1_k8", "grid2_k9", "grid1_k20"])
+def test_distances_are_bit_identical_to_scipy_on_shipped_scenarios(name):
+    spread = load_scenario(os.path.join(SCENARIOS, f"{name}.json")).spread()
+    assert_same_bits(all_pairs_distances(spread), reference_distances(spread))
 
 
 def test_fw_weight_single_reward():
