@@ -5,7 +5,8 @@ Modules:
     heuristics  -- random baseline and the distance-weighted priority rule
     mcts        -- tree search with double progressive widening
     fluid       -- fluid intensity MILP and the receding-horizon controller
-    lp / milp   -- bundled simplex and branch-and-bound solvers
+    lp          -- LP problem container, bundled simplex, HiGHS binding
+    milp        -- branch and bound over the LP solvers
     mpsio       -- fixed-format MPS writer
     harness     -- scenario generators, episode runner, paired benchmarks
     cli         -- command-line interface

@@ -401,7 +401,7 @@ def _action_from_scores(state: FireState, v: np.ndarray, teams: int) -> Action:
 
 @dataclass
 class MoConfig:
-    """Receding-horizon controller settings (defaults follow the benchmark).
+    """Receding-horizon controller settings.
 
     Each is a scenario file's ``mo`` key; a value outside its range raises
     ``ValueError`` naming the key.

@@ -260,10 +260,14 @@ class ScenarioConfig:
             raise ScenarioError("field 'reps': must be >= 1")
         if self.family == "grid2" and self.lam is None:
             raise ScenarioError("field 'lambda': required for grid2")
-        if self.family != "explicit" and self.generation_horizon() > MAX_WARMUP_STEPS:
-            raise ScenarioError(
-                f"field 'P_default': so small that a fire warms up for "
-                f"{self.generation_horizon()} steps, more than {MAX_WARMUP_STEPS}")
+        if self.family != "explicit":
+            # compared before int(): the quotient is inf for a subnormal P_default
+            steps = self._warmup_quotient()
+            if steps >= MAX_WARMUP_STEPS + 1:
+                raise ScenarioError(
+                    f"field 'P_default': so small that a fire warms up for "
+                    f"{int(steps) if steps < math.inf else steps} steps, "
+                    f"more than {MAX_WARMUP_STEPS}")
         spec = GridSpec(self.k, height, self.neighborhood)
         if self.family == "explicit":
             for name, arr in (("fuel", self.fuel), ("burning", self.burning)):
@@ -336,7 +340,10 @@ class ScenarioConfig:
         within max(fuel) + 1 steps."""
         if self.family == "explicit":
             return max(self.fuel, default=1) + 1
-        return int(self.k / ((2.0 if self.family == "grid1" else 4.0) * self.p_default))
+        return int(self._warmup_quotient())
+
+    def _warmup_quotient(self) -> float:
+        return self.k / ((2.0 if self.family == "grid1" else 4.0) * self.p_default)
 
     @functools.cached_property
     def weights(self) -> heuristics.WeightMap:

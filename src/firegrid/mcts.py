@@ -4,13 +4,15 @@ Search statistics are keyed by state, so transpositions share one node.  Two
 widening gates bound a node's branching: a node may only try a new action
 while |A(s)| < k * N(s)**alpha, and a tried action may only sample a fresh
 child state while |V(s,a)| < k' * N(s,a)**alpha' (at least one child is
-always allowed); otherwise a stored child is replayed proportionally to its
-visit count with its cached reward.  Action selection maximizes
-Q(s,a) + c * sqrt(log N(s) / N(s,a)), with untried actions taking priority.
-Even if every visit adds an action, the action gate stays open while
-N(s) < k**(1 / (1 - alpha)): a search of fewer iterations tries a new action
-at every visit of the root.  That is 1 600 iterations at the shipped k = 40
-and alpha = 0.5.
+always allowed); otherwise a stored child is replayed with its cached
+reward.  A child's count is how often its edge led to it, sampled or
+replayed: a child sampled once counts 1, the counts of an edge's children
+sum to N(s,a), and a replay draws a child in proportion to its count.
+Action selection maximizes Q(s,a) + c * sqrt(log N(s) / N(s,a)), with
+untried actions taking priority.  Even if every visit adds an action, the
+action gate stays open while N(s) < k**(1 / (1 - alpha)): a search of fewer
+iterations tries a new action at every visit of the root.  That is 1 600
+iterations at the shipped k = 40 and alpha = 0.5.
 
 New candidate actions come from a genetic generator: with probability
 ``u_mutate`` a tournament-selected known action is mutated, with probability
@@ -112,13 +114,13 @@ class MctsConfig:
 
 
 class _Edge:
-    __slots__ = ("n", "q", "children", "child_visits")
+    __slots__ = ("n", "q", "children")
 
     def __init__(self):
         self.n = 0.0
         self.q = 0.0
-        self.children = {}  # state -> [visits, cached reward]
-        self.child_visits = 0.0
+        # state -> [times this edge led to it, cached reward]; the counts sum to n
+        self.children = {}
 
 
 class _Node:
@@ -219,11 +221,8 @@ class Planner:
         node = self._nodes.get(root)
         if node is None or not node.edges:
             return PlanResult(self.pi0(root, rng), iterations, fallback=True)
-        best_action, best_q = None, None
-        for action, edge in node.edges.items():
-            if best_q is None or edge.q > best_q:
-                best_action, best_q = action, edge.q
-        return PlanResult(best_action, iterations, root_value=best_q)
+        best_action, best_edge = max(node.edges.items(), key=lambda item: item[1].q)
+        return PlanResult(best_action, iterations, root_value=best_edge.q)
 
     # -- internals --------------------------------------------------------
 
@@ -286,15 +285,11 @@ class Planner:
             children = edge.children
             if len(children) < cfg.widen_k_state * edge.n ** cfg.widen_alpha_state or not children:
                 state, reward = self.model.step(state, best_action, rng)
-                record = children.get(state)
-                if record is None:
-                    children[state] = [0.0, reward]
-                else:
-                    record[0] += 1
-                    edge.child_visits += 1
+                record = children.setdefault(state, [0.0, reward])
             else:
-                state, reward = self._sample_child(edge, rng)
-            path.append((edge, reward))
+                state, record = self._sample_child(edge, rng)
+            record[0] += 1
+            path.append((edge, record[1]))
             depth -= 1
         for edge, reward in reversed(path):
             q = reward + cfg.gamma * q
@@ -303,38 +298,27 @@ class Planner:
         return q
 
     def _sample_child(self, edge: _Edge, rng):
-        children = edge.children
-        total = edge.child_visits
-        if total <= 0.0:
-            # every stored child is still unvisited
-            items = list(children.items())
-            state, record = items[rng.randrange(len(items))]
-        else:
-            u = rng.random() * total
-            acc = 0.0
-            state = record = None
-            for state, record in children.items():
-                acc += record[0]
-                if u < acc:
-                    break
-        record[0] += 1
-        edge.child_visits += 1
-        return state, record[1]
+        """A stored child and its record, drawn in proportion to its count."""
+        u = rng.random() * edge.n
+        acc = 0.0
+        for state, record in edge.children.items():
+            acc += record[0]
+            if u < acc:
+                break
+        return state, record
 
     def _generate(self, node: _Node, state: FireState, rng) -> Action:
         """Propose a candidate action; see module docstring for the scheme."""
         cfg = self.config
         edges = node.edges
         u1, u2 = cfg.u_mutate, cfg.u_recombine
+        actions = list(edges.keys())
+        qs = [edge.q for edge in edges.values()]
         for _ in range(GEN_RETRIES + 1):
             u = rng.random()
-            if u < u1 and len(edges) >= 1:
-                actions = list(edges.keys())
-                qs = [edges[a].q for a in actions]
+            if u < u1 and len(actions) >= 1:
                 candidate = mutate(tournament_select(actions, qs, rng), state, rng)
-            elif u < u1 + u2 and len(edges) >= 2:
-                actions = list(edges.keys())
-                qs = [edges[a].q for a in actions]
+            elif u < u1 + u2 and len(actions) >= 2:
                 first = tournament_select(actions, qs, rng)
                 second = tournament_select(actions, qs, rng)
                 candidate = recombine(first, second, rng)

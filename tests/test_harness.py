@@ -684,9 +684,11 @@ def test_benchmark_jobs_do_not_change_planner_results(monkeypatch):
 
 
 def test_tiny_p_default_rejected_before_warm_up():
-    with pytest.raises(ScenarioError,
-                       match=r"^field 'P_default': .* 4000000 steps, more than 10000"):
-        scenario_from_dict({"family": "grid1", "k": 8, "P_default": 1e-6})
+    # at 5e-324, k / 2p overflows to inf, which int() cannot convert
+    for p_default, steps in ((1e-6, "4000000"), (5e-324, "inf")):
+        with pytest.raises(ScenarioError,
+                           match=rf"^field 'P_default': .* {steps} steps, more than 10000"):
+            scenario_from_dict({"family": "grid1", "k": 8, "P_default": p_default})
     # the longest admitted warm-up still loads
     longest = scenario_from_dict({"family": "grid2", "k": 8, "lambda": 0.2,
                                   "P_default": 8 / (4 * MAX_WARMUP_STEPS)})

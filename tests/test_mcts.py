@@ -336,6 +336,11 @@ def test_widening_bounds_hold_everywhere():
         for edge in node.edges.values():
             if edge.n >= 1:
                 assert len(edge.children) <= max(1.0, math.ceil(1.0 * edge.n ** 0.4))
+                # DPW counts: every stored child was reached at least once,
+                # and the edge's visits are its children's counts in total
+                counts = [record[0] for record in edge.children.values()]
+                assert min(counts) >= 1
+                assert sum(counts) == edge.n
                 checked += 1
     assert checked > 5
 
