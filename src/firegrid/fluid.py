@@ -34,6 +34,7 @@ than patching the formulation.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 import warnings
 from dataclasses import dataclass
@@ -82,6 +83,33 @@ def _in_edge_sums(spread: SpreadModel, values: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _intensity_bounds(spread: SpreadModel, burning):
+    """The endless sequence of ibar rows from the burning map ``burning``:
+    row 0 is the map, and each next row adds the previous row's in-edge
+    sums, with every transmission rate at 1, capped at ``IBAR_CAP``."""
+    ibar = np.asarray(burning, dtype=float)
+    while True:
+        yield ibar
+        ibar = np.minimum(ibar + _in_edge_sums(spread, ibar), IBAR_CAP)
+
+
+def cap_period(spread: SpreadModel, horizon: int) -> int | None:
+    """The first period t <= ``horizon`` at which ibar from the all-burning
+    map reaches ``IBAR_CAP``, or None.  The recursion is monotone in the
+    burning map, so from no state does ``calibrate`` reach the cap sooner.
+    A row that repeats its predecessor repeats forever, which ends the walk
+    on a grid without spread."""
+    previous = None
+    rows = _intensity_bounds(spread, np.ones(spread.spec.n_cells))
+    for t, ibar in enumerate(itertools.islice(rows, horizon + 1)):
+        if ibar.max() >= IBAR_CAP:
+            return t
+        if previous is not None and np.array_equal(ibar, previous):
+            return None
+        previous = ibar
+    return None
+
+
 def calibrate(
     spread: SpreadModel,
     state: FireState,
@@ -93,11 +121,8 @@ def calibrate(
     if delta <= 0:
         raise ValueError("delta must be positive")
     n = spread.spec.n_cells
-    ibar = np.zeros((horizon + 1, n))
-    ibar[0] = state.burning
-    for t in range(1, horizon + 1):
-        prev = ibar[t - 1]
-        ibar[t] = np.minimum(prev + _in_edge_sums(spread, prev), IBAR_CAP)
+    ibar = np.array(list(itertools.islice(_intensity_bounds(spread, state.burning),
+                                          horizon + 1)))
     if ibar.max(initial=0.0) >= IBAR_CAP:
         warnings.warn(
             "intensity upper bounds hit the big-M cap; horizon or degree too large",
@@ -407,6 +432,9 @@ class MoConfig:
     ``ValueError`` naming the key.
 
     ``horizon``: integer >= 1; 10.  The model's periods T after time zero.
+        A scenario rejects a horizon at which ``cap_period`` finds the
+        intensity bounds at ``IBAR_CAP``: 18 or more on the shipped grids,
+        21 or more on tiny_explicit's 3 x 3 grid.
     ``time_limit``: finite number > 0 or null; 60.  Wall-clock seconds for
         one decision's solve.  Every HiGHS LP gets what is left of it, branch
         and bound stops when it is spent, and relax-round with nothing left

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import heuristics
-from .fluid import MoConfig, MoPolicy
+from .fluid import IBAR_CAP, MoConfig, MoPolicy, cap_period
 from .mcts import MctsConfig, MctsPolicy
 from .mdp import (
     FireState,
@@ -54,7 +54,7 @@ SUMMARY_SCHEMA = "# firegrid summary v1"
 STATS_SCHEMA = "# firegrid initial-fire-stats v1"
 
 POLICY_NAMES = ("random", "fw", "fw_sample", "mcts", "mo")
-MAX_WARMUP_STEPS = 10_000  # a grid scenario's generation_horizon() at most
+MAX_WARMUP_STEPS = 10_000  # a grid scenario's generation_horizon(), an explicit fuel, at most
 # A scenario's cells at most: ``ScenarioConfig.weights`` is built from a dense
 # n x n float64 distance matrix, 800 MB at 10 000 cells, by an O(n^3)
 # Floyd-Warshall.
@@ -195,7 +195,8 @@ class ScenarioConfig:
     ``reps``: integer >= 1; 64.  Replications of a benchmark.
     ``rewards``: list of numbers <= 0, one per cell row-major from the bottom
         left, or null; null (the family's costs), and required for explicit.
-    ``fuel``, ``burning``: list of integers >= 0, and of 0 or 1, one per
+    ``fuel``, ``burning``: list of integers in [0, ``MAX_WARMUP_STEPS``]
+        (10 000), the bound a grid fire's fuel has, and of 0 or 1, one per
         cell, or null; null, required for explicit and ignored otherwise.
     ``mcts``, ``mo``: object of ``MctsConfig`` or ``MoConfig`` fields; {}.
 
@@ -275,8 +276,10 @@ class ScenarioConfig:
                     raise ScenarioError(f"field '{name}': required for explicit family")
                 if len(arr) != n:
                     raise ScenarioError(f"field '{name}': expected {n} entries")
-            if any(f < 0 for f in self.fuel):
-                raise ScenarioError("field 'fuel': entries must be >= 0")
+            # a grid fire's fuel has the same bound: the step cap stays within it
+            if any(not 0 <= f <= MAX_WARMUP_STEPS for f in self.fuel):
+                raise ScenarioError(
+                    f"field 'fuel': entries must be in [0, {MAX_WARMUP_STEPS}]")
             if any(b not in (0, 1) for b in self.burning):
                 raise ScenarioError("field 'burning': entries must be 0 or 1")
         if self.rewards is not None:
@@ -297,6 +300,12 @@ class ScenarioConfig:
             raise ScenarioError("field 'P_default': so small that the fw weights "
                                 "overflow: sum |R| / P_default is inf")
         spread = SpreadModel.uniform(spec, self.p_default, self.q_default)
+        period = cap_period(spread, built["_mo"].horizon)
+        if period is not None:
+            raise ScenarioError(
+                f"field 'mo.horizon': the fluid model's intensity bounds reach the big-M "
+                f"cap {IBAR_CAP:g} in period {period} on this grid, so the horizon "
+                f"must be below {period}")
         built["_model"] = Wildfire(spec, spread, rewards)
         for name, value in built.items():
             object.__setattr__(self, name, value)

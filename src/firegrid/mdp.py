@@ -12,8 +12,10 @@ charges R(x) <= 0 for every cell burning in the pre-step state.
 ``Wildfire.step_arrays`` is the one kernel of the law.  It steps a block of
 B episodes at once, with numpy: the ``(B, n)`` arrays of burning flags
 (bool) and fuel (int64), one action and one ``random.Random`` stream per
-row, to the next ``(B, n)`` arrays and B rewards.  Each cell's survival
-product is formed one in-edge slot of ``SpreadModel`` at a time, the teams
+row, to the next ``(B, n)`` arrays and B rewards.  It gathers the burning
+sources of ``SpreadModel``'s slot table once per step, for every row, and
+forms each cell's survival product one in-edge slot at a time.  It checks
+each action's targets where it applies them, before any draw.  The teams
 on a burning cell multiply in action order, and each row's reward adds R(x)
 over its burning cells left to right, starting from 0.0, so every row comes
 out bit for bit as it would alone.  A state is one row of a block:
@@ -235,38 +237,31 @@ class Wildfire:
         self._r = np.array(rewards.values)
         # per slot, the source and the factor 1 - P(x, y); padding keeps 1.0
         self._src = spread.slot_source
-        self._keep = (1.0 - spread.slot_rate)[:, np.newaxis]  # (max degree, 1, n)
+        self._keep = 1.0 - spread.slot_rate  # (max degree, n)
 
     # -- transition law ------------------------------------------------
-
-    def _slot_index(self, rows: int) -> np.ndarray:
-        """The flat positions, in a C-ordered ``(rows, n)`` block, of every
-        cell's in-edge slot sources: shape ``(max degree, rows * n)``.  One
-        row, every rollout and tree step, reads the slot table itself:
-        building its index costs about 3.3 µs a call on grid1_k20 (2-vCPU
-        host), a tenth of a step."""
-        if rows == 1:
-            return self._src
-        n = self.spec.n_cells
-        offsets = n * np.arange(rows)[:, np.newaxis]
-        return (self._src[:, np.newaxis] + offsets).reshape(len(self._src), rows * n)
 
     def _law(self, lit: np.ndarray, fueled: np.ndarray, actions) -> tuple:
         """The law's deterministic part for a block: the per-cell probability
         of burning next, shape ``(B, n)``, and the B rewards, from the
         pre-step masks of burning cells (``lit``) and of cells with fuel left
-        (``fueled``) and the B actions."""
-        rows, n = lit.shape
-        sources = lit.reshape(-1)[self._slot_index(rows)].reshape(-1, rows, n)
-        # multiply.reduce is sequential along the slot axis: each cell's
-        # survival product is formed one in-edge slot at a time
-        survive = np.multiply.reduce(np.where(sources, self._keep, 1.0), axis=0)
+        (``fueled``) and the B actions.  Each target is checked where it is
+        applied: one outside the grid raises ``ValueError``."""
+        # one gather of the slot table: whether each cell's j-th in-edge
+        # source burns, shape (B, max degree, n).  multiply.reduce is
+        # sequential along the slot axis: each cell's survival product is
+        # formed one in-edge slot at a time
+        survive = np.multiply.reduce(np.where(lit[:, self._src], self._keep, 1.0), axis=1)
         probs = np.where(lit, 1.0, 1.0 - survive)
-        q, r = self._q, self._r
+        q, r, n = self._q, self._r, self.spec.n_cells
         rewards = []
         for action, flags, row in zip(actions, lit, probs):
             for target in action:
-                if target >= 0 and flags[target]:
+                if not 0 <= target < n:
+                    if target == IDLE:
+                        continue
+                    raise ValueError(f"action targets cell {target} outside grid")
+                if flags[target]:
                     row[target] *= 1.0 - q[target]
             charged = r[flags]
             # a float64 cumulative sum adds in sequence, where np.sum adds
@@ -274,12 +269,6 @@ class Wildfire:
             rewards.append(0.0 + float(np.add.accumulate(charged)[-1]) if charged.size else 0.0)
         probs[~fueled] = 0.0
         return probs, rewards
-
-    def _check_action(self, action: Action):
-        n = self.spec.n_cells
-        for target in action:
-            if target != IDLE and not 0 <= target < n:
-                raise ValueError(f"action targets cell {target} outside grid")
 
     def step_arrays(self, burning: np.ndarray, fuel: np.ndarray, actions, rngs) -> tuple:
         """Sample one transition of a block of B episodes on arrays:
@@ -290,9 +279,12 @@ class Wildfire:
         ``rngs`` hold one action and one stream per row, and row b draws only
         from ``rngs[b]``.  ``rewards`` is a list of B floats: row b's is the sum
         of R(x) over its pre-step burning cells, added left to right from 0.0.
+        Other counts of actions or streams, or a target outside the grid,
+        raise ``ValueError`` before any stream is drawn.
         """
-        for action in actions:
-            self._check_action(action)
+        if not len(actions) == len(rngs) == len(burning):
+            raise ValueError(f"{len(burning)} rows need one action and one stream each: "
+                             f"got {len(actions)} actions and {len(rngs)} streams")
         fueled = fuel > 0
         probs, rewards = self._law(burning, fueled, actions)
         burns = probs >= 1.0

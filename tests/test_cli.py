@@ -408,6 +408,8 @@ GRID1_DOC = {"family": "grid1", "k": 4, "P_default": 0.06, "Q_default": 0.8,
     ({k: v for k, v in explicit_doc().items() if k != "rewards"}, "rewards"),
     (dict(GRID1_DOC, P_default=1e-6), "P_default"),
     (dict(GRID1_DOC, family="grid2", **{"lambda": math.nan}), "lambda"),
+    (explicit_doc(fuel=[2, 2 ** 63, 2, 2]), "fuel"),
+    (dict(GRID1_DOC, mo={"horizon": 20, "time_limit": None}), "mo.horizon"),
 ])
 def test_malformed_scenario_fails_at_load(tmp_path, capsys, doc, field):
     with pytest.raises(ScenarioError, match=f"^field '{field}'"):

@@ -695,6 +695,38 @@ def test_tiny_p_default_rejected_before_warm_up():
     assert longest.generation_horizon() == MAX_WARMUP_STEPS
 
 
+def test_explicit_fuel_above_the_warm_up_bound_rejected():
+    # a fuel past int64 loaded, then FireState could not convert it
+    doc = json.loads((SCENARIOS / "tiny_explicit.json").read_text())
+    for level in (MAX_WARMUP_STEPS + 1, 2 ** 63):
+        doc["fuel"][4] = level
+        with pytest.raises(ScenarioError, match=r"^field 'fuel': entries must be in \[0, 10000\]$"):
+            scenario_from_dict(doc)
+    doc["fuel"][4] = MAX_WARMUP_STEPS
+    config = scenario_from_dict(doc)
+    assert config.generation_horizon() == MAX_WARMUP_STEPS + 1
+    assert config.initial_state(None).fuel[4] == MAX_WARMUP_STEPS
+
+
+def test_mo_horizon_that_reaches_the_intensity_cap_rejected():
+    # the intensity bounds from the all-burning map reach IBAR_CAP in period
+    # 18 on grid1_k8; from that map calibrate warns at 18 and not at 17
+    doc = json.loads((SCENARIOS / "grid1_k8.json").read_text())
+    for horizon in (18, 20, 10 ** 9):
+        with pytest.raises(ScenarioError,
+                           match=r"^field 'mo.horizon': .* in period 18 .* below 18$"):
+            scenario_from_dict(dict(doc, mo={"horizon": horizon, "time_limit": None}))
+    config = scenario_from_dict(dict(doc, mo={"horizon": 17, "time_limit": None}))
+    everywhere = FireState([1] * 64, [5] * 64)
+    fluid.calibrate(config.spread(), everywhere, 17)
+    with pytest.warns(RuntimeWarning, match="big-M cap"):
+        fluid.calibrate(config.spread(), everywhere, 18)
+    # without spread the bounds never grow: any horizon loads, at once
+    start = time.perf_counter()
+    scenario_from_dict(explicit_doc(mo={"horizon": 10 ** 9}))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_grids_over_max_cells_rejected_before_they_are_built():
     # the rejection comes before the costs, the spread model or the weights
     for doc, name, cells in (({"k": 8, "height": 10**7}, "height", 8 * 10**7),

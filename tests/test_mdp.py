@@ -185,6 +185,39 @@ def test_step_rejects_bad_action(grid2x2, rng):
         grid2x2.step(state, (7,), rng)
 
 
+def grid1_k8_block(rows):
+    """grid1_k8's simulator and a ``rows``-row block of one fire whose
+    neighbors would each draw: the cells of the bottom row burn."""
+    spec = GridSpec(8, 8)
+    model = Wildfire(spec, SpreadModel.uniform(spec, 0.06, 0.8), RewardModel((-1.0,) * 64))
+    burning = np.zeros((rows, 64), dtype=bool)
+    burning[:, :8] = True
+    return model, burning, np.full((rows, 64), 5, dtype=np.int64)
+
+
+@pytest.mark.parametrize("actions, streams", [(2, 3), (3, 2)])
+def test_block_step_rejects_other_counts_before_any_draw(actions, streams):
+    # zip would drop a row's action or stream; numpy would fail to broadcast
+    model, burning, fuel = grid1_k8_block(3)
+    rngs = [random.Random(seed) for seed in range(streams)]
+    before = [rng.getstate() for rng in rngs]
+    with pytest.raises(ValueError, match=f"3 rows .* {actions} actions and {streams} streams"):
+        model.step_arrays(burning, fuel, [(0, 1, IDLE, 3)] * actions, rngs)
+    assert [rng.getstate() for rng in rngs] == before
+
+
+def test_block_step_rejects_a_bad_target_in_any_row_before_any_draw():
+    # the target is checked where it is applied, after rows 0 and 1 were
+    # read, and still before row 0's stream draws
+    model, burning, fuel = grid1_k8_block(3)
+    rngs = [random.Random(seed) for seed in range(3)]
+    before = [rng.getstate() for rng in rngs]
+    actions = [(0, 1, IDLE, 3), (IDLE,) * 4, (2, IDLE, 64, 5)]
+    with pytest.raises(ValueError, match="action targets cell 64 outside grid"):
+        model.step_arrays(burning, fuel, actions, rngs)
+    assert [rng.getstate() for rng in rngs] == before
+
+
 def test_zero_fuel_burning_cell_dies_in_one_step(grid2x2, rng):
     state = FireState((1, 0, 0, 0), (0, 0, 0, 0))
     nxt, _ = grid2x2.step(state, idle_action(0), rng)
