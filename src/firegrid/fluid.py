@@ -44,7 +44,7 @@ import numpy as np
 # Unused here: the benchmark's tracer still wraps these three names on this
 # module, and tests/test_bench_contract.py checks that they resolve.
 from .heuristics import all_pairs_distances, fw_policy, fw_weights  # noqa: F401
-from .lp import EQ, GE, LE, OPTIMAL, TIME_LIMIT, LpProblem, solve_lp, solve_lp_scipy
+from .lp import EQ, GE, LE, OPTIMAL, TIME_LIMIT, LpProblem, _highs, solve_lp, solve_lp_scipy
 from .mdp import Action, FireState, RewardModel, SpreadModel, idle_action
 from .milp import branch_and_bound
 
@@ -492,10 +492,12 @@ class MoPolicy:
         self.teams = teams
         self.config = config
         self.fallback = fallback
+        # MO's imports are paid here, not inside the first decision: the
+        # model's scipy.sparse and, for HiGHS, its binding's extension file
+        # alone, never the scipy.optimize package
+        import scipy.sparse  # noqa: F401
         if config.backend == "highs":
-            # The HiGHS binding loads scipy.optimize with it, an import of
-            # about 0.2 s: pay it here, not inside the first decision.
-            import scipy.optimize._highspy._core  # noqa: F401
+            _highs()
         self.reset()
 
     def reset(self):

@@ -11,7 +11,9 @@ fallback built from that scenario shares them read-only.
 
 The distances come from a Floyd-Warshall loop in numpy, k outermost, which
 forms every entry by the same additions and comparisons as
-``scipy.sparse.csgraph.floyd_warshall`` and so matches it to the last bit;
+``scipy.sparse.csgraph.floyd_warshall`` and so matches it to the last bit.
+Step k relaxes only the box spanned by the finite entries of column k and
+row k, since every entry outside it would stay as min(d, inf) = d;
 this module, and every policy but MO, imports nothing from scipy.
 """
 
@@ -74,7 +76,11 @@ def all_pairs_distances(spread: SpreadModel) -> np.ndarray:
     so each entry sees the same (+, min) operations on the same operands as
     ``scipy.sparse.csgraph.floyd_warshall``'s loop and comes out
     bit-identical to it.  Updating D in place is safe: with D(k, k) = 0,
-    step k leaves row k and column k unchanged.  O(n^3), once per scenario.
+    step k leaves row k and column k unchanged.  Step k relaxes only the
+    box of rows from the first to the last finite entry of column k and
+    columns from the first to the last finite entry of row k: every entry
+    outside it has an infinite leg, and min(d, inf) is d.  The sums go to
+    one buffer reused at every k.  O(n^3), once per scenario.
     """
     n = spread.spec.n_cells
     rate = spread.slot_rate
@@ -83,9 +89,22 @@ def all_pairs_distances(spread: SpreadModel) -> np.ndarray:
     dist = np.full((n, n), np.inf)
     dist[cells[edge], spread.slot_source[edge]] = rate[edge]
     np.fill_diagonal(dist, 0.0)
+    buf = np.empty(n * n)
     for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+        r0, r1 = _finite_span(dist[:, k])
+        c0, c1 = _finite_span(dist[k])
+        box = dist[r0:r1, c0:c1]
+        legs = buf[:box.size].reshape(box.shape)
+        np.add(dist[r0:r1, k, None], dist[k, c0:c1], out=legs)
+        np.minimum(box, legs, out=box)
     return dist
+
+
+def _finite_span(values: np.ndarray) -> tuple:
+    """``(first, last + 1)`` of the finite entries of ``values``, which
+    holds at least one."""
+    finite = np.isfinite(values)
+    return int(finite.argmax()), len(values) - int(finite[::-1].argmax())
 
 
 def fw_weights(d: np.ndarray, rewards: RewardModel) -> WeightMap:

@@ -17,12 +17,17 @@ bundled solver.  It calls scipy's private binding
 ``linprog``'s wrapper spends a sizeable share of a decision in Python on
 results MO never reads.  A problem's rows are loaded into HiGHS's form once
 and shared with the problems ``LpProblem.with_columns`` derives from it.
-This module imports nothing from scipy until an ``LpProblem`` is built;
-nothing under ``scipy.optimize`` until HiGHS is called.
+This module imports nothing from scipy until an ``LpProblem`` is built or
+the binding is loaded, and ``_highs`` loads the binding's extension file
+alone, so the ``scipy.optimize`` package itself is never imported.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -267,6 +272,46 @@ def solve_lp(problem: LpProblem, max_iterations: int = 50_000) -> LpSolution:
                       iterations=total_iters)
 
 
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _highs():
+    """scipy's compiled HiGHS binding ``scipy.optimize._highspy._core``,
+    loaded from its extension file alone.
+
+    Importing it by name runs the whole ``scipy.optimize`` package first,
+    about 0.2 s and 25 MB of peak memory for a module that is one file.
+    So the file ``<scipy>/optimize/_highspy/_core<suffix>`` is loaded
+    directly, with the first of ``EXTENSION_SUFFIXES`` that exists, and
+    registered in ``sys.modules`` under its full name before it runs, so a
+    later ``import scipy.optimize`` finds and reuses this very module
+    instead of loading the file again.  A module already in ``sys.modules``
+    is returned as it is.  A scipy without the file raises ``ImportError``
+    naming the path.
+    """
+    module = sys.modules.get(_HIGHS)
+    if module is not None:
+        return module
+    import scipy
+
+    stem = os.path.join(scipy.__path__[0], "optimize", "_highspy", "_core")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    path = next((stem + s for s in suffixes if os.path.exists(stem + s)), None)
+    if path is None:
+        raise ImportError(f"scipy's HiGHS binding is missing: no file "
+                          f"{stem + suffixes[0]}", name=_HIGHS, path=stem + suffixes[0])
+    loader = importlib.machinery.ExtensionFileLoader(_HIGHS, path)
+    spec = importlib.util.spec_from_file_location(_HIGHS, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS] = module
+    try:
+        loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS]
+        raise
+    return module
+
+
 class _RowForm:
     """An LP's rows as HiGHS reads them, loaded into one ``HighsLp``.
 
@@ -275,11 +320,12 @@ class _RowForm:
     ``n_ub`` rows and (b, b) on the rest.  It depends only on a problem's
     ``a``, ``senses`` and ``b``, so every problem ``with_columns`` derives
     shares it; ``solve_lp_scipy`` writes the column arrays before each solve.
+    The ``HighsLp`` comes from the binding ``_highs`` loads, without the
+    ``scipy.optimize`` package.
     """
 
     def __init__(self, problem: LpProblem):
-        from scipy.optimize._highspy import _core
-
+        _core = _highs()
         senses = np.array(problem.senses)
         le = np.flatnonzero(senses == LE)
         ge = np.flatnonzero(senses == GE)
@@ -339,10 +385,11 @@ def solve_lp_scipy(problem: LpProblem, time_limit: float | None = None) -> LpSol
     results this function never reads (per-column bound duals).  What it
     checks is kept: a non-finite value in ``c``, ``a`` or ``b`` raises
     ``ValueError``, and an optimum that fails ``_passes_check`` reads
-    ``iteration-limit``.  Each call solves cold in a fresh ``Highs``.
+    ``iteration-limit``.  Each call solves cold in a fresh ``Highs``.  The
+    binding is the extension file ``_highs`` loads alone: no call imports
+    the ``scipy.optimize`` package.
     """
-    from scipy.optimize._highspy import _core
-
+    _core = _highs()
     _check_finite("c", problem.c)
     if problem._rows[0] is None:
         problem._rows[0] = _RowForm(problem)

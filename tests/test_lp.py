@@ -326,3 +326,79 @@ def test_an_optimum_violating_a_row_reads_iteration_limit(monkeypatch):
     monkeypatch.setattr(lp_module, "_passes_check", lambda *args: False)
     sol = solve_lp_scipy(prob)
     assert sol.status == ITERATION_LIMIT and sol.x is None
+
+
+# -- loading the HiGHS binding -------------------------------------------------
+
+def _run_python(code: str, *args: str) -> str:
+    import subprocess
+    import sys
+
+    here = os.path.dirname(__file__)
+    path = os.pathsep.join((os.path.join(here, os.pardir, "src"), here))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_highs_binding_is_one_module_before_and_after_scipy_optimize():
+    # MO decides with scipy.optimize unloaded; linprog, imported afterwards,
+    # runs on the very module MO loaded and agrees with it on MO's LPs
+    code = (
+        "import sys\n"
+        "from firegrid import fluid, lp\n"
+        "from firegrid.harness import episode_rng, load_scenario\n"
+        "config = load_scenario(sys.argv[1])\n"
+        "policy = config.make_policy('mo')\n"
+        "solved = []\n"
+        "def record(problem, time_limit=None):\n"
+        "    solved.append((problem, lp.solve_lp_scipy(problem, time_limit=time_limit)))\n"
+        "    return solved[-1][1]\n"
+        "fluid.solve_lp_scipy = record\n"
+        "policy(config.initial_state(episode_rng(0)))\n"
+        "assert not policy.last['fallback']\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "core = lp._highs()\n"
+        "from scipy.optimize import linprog\n"
+        "from scipy.optimize._highspy import _highs_wrapper\n"
+        "assert sys.modules['scipy.optimize._highspy._core'] is lp._highs() is core\n"
+        "assert _highs_wrapper._h is core\n"
+        "from test_lp import linprog_reference\n"
+        "for problem, mine in solved:\n"
+        "    ref = linprog_reference(problem)\n"
+        "    assert (mine.status, mine.iterations) == (ref.status, ref.iterations)\n"
+        "    assert mine.x.tobytes() == ref.x.tobytes()\n"
+        "    assert mine.objective == ref.objective\n"
+        "print(len(solved), mine.status)\n"
+    )
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "grid1_k8.json")
+    assert _run_python(code, path).split() == ["2", OPTIMAL]
+
+
+def test_highs_loader_returns_the_module_scipy_optimize_imported():
+    code = (
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _core\n"
+        "from firegrid import lp\n"
+        "print(lp._highs() is _core)\n"
+    )
+    assert _run_python(code).split() == ["True"]
+
+
+def test_highs_loader_names_the_missing_extension_file(monkeypatch, tmp_path):
+    import importlib.machinery
+    import sys
+
+    import scipy
+
+    (tmp_path / "optimize" / "_highspy").mkdir(parents=True)
+    monkeypatch.delitem(sys.modules, lp_module._HIGHS, raising=False)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    missing = os.path.join(str(tmp_path), "optimize", "_highspy",
+                           "_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    with pytest.raises(ImportError) as raised:
+        lp_module._highs()
+    assert missing in str(raised.value)
+    assert raised.value.path == missing
