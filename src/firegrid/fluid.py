@@ -44,7 +44,7 @@ import numpy as np
 # Unused here: the benchmark's tracer still wraps these three names on this
 # module, and tests/test_bench_contract.py checks that they resolve.
 from .heuristics import all_pairs_distances, fw_policy, fw_weights  # noqa: F401
-from .lp import EQ, GE, LE, OPTIMAL, TIME_LIMIT, LpProblem, _highs, solve_lp, solve_lp_scipy
+from .lp import EQ, GE, LE, OPTIMAL, TIME_LIMIT, Csr, LpProblem, _highs, solve_lp, solve_lp_scipy
 from .mdp import Action, FireState, RewardModel, SpreadModel, idle_action
 from .milp import branch_and_bound
 
@@ -284,8 +284,6 @@ def build_model(
     and right-hand sides from it, leaving out every coefficient that comes
     out zero, and sets costs, bounds and integrality per column block.
     """
-    import scipy.sparse as sp
-
     n = len(state.burning)
     spread = calibration.spread
     if len(calibration.f0) != n or spread.spec.n_cells != n:
@@ -299,8 +297,7 @@ def build_model(
     data = table[pattern.take]
     keep = data != 0.0
     kept_before = np.concatenate(([0], np.cumsum(keep)))
-    a = sp.csr_matrix((data[keep], pattern.indices[keep], kept_before[pattern.indptr]),
-                      shape=pattern.shape)
+    a = Csr(data[keep], pattern.indices[keep], kept_before[pattern.indptr])
 
     cols = pattern.columns
     n_vars = pattern.shape[1]
@@ -492,12 +489,19 @@ class MoPolicy:
         self.teams = teams
         self.config = config
         self.fallback = fallback
-        # MO's imports are paid here, not inside the first decision: the
-        # model's scipy.sparse and, for HiGHS, its binding's extension file
-        # alone, never the scipy.optimize package
-        import scipy.sparse  # noqa: F401
+        # MO's one scipy import is paid here, not inside the first decision:
+        # for HiGHS, its binding's extension file alone, never the
+        # scipy.optimize package; the model and the bundled simplex need
+        # numpy only
         if config.backend == "highs":
             _highs()
+        # Each LP allocates and frees blocks of a few MB.  glibc's malloc maps
+        # a block above its mmap threshold (128 KB at start) afresh and unmaps
+        # it at free, so each solve faulted its pages in again.  Freeing one
+        # mapped 4 MB block raises that threshold to 4 MB and the heap's trim
+        # threshold to 8 MB (mallopt(3)), so the solver's blocks stay mapped
+        # between LPs.  Other allocators just free it.
+        np.empty(4 << 20, dtype=np.uint8)
         self.reset()
 
     def reset(self):

@@ -1,11 +1,12 @@
 """Linear programming layer: problem container and a bundled simplex solver.
 
 The bundled solver is a two-phase revised primal simplex over a dense basis
-inverse.  It takes the problems MO builds: at least one row, and a finite
-lower bound on every column.  Each column is shifted to its lower bound, so
-every variable is nonnegative; a finite upper bound becomes a unit row, each
-inequality row gets a slack column, and phase one drives artificial
-variables out of the basis (redundant rows are dropped).  Pricing is
+inverse.  It takes the problems MO builds: at least one row, a finite
+lower bound on every column, and no inf or NaN in ``c``, A or ``b``.  Each
+column is shifted to its lower bound, so every variable is nonnegative; a
+finite upper bound becomes a unit row, each inequality row gets a slack
+column, and phase one drives artificial variables out of the basis
+(redundant rows are dropped).  Pricing is
 Dantzig's rule with a permanent switch to Bland's rule after a long run of
 degenerate pivots, which guarantees termination.
 
@@ -17,24 +18,25 @@ bundled solver.  It calls scipy's private binding
 ``linprog``'s wrapper spends a sizeable share of a decision in Python on
 results MO never reads.  A problem's rows are loaded into HiGHS's form once
 and shared with the problems ``LpProblem.with_columns`` derives from it.
-This module imports nothing from scipy until an ``LpProblem`` is built or
-the binding is loaded, and ``_highs`` loads the binding's extension file
-alone, so the ``scipy.optimize`` package itself is never imported.
+An ``LpProblem`` holds A as numpy CSR arrays, and both solvers and the MPS
+writer work on numpy arrays alone.  So this module imports nothing from
+scipy until the binding is loaded, or a problem is given A as a scipy or
+dense matrix, or its ``a`` property is read; ``_highs`` loads the binding's
+extension file alone, so the ``scipy.optimize`` package itself is never
+imported.
 """
 
 from __future__ import annotations
 
+import copy
 import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -51,51 +53,97 @@ _DEGEN_TOL = 1e-9   # step sizes below this count as degenerate
 _REFACTOR_EVERY = 100
 
 
-@dataclass
+class Csr(NamedTuple):
+    """A matrix's compressed sparse rows: the entries of row i are
+    ``data[indptr[i]:indptr[i + 1]]``, in the columns at the same places of
+    ``indices``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
 class LpProblem:
-    """min c @ x subject to A x (sense) b and lower <= x <= upper."""
+    """min c @ x subject to A x (sense) b and lower <= x <= upper.
 
-    c: np.ndarray
-    a: sp.csr_matrix
-    senses: tuple
-    b: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    # the row form ``solve_lp_scipy`` builds on first use, in a slot shared
-    # with every problem derived by ``with_columns``
-    _rows: list = field(default_factory=lambda: [None], init=False, repr=False,
-                        compare=False)
+    A is stored once, as the CSR arrays ``data``, ``indices`` and ``indptr``
+    of shape ``shape`` = (len(b), len(c)); the solvers and the MPS writer
+    read these arrays and nothing else.  ``a`` may be given as a ``Csr`` of
+    such arrays, which are kept as they are, or as a scipy sparse matrix or
+    a dense array, which is read into them once; only that case imports
+    ``scipy.sparse``.  The ``a`` property is a scipy ``csr_matrix`` over the
+    stored arrays, built on first read, for readers outside the solvers.
+    """
 
-    def __post_init__(self):
-        import scipy.sparse as sp
+    def __init__(self, c, a, senses, b, lower, upper):
+        self.b = np.asarray(b, dtype=float)
+        self.senses = senses
+        m, n = self.shape = (len(self.b), len(c))
+        self._set_columns(c, lower, upper)
+        if not isinstance(a, Csr):
+            import scipy.sparse as sp
 
-        self.c = np.asarray(self.c, dtype=float)
-        self.a = sp.csr_matrix(self.a)
-        self.b = np.asarray(self.b, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        m, n = self.a.shape
-        if len(self.c) != n or len(self.lower) != n or len(self.upper) != n:
-            raise ValueError("column size mismatch")
-        if len(self.b) != m or len(self.senses) != m:
+            a = sp.csr_matrix(a)
+            if a.shape[1] != n:
+                raise ValueError("column size mismatch")
+            a = Csr(a.data, a.indices, a.indptr)
+        self.data = np.asarray(a.data, dtype=float)
+        self.indices, self.indptr = np.asarray(a.indices), np.asarray(a.indptr)
+        if len(self.indptr) != m + 1 or len(self.senses) != m:
             raise ValueError("row size mismatch")
+        if (self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0)
+                or not self.indptr[-1] == len(self.data) == len(self.indices)
+                or np.any(self.indices < 0) or np.any(self.indices >= n)):
+            raise ValueError("malformed CSR arrays")
         if not set(self.senses) <= {LE, EQ, GE}:
             unknown = next(s for s in self.senses if s not in (LE, EQ, GE))
             raise ValueError(f"unknown sense {unknown!r}")
+        self._a = None
+        # the row form ``solve_lp_scipy`` builds on first use, in a slot shared
+        # with every problem derived by ``with_columns``
+        self._rows = [None]
+
+    def _set_columns(self, c, lower, upper):
+        self.c, self.lower, self.upper = (np.asarray(v, dtype=float) for v in (c, lower, upper))
+        if not len(self.c) == len(self.lower) == len(self.upper) == self.shape[1]:
+            raise ValueError("column size mismatch")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound above upper bound")
 
     @property
-    def shape(self) -> tuple:
-        return self.a.shape
+    def a(self):
+        """A as a scipy ``csr_matrix`` over the stored arrays."""
+        if self._a is None:
+            import scipy.sparse as sp
+
+            self._a = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        return self._a
+
+    def columns(self) -> tuple:
+        """A's compressed columns ``(start, index, value)``, as ``_columns``
+        builds them."""
+        return _columns(self.indptr, self.indices, self.data, self.shape[1])
 
     def with_columns(self, c, lower, upper) -> LpProblem:
         """The same rows with new costs and column bounds.  The result
-        shares this problem's row form, so HiGHS's copy of the rows is built
-        once between them; neither problem's rows may change afterwards."""
-        derived = LpProblem(c, self.a, self.senses, self.b, lower, upper)
-        derived._rows = self._rows
+        shares this problem's arrays and row form, so HiGHS's copy of the
+        rows is built once between them; neither problem's rows may change
+        afterwards."""
+        derived = copy.copy(self)
+        derived._set_columns(c, lower, upper)
         return derived
+
+
+def _columns(indptr, indices, data, n: int) -> tuple:
+    """The compressed columns ``(start, index, value)`` of the CSR arrays
+    ``indptr``, ``indices`` and ``data`` with ``n`` columns: column j's
+    entries are ``value[start[j]:start[j + 1]]`` in the rows ``index[...]``.
+    A stable sort keeps each column's entries in row order, and duplicates
+    in their stored order, as scipy's ``tocsc`` does."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    order = np.argsort(indices, kind="stable")
+    start = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n))))
+    return start, rows[order], data[order]
 
 
 @dataclass
@@ -110,7 +158,12 @@ def _standard_form(problem: LpProblem) -> tuple:
     """``(a, b, c, slack_for_row)`` of min c'x, A x = b, x >= 0, with b >= 0:
     each column shifted to its lower bound, a unit row for each finite upper
     bound, and ``slack_for_row[i]`` the slack column of row i, or -1."""
-    a = problem.a.toarray()
+    m, n = problem.shape
+    a = np.zeros((m, n))
+    # summed in place entry by entry, so duplicate entries add up as in
+    # scipy's ``toarray``
+    np.add.at(a, (np.repeat(np.arange(m), np.diff(problem.indptr)), problem.indices),
+              problem.data)
     b = problem.b.copy()
     # Row equilibration: big-M rows otherwise swamp the absolute
     # feasibility tolerances.  Pure row scaling leaves solutions intact.
@@ -118,7 +171,7 @@ def _standard_form(problem: LpProblem) -> tuple:
     scale[scale <= 0.0] = 1.0
     a = a / scale[:, None]
     b = b / scale
-    lower, n = problem.lower, a.shape[1]
+    lower = problem.lower
     # Column by column, not ``b -= a @ lower``: a matrix product may round
     # differently, and the goldens were recorded with this order.
     for j in range(n):
@@ -200,8 +253,10 @@ def solve_lp(problem: LpProblem, max_iterations: int = 50_000) -> LpSolution:
     Returns an optimal basic solution or a definitive infeasible/unbounded
     status; hitting ``max_iterations`` is reported as such, never as a bogus
     answer.  Takes the problems MO builds: at least one row, and a finite
-    lower bound on every column; anything else raises ``ValueError``.
+    lower bound on every column, and a finite ``c``, A and ``b``; anything
+    else raises ``ValueError``.
     """
+    _check_finite(problem)
     m, n = problem.shape
     if m == 0:
         raise ValueError("solve_lp needs at least one row")
@@ -316,9 +371,9 @@ class _RowForm:
     """An LP's rows as HiGHS reads them, loaded into one ``HighsLp``.
 
     The row layout is ``linprog``'s: the LE rows, then the GE rows negated,
-    then the EQ rows, as a CSC matrix with row bounds (-inf, b) on the first
-    ``n_ub`` rows and (b, b) on the rest.  It depends only on a problem's
-    ``a``, ``senses`` and ``b``, so every problem ``with_columns`` derives
+    then the EQ rows, in compressed columns (``_columns``) with row bounds
+    (-inf, b) on the first ``n_ub`` rows and (b, b) on the rest.  It depends
+    only on a problem's rows, so every problem ``with_columns`` derives
     shares it; ``solve_lp_scipy`` writes the column arrays before each solve.
     The ``HighsLp`` comes from the binding ``_highs`` loads, without the
     ``scipy.optimize`` package.
@@ -331,29 +386,35 @@ class _RowForm:
         ge = np.flatnonzero(senses == GE)
         eq = np.flatnonzero(senses == EQ)
         self.n_ub = n_ub = le.size + ge.size
-        a = problem.a[np.concatenate((le, ge, eq))]
-        ge_data = a.data[a.indptr[le.size]:a.indptr[n_ub]]
+        # the chosen rows' entries, gathered by their indptr ranges
+        order = np.concatenate((le, ge, eq))
+        lengths = np.diff(problem.indptr)[order]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        take = np.arange(indptr[-1]) + np.repeat(problem.indptr[order] - indptr[:-1], lengths)
+        data = problem.data[take]
+        ge_data = data[indptr[le.size]:indptr[n_ub]]
         np.negative(ge_data, out=ge_data)
         self.rhs = np.concatenate((problem.b[le], -problem.b[ge], problem.b[eq]))
-        _check_finite("a", a.data)
-        _check_finite("b", self.rhs)
-        a = a.tocsc()
-        m, n = a.shape
+        m, n = problem.shape
+        start, index, value = _columns(indptr, problem.indices[take], data, n)
         self.lp = lp = _core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
         lp.num_row_ = lp.a_matrix_.num_row_ = m
         lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
         # the binding copies a list into these vectors faster than an array
-        lp.a_matrix_.start_ = a.indptr.tolist()
-        lp.a_matrix_.index_ = a.indices.tolist()
-        lp.a_matrix_.value_ = a.data.tolist()
+        lp.a_matrix_.start_ = start.tolist()
+        lp.a_matrix_.index_ = index.tolist()
+        lp.a_matrix_.value_ = value.tolist()
         lp.row_lower_ = np.concatenate((np.full(n_ub, -np.inf), self.rhs[n_ub:])).tolist()
         lp.row_upper_ = self.rhs.tolist()
 
 
-def _check_finite(name: str, values: np.ndarray):
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must not contain values inf or nan")
+def _check_finite(problem: LpProblem):
+    """Raise ``ValueError`` naming ``c``, ``a`` or ``b`` if it holds an inf
+    or a NaN, as ``linprog`` does."""
+    for name, values in (("c", problem.c), ("a", problem.data), ("b", problem.b)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must not contain values inf or nan")
 
 
 # linprog's acceptance tolerance on an optimal point: 10 * sqrt(its tol 1e-9)
@@ -390,7 +451,7 @@ def solve_lp_scipy(problem: LpProblem, time_limit: float | None = None) -> LpSol
     the ``scipy.optimize`` package.
     """
     _core = _highs()
-    _check_finite("c", problem.c)
+    _check_finite(problem)
     if problem._rows[0] is None:
         problem._rows[0] = _RowForm(problem)
     form = problem._rows[0]

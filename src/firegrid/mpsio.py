@@ -47,7 +47,7 @@ def write_mps(problem: LpProblem, integer_mask=None, name: str = "FIREGRID") -> 
     for i, sense in enumerate(problem.senses):
         lines.append(f" {_SENSE_TO_TAG[sense]}  {_row_name(i)}")
 
-    csc = problem.a.tocsc()
+    start, index, value = problem.columns()
     lines.append("COLUMNS")
     marker_count = 0
     in_integer = False
@@ -61,10 +61,8 @@ def write_mps(problem: LpProblem, integer_mask=None, name: str = "FIREGRID") -> 
         entries = []
         if problem.c[j] != 0.0:
             entries.append(("COST", problem.c[j]))
-        start, end = csc.indptr[j], csc.indptr[j + 1]
-        rows = csc.indices[start:end]
-        vals = csc.data[start:end]
-        for i, v in sorted(zip(rows, vals)):
+        column = slice(start[j], start[j + 1])
+        for i, v in sorted(zip(index[column], value[column])):
             if v != 0.0:
                 entries.append((_row_name(int(i)), float(v)))
         if not entries:

@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firegrid import lp as lp_module
 from firegrid.harness import episode_rng, load_scenario
@@ -304,6 +306,17 @@ def test_highs_binding_rejects_non_finite_input(where, bad):
         solve_lp_scipy(prob)
 
 
+@pytest.mark.parametrize("solver", [solve_lp, solve_lp_scipy])
+@pytest.mark.parametrize("where", ["c", "a", "b"])
+def test_both_solvers_reject_non_finite_input(where, solver):
+    for bad in (np.nan, np.inf, -np.inf):
+        prob = lp([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [GE, EQ], [1.0, 0.0])
+        values = prob.data if where == "a" else getattr(prob, where)
+        values[1] = bad
+        with pytest.raises(ValueError, match=f"^{where} must not contain"):
+            solver(prob)
+
+
 def test_an_optimum_violating_a_row_reads_iteration_limit(monkeypatch):
     # x = (1, 1) meets every bound and both rows of x0 + x1 >= 1, x0 - x1 = 0
     prob = lp([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [GE, EQ], [1.0, 0.0])
@@ -326,6 +339,105 @@ def test_an_optimum_violating_a_row_reads_iteration_limit(monkeypatch):
     monkeypatch.setattr(lp_module, "_passes_check", lambda *args: False)
     sol = solve_lp_scipy(prob)
     assert sol.status == ITERATION_LIMIT and sol.x is None
+
+
+# -- the compressed columns built in numpy --------------------------------------
+
+def same_bits(mine, ref) -> bool:
+    mine, ref = np.asarray(mine), np.asarray(ref)
+    return mine.dtype.kind == ref.dtype.kind and mine.tobytes() == ref.astype(mine.dtype).tobytes()
+
+
+def assert_row_form_is_scipys(problem: LpProblem):
+    """``_RowForm``'s arrays are, bit for bit, those of scipy's
+    ``a[le ++ ge ++ eq].tocsc()`` with the GE rows negated, and
+    ``LpProblem.columns()`` is ``a.tocsc()``."""
+    senses = np.array(problem.senses)
+    rows = [np.flatnonzero(senses == s) for s in (LE, GE, EQ)]
+    a = problem.a[np.concatenate(rows)]
+    n_le, n_ub = len(rows[0]), len(rows[0]) + len(rows[1])
+    ge_data = a.data[a.indptr[n_le]:a.indptr[n_ub]]
+    np.negative(ge_data, out=ge_data)
+    rhs = np.concatenate((problem.b[rows[0]], -problem.b[rows[1]], problem.b[rows[2]]))
+    csc = a.tocsc()
+    form = lp_module._RowForm(problem)
+    matrix = form.lp.a_matrix_
+    assert matrix.start_ == csc.indptr.tolist()
+    assert matrix.index_ == csc.indices.tolist()
+    assert same_bits(matrix.value_, csc.data)
+    assert same_bits(form.lp.row_lower_, np.concatenate((np.full(n_ub, -np.inf), rhs[n_ub:])))
+    assert same_bits(form.lp.row_upper_, rhs)
+    whole = problem.a.tocsc()
+    start, index, value = problem.columns()
+    assert start.tolist() == whole.indptr.tolist()
+    assert index.tolist() == whole.indices.tolist()
+    assert same_bits(value, whole.data)
+
+
+@pytest.mark.parametrize("name", ["grid1_k8", "grid2_k9", "grid1_k20", "tiny_explicit"])
+def test_row_form_is_scipys_on_shipped_models(name):
+    config = load_scenario(os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                                        f"{name}.json"))
+    policy = config.make_policy("mo")
+    assert_row_form_is_scipys(policy.fluid_model(config.initial_state(episode_rng(0))).problem)
+
+
+@st.composite
+def csr_problems(draw):
+    """Up to 7 rows of any mix of senses over up to 6 columns, as raw CSR
+    arrays: a row's entries come in any column order, may repeat a column
+    or hold an explicit zero, and a row or column may have none."""
+    n = draw(st.integers(1, 6))
+    senses = draw(st.lists(st.sampled_from([LE, GE, EQ]), min_size=1, max_size=7))
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -1e-300, 3e7])
+    rows = [draw(st.lists(st.tuples(st.integers(0, n - 1), value), max_size=5))
+            for _ in senses]
+    data = np.array([v for row in rows for _, v in row], dtype=float)
+    indices = np.array([j for row in rows for j, _ in row], dtype=np.int32)
+    indptr = np.concatenate(([0], np.cumsum([len(row) for row in rows])))
+    b = np.array(draw(st.lists(value, min_size=len(senses), max_size=len(senses))))
+    return LpProblem(np.ones(n), lp_module.Csr(data, indices, indptr), tuple(senses), b,
+                     np.zeros(n), np.full(n, np.inf))
+
+
+@given(csr_problems())
+@settings(max_examples=300, deadline=None)
+def test_row_form_is_scipys_on_any_csr_arrays(problem):
+    assert_row_form_is_scipys(problem)
+
+
+@pytest.mark.parametrize("data, indices, indptr, message", [
+    ([1.0, 2.0], [0, 1], [0, 1, 2, 2], "row size mismatch"),
+    ([1.0, 2.0], [0, 1], [1, 1, 2], "malformed"),
+    ([1.0, 2.0], [0, 1], [0, 2, 1], "malformed"),
+    ([1.0, 2.0], [0, 1], [0, 1, 1], "malformed"),
+    ([1.0, 2.0], [0], [0, 1, 2], "malformed"),
+    ([1.0, 2.0], [0, 2], [0, 1, 2], "malformed"),
+    ([1.0, 2.0], [-1, 1], [0, 1, 2], "malformed"),
+])
+def test_inconsistent_csr_arrays_are_rejected(data, indices, indptr, message):
+    a = lp_module.Csr(np.array(data), np.array(indices), np.array(indptr))
+    with pytest.raises(ValueError, match=message):
+        LpProblem(np.ones(2), a, (LE, LE), np.ones(2), np.zeros(2), np.ones(2))
+
+
+def test_a_matrix_with_other_columns_than_c_is_rejected():
+    with pytest.raises(ValueError, match="column size mismatch"):
+        LpProblem(np.ones(3), sp.csr_matrix(np.ones((2, 2))), (LE, LE), np.ones(2),
+                  np.zeros(3), np.ones(3))
+
+
+def test_standard_form_sums_duplicate_entries_as_toarray_does():
+    # row 0 holds column 1 three times and column 0 twice, out of order
+    a = sp.csr_matrix((np.array([0.1, 0.2, -3.0, 0.7, 1e-17, 5.0]),
+                       np.array([1, 0, 1, 0, 1, 2]), np.array([0, 5, 6])), shape=(2, 3))
+    args = (np.array([1.0, -1.0, 0.5]), (LE, GE), np.array([1.0, 2.0]), np.zeros(3),
+            np.array([np.inf, 4.0, np.inf]))
+    duplicated = LpProblem(args[0], a, *args[1:])
+    dense = LpProblem(args[0], a.toarray(), *args[1:])
+    assert duplicated.data.size == 6 and dense.data.size == 3
+    for mine, ref in zip(lp_module._standard_form(duplicated), lp_module._standard_form(dense)):
+        assert same_bits(mine, ref)
 
 
 # -- loading the HiGHS binding -------------------------------------------------
