@@ -193,8 +193,9 @@ class ScenarioConfig:
     ``lambda``: number > 0 or null; null, and required for grid2.
     ``seed``: integer; 0.  Replication r plays episode seed ``seed + r``.
     ``reps``: integer >= 1; 64.  Replications of a benchmark.
-    ``rewards``: list of numbers <= 0, one per cell row-major from the bottom
-        left, or null; null (the family's costs), and required for explicit.
+    ``rewards``: list of finite numbers <= 0, one per cell row-major from
+        the bottom left, or null; null (the family's costs), and required
+        for explicit.
     ``fuel``, ``burning``: list of integers in [0, ``MAX_WARMUP_STEPS``]
         (10 000), the bound a grid fire's fuel has, and of 0 or 1, one per
         cell, or null; null, required for explicit and ignored otherwise.

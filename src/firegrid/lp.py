@@ -16,14 +16,13 @@ bundled solver.  It calls scipy's private binding
 ``scipy.optimize._highspy._core`` directly, with the model and options
 ``linprog`` would pass and ``linprog``'s input and result checks, because
 ``linprog``'s wrapper spends a sizeable share of a decision in Python on
-results MO never reads.  A problem's rows are loaded into HiGHS's form once
-and shared with the problems ``LpProblem.with_columns`` derives from it.
-An ``LpProblem`` holds A as numpy CSR arrays, and both solvers and the MPS
-writer work on numpy arrays alone.  So this module imports nothing from
-scipy until the binding is loaded, or a problem is given A as a scipy or
-dense matrix, or its ``a`` property is read; ``_highs`` loads the binding's
-extension file alone, so the ``scipy.optimize`` package itself is never
-imported.
+results MO never reads.  A problem's rows are handed to HiGHS as stored,
+row-wise, once, and shared with the problems ``LpProblem.with_columns``
+derives from it.  An ``LpProblem`` holds A as numpy CSR arrays, and both
+solvers work on numpy arrays alone.  So this module imports nothing from scipy
+until the binding is loaded, or a problem is given A as a scipy or dense
+matrix, or its ``a`` property is read; ``_highs`` finds the binding's
+extension file without running any scipy package and loads it alone.
 """
 
 from __future__ import annotations
@@ -67,11 +66,11 @@ class LpProblem:
     """min c @ x subject to A x (sense) b and lower <= x <= upper.
 
     A is stored once, as the CSR arrays ``data``, ``indices`` and ``indptr``
-    of shape ``shape`` = (len(b), len(c)); the solvers and the MPS writer
-    read these arrays and nothing else.  ``a`` may be given as a ``Csr`` of
-    such arrays, which are kept as they are, or as a scipy sparse matrix or
-    a dense array, which is read into them once; only that case imports
-    ``scipy.sparse``.  The ``a`` property is a scipy ``csr_matrix`` over the
+    of shape ``shape`` = (len(b), len(c)); the solvers read these rows as
+    stored (HiGHS transposes them itself), the MPS writer alone reorders them
+    by column.  ``a`` may be given as a ``Csr`` of such arrays, kept as they
+    are, or as a scipy sparse matrix or a dense array, read into them once;
+    only that case imports ``scipy.sparse``.  The ``a`` property is a scipy ``csr_matrix`` over the
     stored arrays, built on first read, for readers outside the solvers.
     """
 
@@ -119,11 +118,6 @@ class LpProblem:
             self._a = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
         return self._a
 
-    def columns(self) -> tuple:
-        """A's compressed columns ``(start, index, value)``, as ``_columns``
-        builds them."""
-        return _columns(self.indptr, self.indices, self.data, self.shape[1])
-
     def with_columns(self, c, lower, upper) -> LpProblem:
         """The same rows with new costs and column bounds.  The result
         shares this problem's arrays and row form, so HiGHS's copy of the
@@ -132,18 +126,6 @@ class LpProblem:
         derived = copy.copy(self)
         derived._set_columns(c, lower, upper)
         return derived
-
-
-def _columns(indptr, indices, data, n: int) -> tuple:
-    """The compressed columns ``(start, index, value)`` of the CSR arrays
-    ``indptr``, ``indices`` and ``data`` with ``n`` columns: column j's
-    entries are ``value[start[j]:start[j + 1]]`` in the rows ``index[...]``.
-    A stable sort keeps each column's entries in row order, and duplicates
-    in their stored order, as scipy's ``tocsc`` does."""
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    order = np.argsort(indices, kind="stable")
-    start = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n))))
-    return start, rows[order], data[order]
 
 
 @dataclass
@@ -337,19 +319,21 @@ def _highs():
     Importing it by name runs the whole ``scipy.optimize`` package first,
     about 0.2 s and 25 MB of peak memory for a module that is one file.
     So the file ``<scipy>/optimize/_highspy/_core<suffix>`` is loaded
-    directly, with the first of ``EXTENSION_SUFFIXES`` that exists, and
+    directly, with ``<scipy>`` found by ``find_spec`` without running any
+    scipy module, the first of ``EXTENSION_SUFFIXES`` that exists, and
     registered in ``sys.modules`` under its full name before it runs, so a
     later ``import scipy.optimize`` finds and reuses this very module
     instead of loading the file again.  A module already in ``sys.modules``
-    is returned as it is.  A scipy without the file raises ``ImportError``
-    naming the path.
+    is returned as it is.  No scipy, or a scipy without the file, raises
+    ``ImportError``, naming the path in the second case.
     """
     module = sys.modules.get(_HIGHS)
     if module is not None:
         return module
-    import scipy
-
-    stem = os.path.join(scipy.__path__[0], "optimize", "_highspy", "_core")
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("No module named 'scipy'", name="scipy")
+    stem = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy", "_core")
     suffixes = importlib.machinery.EXTENSION_SUFFIXES
     path = next((stem + s for s in suffixes if os.path.exists(stem + s)), None)
     if path is None:
@@ -371,11 +355,12 @@ class _RowForm:
     """An LP's rows as HiGHS reads them, loaded into one ``HighsLp``.
 
     The row layout is ``linprog``'s: the LE rows, then the GE rows negated,
-    then the EQ rows, in compressed columns (``_columns``) with row bounds
-    (-inf, b) on the first ``n_ub`` rows and (b, b) on the rest.  It depends
-    only on a problem's rows, so every problem ``with_columns`` derives
-    shares it; ``solve_lp_scipy`` writes the column arrays before each solve.
-    The ``HighsLp`` comes from the binding ``_highs`` loads, without the
+    then the EQ rows, as compressed rows (``passModel`` transposes them into
+    the columns ``linprog`` hands HiGHS), with row bounds (-inf, b) on the
+    first ``n_ub`` rows and (b, b) on the rest.  It depends only on a
+    problem's rows, so every problem ``with_columns`` derives shares it;
+    ``solve_lp_scipy`` writes the column arrays before each solve.  The
+    ``HighsLp`` comes from the binding ``_highs`` loads, without the
     ``scipy.optimize`` package.
     """
 
@@ -396,15 +381,14 @@ class _RowForm:
         np.negative(ge_data, out=ge_data)
         self.rhs = np.concatenate((problem.b[le], -problem.b[ge], problem.b[eq]))
         m, n = problem.shape
-        start, index, value = _columns(indptr, problem.indices[take], data, n)
         self.lp = lp = _core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
         lp.num_row_ = lp.a_matrix_.num_row_ = m
-        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = _core.MatrixFormat.kRowwise
         # the binding copies a list into these vectors faster than an array
-        lp.a_matrix_.start_ = start.tolist()
-        lp.a_matrix_.index_ = index.tolist()
-        lp.a_matrix_.value_ = value.tolist()
+        lp.a_matrix_.start_ = indptr.tolist()
+        lp.a_matrix_.index_ = problem.indices[take].tolist()
+        lp.a_matrix_.value_ = data.tolist()
         lp.row_lower_ = np.concatenate((np.full(n_ub, -np.inf), self.rhs[n_ub:])).tolist()
         lp.row_upper_ = self.rhs.tolist()
 

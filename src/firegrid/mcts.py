@@ -49,7 +49,7 @@ class MctsConfig:
     Each is a scenario file's ``mcts`` key; a value outside its range raises
     ``ValueError`` naming the key.
 
-    ``exploration_c``: number >= 0; 50.  The UCB constant c.
+    ``exploration_c``: finite number >= 0; 50.  The UCB constant c.
     ``widen_k_action``, ``widen_alpha_action``: number > 0, and in (0, 1];
         40 and 0.5.  A node tries a new action while |A(s)| < k * N(s)**alpha.
     ``widen_k_state``, ``widen_alpha_state``: number > 0, and in (0, 1]; 40
@@ -86,8 +86,8 @@ class MctsConfig:
 
     def __post_init__(self):
         # written ``not <in range>`` so that a NaN fails too
-        if not self.exploration_c >= 0.0:
-            raise ValueError("exploration_c must be >= 0")
+        if not 0.0 <= self.exploration_c < inf:
+            raise ValueError("exploration_c must be >= 0 and finite")
         for key in ("widen_k_action", "widen_k_state"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"{key} must be > 0")

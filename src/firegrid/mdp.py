@@ -192,15 +192,15 @@ class SpreadModel:
 
 @dataclass(frozen=True)
 class RewardModel:
-    """Per-cell burn cost; every value must be nonpositive."""
+    """Per-cell burn cost; every value must be finite and nonpositive."""
 
     values: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         for x, v in enumerate(self.values):
-            if not v <= 0.0:
-                raise ValueError(f"R({x}) = {v} must be <= 0")
+            if not -np.inf < v <= 0.0:
+                raise ValueError(f"R({x}) = {v} must be <= 0 and finite")
 
     def __getitem__(self, x: int) -> float:
         return self.values[x]

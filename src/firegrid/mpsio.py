@@ -4,7 +4,8 @@ One canonical layout: fields at columns 2, 5, 15, 25 and 40; generated
 names R0000001/C0000001; one coefficient per line; integer columns wrapped
 in INTORG/INTEND markers.  Any external MILP solver that reads fixed MPS can
 consume the output.  The package only writes MPS; the reader that checks
-this writer lives in the tests (``tests/oracles.py``).
+this writer lives in the tests (``tests/oracles.py``).  It is the one
+reader of ``LpProblem``'s rows in column order (``_columns``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ def _col_name(j: int) -> str:
     return f"C{j + 1:07d}"
 
 
+def _columns(problem: LpProblem) -> tuple:
+    """A's compressed columns ``(start, index, value)``: column j's entries
+    are ``value[start[j]:start[j + 1]]`` in the rows ``index[...]``.  A
+    stable sort keeps each column's entries in row order, and duplicates in
+    their stored order, as scipy's ``tocsc`` does."""
+    rows = np.repeat(np.arange(problem.shape[0]), np.diff(problem.indptr))
+    order = np.argsort(problem.indices, kind="stable")
+    counts = np.bincount(problem.indices, minlength=problem.shape[1])
+    return np.concatenate(([0], np.cumsum(counts))), rows[order], problem.data[order]
+
+
 def write_mps(problem: LpProblem, integer_mask=None, name: str = "FIREGRID") -> str:
     m, n = problem.shape
     if integer_mask is None:
@@ -47,7 +59,7 @@ def write_mps(problem: LpProblem, integer_mask=None, name: str = "FIREGRID") -> 
     for i, sense in enumerate(problem.senses):
         lines.append(f" {_SENSE_TO_TAG[sense]}  {_row_name(i)}")
 
-    start, index, value = problem.columns()
+    start, index, value = _columns(problem)
     lines.append("COLUMNS")
     marker_count = 0
     in_integer = False

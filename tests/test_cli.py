@@ -311,6 +311,13 @@ def test_export_lp_non_burning_solves_to_zero(tmp_path):
     assert mask.sum() > 0
 
 
+def test_export_lp_matches_golden_bytes(tmp_path):
+    out = tmp_path / "model.mps"
+    assert main(["export-lp", "--scenario", os.path.join(SCENARIOS, "tiny_explicit.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "export_lp_tiny_explicit.mps").read_bytes()
+
+
 def test_export_lp_writes_the_model_mo_solves(tmp_path):
     # horizon and delta come from the scenario's mo block, not from flags
     doc = explicit_doc(mo={"horizon": 2, "delta": 0.25})

@@ -278,6 +278,22 @@ def test_scenario_planner_blocks_validated_at_load():
     scenario_from_dict(explicit_doc(mcts={"budget_seconds": 0.0, "budget_iterations": 0}))
 
 
+def test_scenario_non_finite_json_numbers_named(tmp_path):
+    # Python's json reads Infinity; the load rejects it where it would
+    # otherwise break a later decision or make every UCB score infinite
+    path = tmp_path / "scenario.json"
+    for doc, message in (
+        (explicit_doc(rewards=[-math.inf, -1.0, -1.0, -1.0]),
+         r"^field 'rewards': R\(0\) = -inf must be <= 0 and finite"),
+        (explicit_doc(mcts={"exploration_c": math.inf}),
+         "^field 'mcts': exploration_c must be >= 0 and finite"),
+    ):
+        path.write_text(json.dumps(doc))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(str(path))
+
+
 # -- episodes ------------------------------------------------------------------
 
 def test_episode_without_fire_is_empty():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firegrid import lp as lp_module
+from firegrid import mpsio
 from firegrid.harness import episode_rng, load_scenario
 from firegrid.lp import (
     EQ,
@@ -341,7 +342,7 @@ def test_an_optimum_violating_a_row_reads_iteration_limit(monkeypatch):
     assert sol.status == ITERATION_LIMIT and sol.x is None
 
 
-# -- the compressed columns built in numpy --------------------------------------
+# -- the rows HiGHS is handed, and the MPS writer's columns ---------------------
 
 def same_bits(mine, ref) -> bool:
     mine, ref = np.asarray(mine), np.asarray(ref)
@@ -349,26 +350,25 @@ def same_bits(mine, ref) -> bool:
 
 
 def assert_row_form_is_scipys(problem: LpProblem):
-    """``_RowForm``'s arrays are, bit for bit, those of scipy's
-    ``a[le ++ ge ++ eq].tocsc()`` with the GE rows negated, and
-    ``LpProblem.columns()`` is ``a.tocsc()``."""
+    """``_RowForm`` hands HiGHS, bit for bit, the compressed rows of scipy's
+    ``vstack([A_le, -A_ge, A_eq]).tocsr()`` and their bounds, ``linprog``'s
+    layout, and the MPS writer's ``_columns`` are ``a.tocsc()``."""
     senses = np.array(problem.senses)
-    rows = [np.flatnonzero(senses == s) for s in (LE, GE, EQ)]
-    a = problem.a[np.concatenate(rows)]
-    n_le, n_ub = len(rows[0]), len(rows[0]) + len(rows[1])
-    ge_data = a.data[a.indptr[n_le]:a.indptr[n_ub]]
-    np.negative(ge_data, out=ge_data)
-    rhs = np.concatenate((problem.b[rows[0]], -problem.b[rows[1]], problem.b[rows[2]]))
-    csc = a.tocsc()
+    a_le, a_ge, a_eq = (problem.a[np.flatnonzero(senses == s)] for s in (LE, GE, EQ))
+    n_ub = a_le.shape[0] + a_ge.shape[0]
+    rows = sp.vstack([a_le, -a_ge, a_eq]).tocsr()
+    rhs = np.concatenate((problem.b[senses == LE], -problem.b[senses == GE],
+                          problem.b[senses == EQ]))
     form = lp_module._RowForm(problem)
     matrix = form.lp.a_matrix_
-    assert matrix.start_ == csc.indptr.tolist()
-    assert matrix.index_ == csc.indices.tolist()
-    assert same_bits(matrix.value_, csc.data)
+    assert matrix.format_ == lp_module._highs().MatrixFormat.kRowwise
+    assert matrix.start_ == rows.indptr.tolist()
+    assert matrix.index_ == rows.indices.tolist()
+    assert same_bits(matrix.value_, rows.data)
     assert same_bits(form.lp.row_lower_, np.concatenate((np.full(n_ub, -np.inf), rhs[n_ub:])))
     assert same_bits(form.lp.row_upper_, rhs)
     whole = problem.a.tocsc()
-    start, index, value = problem.columns()
+    start, index, value = mpsio._columns(problem)
     assert start.tolist() == whole.indptr.tolist()
     assert index.tolist() == whole.indices.tolist()
     assert same_bits(value, whole.data)
@@ -499,18 +499,39 @@ def test_highs_loader_returns_the_module_scipy_optimize_imported():
     assert _run_python(code).split() == ["True"]
 
 
+def test_highs_loader_runs_no_scipy_module():
+    # the binding's directory is found without running scipy's __init__: the
+    # binding and the submodules it registers are all the scipy in the process
+    code = (
+        "import sys\n"
+        "from firegrid import lp\n"
+        "lp._highs()\n"
+        "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(lp._HIGHS in scipy, [m for m in scipy if not m.startswith(lp._HIGHS)])\n"
+    )
+    assert _run_python(code).split() == ["True", "[]"]
+
+
 def test_highs_loader_names_the_missing_extension_file(monkeypatch, tmp_path):
     import importlib.machinery
+    import importlib.util
     import sys
-
-    import scipy
 
     (tmp_path / "optimize" / "_highspy").mkdir(parents=True)
     monkeypatch.delitem(sys.modules, lp_module._HIGHS, raising=False)
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy_spec.submodule_search_locations = [str(tmp_path)]
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: scipy_spec if name == "scipy" else find_spec(name, *args))
     missing = os.path.join(str(tmp_path), "optimize", "_highspy",
                            "_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
     with pytest.raises(ImportError) as raised:
         lp_module._highs()
     assert missing in str(raised.value)
     assert raised.value.path == missing
+    # and without scipy at all, the error names scipy
+    scipy_spec = None
+    with pytest.raises(ImportError, match="No module named 'scipy'") as raised:
+        lp_module._highs()
+    assert raised.value.name == "scipy"
